@@ -7,9 +7,12 @@ daemon's process state.  The cold-vs-warm ratio *is* the subsystem's
 reason to exist, so it is tracked in
 ``benchmarks/results/BENCH_serve.json`` alongside the warm p50 and
 request throughput, and the ``*_per_sec`` key feeds the performance
-trajectory gate.
+trajectory gate.  The urllib figures open a new connection per request;
+``serve_keepalive_warm_p50_seconds`` reuses one connection, as HTTP
+clients that keep connections alive do.
 """
 
+import http.client
 import json
 import os
 import pathlib
@@ -74,13 +77,16 @@ def server():
         artifact_cache.set_disabled(None)
 
 
-def _post_compile(srv):
-    host, port = srv.server_address[:2]
-    body = json.dumps({
+def _compile_body():
+    return json.dumps({
         "benchmark": "gzip", "scale": bench_scale(),
     }).encode("utf-8")
+
+
+def _post_compile(srv):
+    host, port = srv.server_address[:2]
     request = urllib.request.Request(
-        f"http://{host}:{port}/v1/compile", data=body,
+        f"http://{host}:{port}/v1/compile", data=_compile_body(),
         headers={"Content-Type": "application/json"}, method="POST",
     )
     with urllib.request.urlopen(request) as response:
@@ -107,6 +113,33 @@ def test_cold_then_warm_compile_latency(server, benchmark):
     # The cold/warm gap is what holding warm process state buys; a
     # conservative floor so a cache regression trips CI loudly.
     assert cold_seconds / p50 > 2.0
+
+
+def test_keepalive_warm_compile_latency(server, benchmark):
+    """Warm compiles over one keep-alive ``http.client`` connection.
+
+    A per-response stall on a reused socket (such as Nagle's algorithm
+    waiting on the client's delayed ACK) shows only here: the urllib
+    figures above reconnect for every request.
+    """
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    body = _compile_body()
+
+    def post():
+        conn.request("POST", "/v1/compile", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read()
+
+    try:
+        post()  # connect, and warm the daemon if run on its own
+        benchmark.pedantic(post, rounds=WARM_ROUNDS, iterations=1)
+    finally:
+        conn.close()
+    _RESULTS["serve_keepalive_warm_p50_seconds"] = \
+        benchmark.stats.stats.median
 
 
 def test_traced_warm_compile_latency(tmp_path_factory, benchmark):

@@ -258,7 +258,7 @@ class ServeApp:
         }
         handler = handlers.get(endpoint)
         if handler is None:
-            return 404, _error_bytes(f"unknown endpoint {endpoint!r}")
+            return 404, error_bytes(f"unknown endpoint {endpoint!r}")
         self.registry.counter(
             "serve_requests_total",
             help="HTTP requests accepted by the serving daemon",
@@ -272,14 +272,14 @@ class ServeApp:
             response, coalesced = handler(dict(body), meta)
         except RequestError as exc:
             self._count_error()
-            return 400, _error_bytes(exc.message)
+            return 400, error_bytes(exc.message)
         except _CLIENT_ERRORS as exc:
             self._count_error()
             message = exc.args[0] if exc.args else str(exc)
-            return 400, _error_bytes(str(message))
+            return 400, error_bytes(str(message))
         except Exception as exc:  # noqa: BLE001 — boundary
             self._count_error()
-            return 500, _error_bytes(f"{type(exc).__name__}: {exc}")
+            return 500, error_bytes(f"{type(exc).__name__}: {exc}")
         finally:
             self.registry.histogram(
                 f"serve_{endpoint}_latency_seconds", LATENCY_BUCKETS,
@@ -447,7 +447,7 @@ class ServeApp:
         over the daemon's own spool directory (schema-pinned).
         """
         if self.trace_dir is None:
-            return 404, _error_bytes(
+            return 404, error_bytes(
                 "tracing is disabled (start the daemon with tracing "
                 "enabled to use /v1/trace)"
             )
@@ -456,7 +456,7 @@ class ServeApp:
         try:
             data = build_timeline(self.trace_dir, trace_id)
         except ValueError as exc:
-            return 404, _error_bytes(str(exc))
+            return 404, error_bytes(str(exc))
         body = json.dumps(data, indent=2, sort_keys=True) + "\n"
         return 200, body.encode("utf-8")
 
@@ -473,7 +473,8 @@ class ServeApp:
         )
 
 
-def _error_bytes(message):
+def error_bytes(message):
+    """The ``{"error": message}`` JSON body of an error response."""
     return (json.dumps({"error": message}, sort_keys=True) + "\n") \
         .encode("utf-8")
 

@@ -1,29 +1,35 @@
 """The HTTP daemon: ``python -m repro serve --port N``.
 
-Stdlib :class:`~http.server.ThreadingHTTPServer` — one thread per
-request, the :class:`~repro.serve.app.ServeApp` underneath holding the
-warm state.  The server is configured for *graceful drain*:
-``daemon_threads`` is off and ``block_on_close`` on, so a SIGINT or
-SIGTERM stops accepting new connections, lets every in-flight request
-finish, and only then exits — with the interrupt convention shared by
-the campaign CLI (exit 130 for SIGINT, 143 for SIGTERM), no traceback.
+Stdlib :class:`~http.server.ThreadingHTTPServer`, one thread per
+connection, over a :class:`~repro.serve.app.ServeApp` holding the warm
+state.  SIGINT or SIGTERM drains: accepting stops, idle keep-alive
+connections close, in-flight requests finish, and the process exits
+130 or 143 (the campaign CLI's convention) without a traceback.
 
-The signal handler must not call :meth:`~socketserver.BaseServer.shutdown`
-directly: the handler runs on the main thread, which is *inside*
-``serve_forever``, and ``shutdown`` blocks until ``serve_forever``
-exits — a deadlock.  A helper thread makes the call instead.
+The signal handler must not call ``shutdown`` itself: it runs on the
+main thread inside ``serve_forever``, which ``shutdown`` waits for — a
+deadlock.  A helper thread makes the call instead.
 """
 
 import argparse
+import contextlib
 import json
 import signal
+import socket
 import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.compiler import shared_manager
+from repro.exec import artifact_cache
+from repro.experiments.runner import get_artifacts
+from repro.obs.context import telemetry
 from repro.obs.tracectx import TRACE_HEADER
-from repro.serve.app import ServeApp
+from repro.serve.accesslog import AccessLog
+from repro.serve.app import ServeApp, error_bytes
+from repro.uarch import set_default_engine
 
 #: Default listen address.
 DEFAULT_HOST = "127.0.0.1"
@@ -44,100 +50,118 @@ class ServeServer(ThreadingHTTPServer):
     def __init__(self, address, app, verbose=False):
         self.app = app
         self.verbose = verbose
+        self._open = set()  # accepted, not yet closed connections
+        self._open_lock = threading.Lock()
         super().__init__(address, RequestHandler)
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        """Drain: end every keep-alive connection, then join handlers.
+
+        A handler waiting on an idle connection's next request line
+        would hang the join.  Shutting down each read side makes reads
+        return what has already arrived, then EOF: an in-flight request
+        still writes its full response, then its next read ends the
+        connection.
+        """
+        with self._open_lock:
+            for connection in self._open:
+                with contextlib.suppress(OSError):
+                    connection.shutdown(socket.SHUT_RD)
+        super().server_close()
+
+
+class _Rejected(Exception):
+    """A POST refused before it reaches the app: ``(status, message)``."""
 
 
 class RequestHandler(BaseHTTPRequestHandler):
-    """Routes ``/v1/*`` POSTs and the two GET endpoints to the app."""
+    """Routes ``/v1/*`` POSTs and the GET endpoints to the app.
+
+    Each response leaves in one write on a TCP_NODELAY socket.  Headers
+    and body as two small writes stall a keep-alive client: Nagle's
+    algorithm holds the body until the header segment is ACKed, and
+    the client delays that ACK by ~40 ms.
+    """
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 — stdlib name
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send(self, status, body, content_type="application/json"):
+    def _send(self, status, body, content_type="application/json",
+              headers=()):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status, message):
-        body = (json.dumps({"error": message}, sort_keys=True) + "\n") \
-            .encode("utf-8")
-        self._send(status, body)
+        for name, value in headers:
+            self.send_header(name, value)
+        # end_headers() would write the header block on its own.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def do_GET(self):
         app = self.server.app
         started = time.monotonic()
+        content_type = "application/json"
         if self.path == "/healthz":
             status, body = app.healthz()
-            self._send(status, body)
         elif self.path == "/metrics":
             status, body = app.metrics()
-            self._send(
-                status, body,
-                content_type=(
-                    "application/openmetrics-text; version=1.0.0; "
-                    "charset=utf-8"
-                ),
-            )
+            content_type = ("application/openmetrics-text; "
+                            "version=1.0.0; charset=utf-8")
         elif self.path.startswith("/v1/trace/"):
-            trace_id = self.path[len("/v1/trace/"):]
-            status, body = app.trace_timeline(trace_id)
-            self._send(status, body)
+            status, body = app.trace_timeline(self.path[len("/v1/trace/"):])
         else:
-            status = 404
-            self._error(status, f"unknown path {self.path!r}")
-        app.log_access(
-            "GET", self.path, status,
-            (time.monotonic() - started) * 1000.0,
-        )
+            status, body = 404, error_bytes(f"unknown path {self.path!r}")
+        self._send(status, body, content_type)
+        app.log_access("GET", self.path, status,
+                       (time.monotonic() - started) * 1000.0)
 
     def do_POST(self):
         app = self.server.app
         started = time.monotonic()
-        if not self.path.startswith("/v1/"):
-            self._error(404, f"unknown path {self.path!r}")
-            app.log_access(
-                "POST", self.path, 404,
-                (time.monotonic() - started) * 1000.0,
+        headers = ()
+        try:
+            endpoint, request = self._read_post()
+        except _Rejected as exc:
+            status, body = exc.args[0], error_bytes(exc.args[1])
+            meta = {"duration_ms": (time.monotonic() - started) * 1000.0}
+        else:
+            status, body, meta = app.handle_request(
+                endpoint, request, traceparent=self.headers.get(TRACE_HEADER)
             )
-            return
-        endpoint = self.path[len("/v1/"):]
+            if meta["traceparent"]:
+                headers = [(TRACE_HEADER, meta["traceparent"])]
+        self._send(status, body, headers=headers)
+        app.log_access("POST", self.path, status, meta["duration_ms"],
+                       meta=meta)
+
+    def _read_post(self):
+        """``(endpoint, parsed JSON body)``, or raise :class:`_Rejected`."""
+        if not self.path.startswith("/v1/"):
+            raise _Rejected(404, f"unknown path {self.path!r}")
         try:
             length = int(self.headers.get("Content-Length", 0))
         except (TypeError, ValueError):
-            self._error(400, "bad Content-Length")
-            app.log_access(
-                "POST", self.path, 400,
-                (time.monotonic() - started) * 1000.0,
-            )
-            return
+            raise _Rejected(400, "bad Content-Length") from None
         raw = self.rfile.read(length) if length else b"{}"
         try:
-            body = json.loads(raw.decode("utf-8"))
+            return self.path[len("/v1/"):], json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
-            self._error(400, "request body is not valid JSON")
-            app.log_access(
-                "POST", self.path, 400,
-                (time.monotonic() - started) * 1000.0,
-            )
-            return
-        status, response, meta = app.handle_request(
-            endpoint, body, traceparent=self.headers.get(TRACE_HEADER)
-        )
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(response)))
-        if meta.get("traceparent"):
-            self.send_header(TRACE_HEADER, meta["traceparent"])
-        self.end_headers()
-        self.wfile.write(response)
-        app.log_access("POST", self.path, status, meta["duration_ms"],
-                       meta=meta)
+            raise _Rejected(400, "request body is not valid JSON") from None
 
 
 def build_server(address, app=None, verbose=False):
@@ -152,9 +176,6 @@ def build_server(address, app=None, verbose=False):
 
 def _warm(benchmarks, scale):
     """Pre-build artifacts and shared analyses before serving."""
-    from repro.compiler import shared_manager
-    from repro.experiments.runner import get_artifacts
-
     for benchmark in benchmarks:
         artifacts = get_artifacts(benchmark, scale=scale)
         shared_manager().analysis(artifacts.program, artifacts.profile)
@@ -208,32 +229,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.sim_engine is not None:
-        from repro.uarch import set_default_engine
-
         set_default_engine(args.sim_engine)
     if args.cache_dir:
-        from repro.exec import artifact_cache
-
         artifact_cache.set_cache_dir(args.cache_dir)
     if args.no_disk_cache:
-        from repro.exec import artifact_cache
-
         artifact_cache.set_disabled(True)
 
-    trace_dir = None
-    if not args.no_trace:
-        trace_dir = args.trace_dir
-        if trace_dir is None:
-            import tempfile
-
-            trace_dir = tempfile.mkdtemp(prefix="repro-serve-trace-")
-    access_log = None
-    if not args.no_access_log:
-        from repro.serve.accesslog import AccessLog
-
-        access_log = AccessLog(
-            args.access_log if args.access_log else sys.stderr
-        )
+    trace_dir = None if args.no_trace else (
+        args.trace_dir or tempfile.mkdtemp(prefix="repro-serve-trace-"))
+    access_log = None if args.no_access_log \
+        else AccessLog(args.access_log or sys.stderr)
 
     app = ServeApp(trace_dir=trace_dir, access_log=access_log)
     try:
@@ -258,10 +263,8 @@ def main(argv=None):
 
     previous = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
+        with contextlib.suppress(ValueError):  # not the main thread
             previous[signum] = signal.signal(signum, request_shutdown)
-        except ValueError:  # pragma: no cover — not the main thread
-            pass
 
     host, port = server.server_address[:2]
     # The serving line is a contract: tests and the CI smoke job parse
@@ -273,8 +276,6 @@ def main(argv=None):
         print(f"[serve] tracing to {trace_dir} "
               f"(python -m repro trace show <id> --dir {trace_dir})",
               flush=True)
-    from repro.obs.context import telemetry
-
     try:
         # Install the app's registry as the process-wide metrics sink:
         # the telemetry context is module-global, so every request
@@ -287,13 +288,11 @@ def main(argv=None):
         for signum, handler in previous.items():
             signal.signal(signum, handler)
 
-    if stop["signum"] == signal.SIGTERM:
-        print("[serve] drained and stopped (SIGTERM)", flush=True)
-        return EXIT_SIGTERM
-    if stop["signum"] == signal.SIGINT:
-        print("[serve] drained and stopped (SIGINT)", flush=True)
-        return EXIT_SIGINT
-    return 0
+    if stop["signum"] is None:
+        return 0
+    print(f"[serve] drained and stopped "
+          f"({signal.Signals(stop['signum']).name})", flush=True)
+    return EXIT_SIGTERM if stop["signum"] == signal.SIGTERM else EXIT_SIGINT
 
 
 if __name__ == "__main__":

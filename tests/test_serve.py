@@ -3,10 +3,13 @@ coalescing, the HTTP surface, engine resolution under threads, and
 graceful shutdown."""
 
 import contextlib
+import http.client
 import io
 import json
 import os
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -21,7 +24,7 @@ from repro.campaign.spec import DEFAULT_CELL, content_hash, run_cell
 from repro.obs.context import telemetry
 from repro.obs.explain import validate_explain
 from repro.serve.app import ServeApp, SingleFlight
-from repro.serve.daemon import build_server
+from repro.serve.daemon import RequestHandler, build_server
 
 SCALE = 0.1
 BENCH = "gzip"
@@ -45,6 +48,30 @@ def app():
     application = ServeApp()
     with telemetry(metrics=application.registry):
         yield application
+
+
+@pytest.fixture
+def server(app):
+    srv = build_server(("127.0.0.1", 0), app)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=5)
+
+
+def _connect(srv):
+    """One keep-alive ``http.client`` connection to ``srv``."""
+    host, port = srv.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=10)
+
+
+def _fetch(conn, method, path, body=None):
+    conn.request(method, path, body=body,
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, response.read()
 
 
 class TestByteIdentity:
@@ -255,16 +282,6 @@ class TestSingleFlight:
 
 
 class TestHTTP:
-    @pytest.fixture
-    def server(self, app):
-        srv = build_server(("127.0.0.1", 0), app)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        srv.server_close()
-        thread.join(timeout=5)
-
     def _url(self, server, path):
         host, port = server.server_address[:2]
         return f"http://{host}:{port}{path}"
@@ -326,6 +343,139 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(self._url(server, "/nope"))
         assert excinfo.value.code == 404
+
+
+class TestKeepAlive:
+    """Responses on a reused connection do not wait on delayed ACKs."""
+
+    def test_each_response_is_one_write_with_nodelay(self, server,
+                                                     monkeypatch):
+        writes, nodelay = [], []
+        setup = RequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            write = handler.wfile.write
+            handler.wfile.write = \
+                lambda data: writes.append(bytes(data)) or write(data)
+
+        monkeypatch.setattr(RequestHandler, "setup", recording_setup)
+        conn = _connect(server)
+        compile_body = json.dumps({"benchmark": BENCH, "scale": SCALE})
+        bodies = [
+            _fetch(conn, "GET", "/healthz")[1],
+            _fetch(conn, "POST", "/v1/compile", compile_body)[1],
+            _fetch(conn, "GET", "/nope")[1],
+            _fetch(conn, "POST", "/v1/simulate", "{not json")[1],
+        ]
+        conn.close()
+        assert nodelay and all(nodelay)
+        assert len(writes) == len(bodies)
+        for write, body in zip(writes, bodies):
+            assert write.startswith(b"HTTP/1.1 ")
+            assert write.endswith(b"\r\n\r\n" + body)
+
+    def test_keepalive_requests_do_not_stall(self, server):
+        # A delayed-ACK stall is a fixed timer of 40 ms or more per
+        # response, so even a loaded machine stays far below 20 ms.
+        conn = _connect(server)
+        _fetch(conn, "GET", "/healthz")
+        sock = conn.sock
+        latencies = []
+        for _ in range(20):
+            started = time.perf_counter()
+            status, _ = _fetch(conn, "GET", "/healthz")
+            latencies.append(time.perf_counter() - started)
+            assert status == 200
+        assert conn.sock is sock  # every request reused the connection
+        conn.close()
+        assert statistics.median(latencies) < 0.020
+
+
+class TestDrain:
+    """``server_close`` ends keep-alive connections but not requests."""
+
+    @staticmethod
+    def _close_in_background(srv):
+        srv.shutdown()
+        closer = threading.Thread(target=srv.server_close, daemon=True)
+        closer.start()
+        return closer
+
+    def test_idle_connection_does_not_hang_the_drain(self, server):
+        conn = _connect(server)
+        assert _fetch(conn, "GET", "/healthz")[0] == 200
+        closer = self._close_in_background(server)
+        closer.join(timeout=5)
+        assert not closer.is_alive(), "drain blocked on an idle connection"
+        assert conn.sock.recv(1) == b""  # the server closed it
+        conn.close()
+
+    def test_drain_after_many_concurrent_connections(self, server):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            conns = [_connect(server) for _ in range(8)]
+            statuses = []
+
+            def client(conn):
+                for _ in range(5):
+                    statuses.append(_fetch(conn, "GET", "/healthz")[0])
+
+            threads = [threading.Thread(target=client, args=(conn,))
+                       for conn in conns]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert statuses == [200] * 40
+            closer = self._close_in_background(server)
+            closer.join(timeout=5)
+            assert not closer.is_alive()
+            assert server._open == set()
+            for conn in conns:
+                assert conn.sock.recv(1) == b""
+                conn.close()
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_in_flight_request_completes_then_closes(self, server, app,
+                                                     monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        handle_request = app.handle_request
+
+        def slow_handle_request(*args, **kwargs):
+            entered.set()
+            release.wait(10)
+            return handle_request(*args, **kwargs)
+
+        monkeypatch.setattr(app, "handle_request", slow_handle_request)
+        conn = _connect(server)
+        assert _fetch(conn, "GET", "/healthz")[0] == 200
+        request = {"benchmark": BENCH, "scale": SCALE}
+        result = {}
+
+        def client():
+            result["status"], result["body"] = _fetch(
+                conn, "POST", "/v1/compile", json.dumps(request))
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        assert entered.wait(10)
+        closer = self._close_in_background(server)
+        time.sleep(0.2)
+        assert closer.is_alive(), "drain did not wait for the request"
+        release.set()
+        thread.join(timeout=30)
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+        assert result["status"] == 200
+        assert result["body"] == app.handle("compile", request)[1]
+        assert conn.sock.recv(1) == b""  # then the server closed it
+        conn.close()
 
 
 class TestEngineResolution:
@@ -392,11 +542,9 @@ class TestEngineResolution:
 class TestDaemonProcess:
     """End-to-end: the real process drains cleanly on SIGTERM/SIGINT."""
 
-    @pytest.mark.parametrize("signum,expected", [
-        (signal.SIGTERM, 143),
-        (signal.SIGINT, 130),
-    ])
-    def test_graceful_shutdown(self, tmp_path, signum, expected):
+    @contextlib.contextmanager
+    def _daemon(self, tmp_path):
+        """A ``repro serve --port 0`` process and its bound port."""
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
         env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
@@ -409,21 +557,41 @@ class TestDaemonProcess:
         try:
             line = process.stdout.readline()
             assert "listening on http://" in line
-            port = int(line.split("http://")[1].split()[0]
-                       .rsplit(":", 1)[1])
+            yield process, int(line.split("http://")[1].split()[0]
+                               .rsplit(":", 1)[1])
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+
+    @pytest.mark.parametrize("signum,expected", [
+        (signal.SIGTERM, 143),
+        (signal.SIGINT, 130),
+    ])
+    def test_graceful_shutdown(self, tmp_path, signum, expected):
+        with self._daemon(tmp_path) as (process, port):
             with urllib.request.urlopen(
                     f"http://127.0.0.1:{port}/healthz",
                     timeout=10) as response:
                 assert response.status == 200
             process.send_signal(signum)
             stdout, stderr = process.communicate(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
         assert process.returncode == expected
         assert "Traceback" not in stderr
         assert "drained and stopped" in stdout
+
+    def test_sigterm_drains_past_an_idle_keepalive_connection(
+            self, tmp_path):
+        with self._daemon(tmp_path) as (process, port):
+            conn = http.client.HTTPConnection("127.0.0.1", port,
+                                              timeout=10)
+            assert _fetch(conn, "GET", "/healthz")[0] == 200
+            process.send_signal(signal.SIGTERM)
+            stdout, stderr = process.communicate(timeout=5)
+            conn.close()
+        assert process.returncode == 143
+        assert "Traceback" not in stderr
+        assert "[serve] drained and stopped" in stdout
 
 
 class TestCacheInfoCLI:
