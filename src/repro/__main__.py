@@ -61,6 +61,7 @@ import argparse
 import sys
 from contextlib import ExitStack
 
+from repro.errors import SimulationError
 from repro.exec import artifact_cache, default_jobs
 from repro.experiments import (
     ablations,
@@ -88,6 +89,7 @@ from repro.obs import (
     telemetry,
     write_manifest,
 )
+from repro.uarch import requested_engine
 
 ARTIFACTS = {
     "table1": table1,
@@ -109,6 +111,11 @@ DEFAULT_ALL_MANIFEST = "results/run_manifest.json"
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        engine = requested_engine()
+    except SimulationError as exc:
+        print(f"python -m repro: error: {exc}", file=sys.stderr)
+        return 2
     if argv and argv[0] == "campaign":
         from repro.campaign.cli import main as campaign_main
 
@@ -236,21 +243,8 @@ def main(argv=None):
         help="write a run manifest (config, git rev, phase timings, "
              f"metrics); 'all' defaults to {DEFAULT_ALL_MANIFEST}",
     )
-    parser.add_argument(
-        "--sim-engine",
-        choices=("auto", "scalar", "vectorized"),
-        default=None,
-        help="timing-simulator engine: 'vectorized' is the numpy "
-             "batch-replay fast path, 'auto' (the default) uses it "
-             "whenever it is bit-identical to 'scalar' "
-             "(see docs/performance.md)",
-    )
     args = parser.parse_args(argv)
 
-    if args.sim_engine is not None:
-        from repro.uarch import set_default_engine
-
-        set_default_engine(args.sim_engine)
     if args.cache_dir:
         artifact_cache.set_cache_dir(args.cache_dir)
     if args.no_disk_cache:
@@ -342,7 +336,7 @@ def main(argv=None):
                 "benchmarks": args.benchmarks or "all",
                 "trace": args.trace,
                 "metrics": args.metrics,
-                "sim_engine": args.sim_engine or "auto",
+                "sim_engine": engine,
             },
             benchmarks=benchmarks,
             scale=args.scale,

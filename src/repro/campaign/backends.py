@@ -29,9 +29,11 @@ A backend implements:
 ``owns(cell)``
     Does this backend instance execute this cell?  The scheduler skips
     cells it does not own (they are some other shard's work, not gaps).
-``launch(fn, cell, attempt, sim_engine=None, trace=None)``
+``launch(fn, cell, attempt, trace=None)``
     Start one attempt (``trace`` is the optional distributed-trace
-    propagation payload); returns a :class:`WorkerHandle`.
+    propagation payload); returns a :class:`WorkerHandle`.  Workers
+    inherit the environment, :envvar:`REPRO_SIM_ENGINE` included, so
+    cells simulate with the engine the campaign process selected.
 ``wait(handles, timeout)``
     Block up to ``timeout`` seconds; return the handles with a result
     ready (liveness/timeout sweeps stay in the scheduler).
@@ -74,7 +76,7 @@ def cell_usage():
     }
 
 
-def cell_worker(conn, fn, params, sim_engine=None, trace=None):
+def cell_worker(conn, fn, params, trace=None):
     """Run one cell under fresh telemetry; ship outcome over the pipe.
 
     ``trace`` is an optional distributed-trace propagation payload
@@ -95,12 +97,6 @@ def cell_worker(conn, fn, params, sim_engine=None, trace=None):
     # restore the default so a post-collect terminate() kills the
     # worker silently instead of raising through conn.send.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if sim_engine is not None:
-        # Set explicitly rather than relying on fork inheritance, so
-        # the engine choice survives a switch to a spawn context.
-        from repro.uarch import set_default_engine
-
-        set_default_engine(sim_engine)
     ctx = tracectx.TraceContext.from_propagation(
         trace, service="campaign-worker"
     )
@@ -163,11 +159,11 @@ class LocalPoolBackend:
         """The journal file this backend writes inside a campaign dir."""
         return JOURNAL_NAME
 
-    def launch(self, fn, cell, attempt, sim_engine=None, trace=None):
+    def launch(self, fn, cell, attempt, trace=None):
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=cell_worker,
-            args=(child_conn, fn, cell.params, sim_engine, trace),
+            args=(child_conn, fn, cell.params, trace),
             daemon=True,
         )
         process.start()

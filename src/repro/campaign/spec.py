@@ -296,9 +296,18 @@ def build_selection(preset, threshold_overrides=None):
 
 
 def build_processor(overrides):
-    """A :class:`ProcessorConfig` with overrides, or ``None`` for default."""
+    """A :class:`ProcessorConfig` with overrides, or ``None`` for default.
+
+    Raises :class:`ValueError` naming any override that is not a
+    :class:`ProcessorConfig` field.
+    """
     if not overrides:
         return None
+    unknown = sorted(set(overrides) - PROCESSOR_FIELDS)
+    if unknown:
+        raise ValueError(
+            f"unknown processor fields: {', '.join(unknown)}"
+        )
     return ProcessorConfig(**overrides).validate()
 
 

@@ -21,10 +21,9 @@ in workers exactly as if it had run inline.
 Workers are forked (the POSIX default), so they inherit the parent's
 warm in-memory caches and any artifact-cache overrides; per-worker
 cache reuse across that worker's jobs comes for free from the module
-state in :mod:`repro.experiments.runner`.  The simulation-engine
-default (:func:`repro.uarch.set_default_engine`, set by
-``--sim-engine``) is plain module state and rides along the same way,
-so cells simulate with the engine the parent selected — and since both
+state in :mod:`repro.experiments.runner`.  Workers also inherit the
+environment, so cells simulate with the engine
+:envvar:`REPRO_SIM_ENGINE` selected for the parent — and since both
 engines are bit-identical, plan-order gathering keeps parallel runs
 reproducible either way.
 

@@ -51,37 +51,36 @@ SCHEMA_PATH = os.path.join(
 
 
 def build_profile(workload, selection_config, input_set="reduced",
-                  scale=1.0, processor_config=None, engine=None):
+                  scale=1.0, processor_config=None):
     """Run profile → select → simulate under a fresh telemetry context.
 
     The run happens in its own metrics registry and span tree so the
     returned snapshot is self-contained (an ambient telemetry context,
     e.g. a figure driver's, is not disturbed and does not leak in).
-    ``engine`` optionally forces the simulation engine for the run
-    (``"scalar"``/``"vectorized"``/``"auto"``); the record carries the
-    engine that actually ran under its ``"engine"`` key.
+    :envvar:`REPRO_SIM_ENGINE` selects the simulation engine; the
+    record carries the engine that actually ran under its ``"engine"``
+    key.
     """
     from repro.experiments.runner import get_artifacts, run_selection
     from repro.obs.context import telemetry
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.timers import PhaseProfile
-    from repro.uarch.engine import engine_override, resolve_engine
+    from repro.uarch.engine import resolve_engine
     from repro.uarch.profiler import SimProfiler
 
     registry = MetricsRegistry()
     phases = PhaseProfile()
     profiler = SimProfiler()
     with telemetry(metrics=registry, phases=phases):
-        with engine_override(engine):
-            stats, annotation = run_selection(
-                workload, selection_config,
-                input_set=input_set, scale=scale,
-                config=processor_config, profiler=profiler,
-            )
-            resolved_engine = resolve_engine(
-                get_artifacts(workload, input_set, scale).program,
-                processor_config,
-            )
+        stats, annotation = run_selection(
+            workload, selection_config,
+            input_set=input_set, scale=scale,
+            config=processor_config, profiler=profiler,
+        )
+        resolved_engine = resolve_engine(
+            get_artifacts(workload, input_set, scale).program,
+            processor_config,
+        )
     simulate_self = phases.spans.self_seconds(("simulate",))
     attributed = profiler.total_seconds()
     return {
@@ -305,13 +304,6 @@ def main(argv=None):
         "--input-set", default="reduced",
         help="workload input set (default: reduced)",
     )
-    parser.add_argument(
-        "--sim-engine",
-        choices=("auto", "scalar", "vectorized"),
-        default=None,
-        help="timing-simulator engine (default: process default / "
-             "auto); the record's 'engine' key reports what ran",
-    )
     form = parser.add_mutually_exclusive_group()
     form.add_argument(
         "--json", action="store_true",
@@ -339,7 +331,6 @@ def main(argv=None):
         data = build_profile(
             args.workload, selection_config,
             input_set=args.input_set, scale=args.scale,
-            engine=args.sim_engine,
         )
     except (KeyError, WorkloadError) as exc:
         print(f"python -m repro profile: error: {exc.args[0]}",

@@ -29,7 +29,6 @@ from repro.obs.context import telemetry
 from repro.obs.tracectx import TRACE_HEADER
 from repro.serve.accesslog import AccessLog
 from repro.serve.app import ServeApp, error_bytes
-from repro.uarch import set_default_engine
 
 #: Default listen address.
 DEFAULT_HOST = "127.0.0.1"
@@ -202,12 +201,6 @@ def main(argv=None):
     parser.add_argument("--warm-scale", type=float, default=1.0,
                         metavar="S",
                         help="trace scale used by --warm (default 1.0)")
-    parser.add_argument("--sim-engine",
-                        choices=("auto", "scalar", "vectorized"),
-                        default=None,
-                        help="process-default timing-simulator engine "
-                             "(per-request 'engine' fields override it; "
-                             "results are engine-independent)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent artifact cache directory")
     parser.add_argument("--no-disk-cache", action="store_true",
@@ -228,8 +221,6 @@ def main(argv=None):
                         help="disable the structured access log")
     args = parser.parse_args(argv)
 
-    if args.sim_engine is not None:
-        set_default_engine(args.sim_engine)
     if args.cache_dir:
         artifact_cache.set_cache_dir(args.cache_dir)
     if args.no_disk_cache:

@@ -62,13 +62,6 @@ class ProcessorConfig:
     dpred_max_wrong_path_insts: int = 256
     dpred_max_loop_iterations: int = 32
 
-    # Simulation engine (not a hardware parameter): "scalar" replays
-    # one trace row at a time, "vectorized" uses the numpy batch-replay
-    # fast path, and "auto" picks vectorized whenever it can reproduce
-    # the scalar run bit-identically for the program at hand (see
-    # repro.uarch.engine).  Both engines produce identical SimStats.
-    sim_engine: str = "auto"
-
     @property
     def min_misprediction_penalty(self):
         """Cycles from fetch to earliest correct-path refetch."""
@@ -81,11 +74,6 @@ class ProcessorConfig:
             raise ValueError("retire_width must be positive")
         if self.min_misprediction_penalty < 1:
             raise ValueError("misprediction penalty must be at least 1")
-        if self.sim_engine not in ("auto", "scalar", "vectorized"):
-            raise ValueError(
-                f"sim_engine must be one of auto/scalar/vectorized, "
-                f"got {self.sim_engine!r}"
-            )
         return self
 
 

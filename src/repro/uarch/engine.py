@@ -1,165 +1,85 @@
 """Simulation-engine selection (scalar vs vectorized batch replay).
 
-One small resolution layer so every consumer — the experiment runner,
-campaigns, ``explain``/``profile``, tests — builds simulators the same
-way:
+One switch, the :envvar:`REPRO_SIM_ENGINE` environment variable, picks
+the engine for every consumer — the experiment runner, campaigns,
+``explain``/``profile``, the serving daemon, tests — all of which build
+simulators through :func:`make_simulator`:
 
-- :func:`make_simulator` is the factory everything should call.
-- Precedence: an explicit ``engine=`` argument beats a non-``"auto"``
-  :attr:`ProcessorConfig.sim_engine`, which beats the process default
-  (set by ``--sim-engine`` / :envvar:`REPRO_SIM_ENGINE`), which beats
-  the ``auto`` heuristic.
-- ``auto`` picks the vectorized engine whenever
+- unset or ``auto`` picks the vectorized engine whenever
   :func:`repro.uarch.vectorized.supports` says the replay is
   bit-identical for this (program, config); otherwise it silently
-  falls back to the scalar engine.  Requesting ``vectorized``
-  explicitly on an unsupported program raises
-  :class:`~repro.errors.SimulationError` instead.
+  falls back to the scalar engine;
+- ``scalar`` always replays one trace row at a time;
+- ``vectorized`` on an unsupported program raises
+  :class:`~repro.errors.SimulationError`, as does any other value.
 
-Both engines produce bit-identical :class:`~repro.uarch.stats.SimStats`
+Forked figure workers, campaign cells and the daemon's request threads
+inherit the environment, so no layer passes the choice along.  Both
+engines produce bit-identical :class:`~repro.uarch.stats.SimStats`
 (and ledger counters and trace events), so engine choice is purely a
 throughput knob and is deliberately *not* part of any cache or cell
 identity.
 """
 
 import os
-import threading
-from contextlib import contextmanager
 
 from repro.errors import SimulationError
+from repro.uarch.config import ProcessorConfig
 from repro.uarch.simulator import TimingSimulator
+from repro.uarch.vectorized import VectorizedTimingSimulator, supports
 
 #: Recognized engine names.
 ENGINES = ("auto", "scalar", "vectorized")
 
-#: Environment override for the process default (same values).
+#: The environment variable that selects the engine (same values).
 ENV_SIM_ENGINE = "REPRO_SIM_ENGINE"
 
-_default_engine = None
 
-#: Per-thread override (outranks the process default).  The serving
-#: daemon handles each request in its own thread, so a per-request
-#: ``engine`` field must not leak into concurrent requests the way a
-#: process-global would.
-_thread_engine = threading.local()
+def requested_engine():
+    """The engine :envvar:`REPRO_SIM_ENGINE` asks for (unset: ``auto``).
 
-
-def get_default_engine():
-    """The default engine for *this thread*.
-
-    Precedence: an active :func:`engine_override` on this thread, else
-    the process default (CLI ``--sim-engine`` /
-    :func:`set_default_engine`), else :envvar:`REPRO_SIM_ENGINE`, else
-    ``auto``.
+    Raises :class:`SimulationError` naming the allowed values for any
+    other setting, so a typo cannot silently fall back to ``auto``.
     """
-    local = getattr(_thread_engine, "engine", None)
-    if local is not None:
-        return local
-    if _default_engine is not None:
-        return _default_engine
-    env = os.environ.get(ENV_SIM_ENGINE, "").strip().lower()
-    return env if env in ENGINES else "auto"
-
-
-def set_default_engine(engine):
-    """Set (or with ``None`` clear) the process-default engine."""
-    global _default_engine
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(
-            f"unknown sim engine {engine!r} "
-            f"(choose from {', '.join(ENGINES)})"
-        )
-    _default_engine = engine
-
-
-@contextmanager
-def engine_override(engine):
-    """Temporarily override the engine for this thread (``None`` no-op).
-
-    Thread-local on purpose: concurrent serve requests each resolve
-    their own override without racing on the process default, while
-    single-threaded callers (the ``profile`` CLI, tests) observe
-    exactly the old set-then-restore semantics.
-    """
-    if engine is None:
-        yield
-        return
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown sim engine {engine!r} "
-            f"(choose from {', '.join(ENGINES)})"
-        )
-    previous = getattr(_thread_engine, "engine", None)
-    _thread_engine.engine = engine
-    try:
-        yield
-    finally:
-        _thread_engine.engine = previous
-
-
-def _numpy_available():
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def vectorized_support(program, config=None):
-    """``(ok, reason)``: may ``auto`` pick the vectorized engine here?"""
-    if not _numpy_available():
-        return False, "numpy is not installed"
-    from repro.uarch.config import ProcessorConfig
-    from repro.uarch.vectorized import supports
-
-    return supports(program, config or ProcessorConfig())
-
-
-def resolve_engine(program, config=None, engine=None):
-    """Resolve the effective engine name (``"scalar"``/``"vectorized"``).
-
-    Raises :class:`SimulationError` for an unknown name, or when
-    ``vectorized`` is requested explicitly but unsupported for this
-    (program, config).
-    """
-    requested = engine
-    if requested is None:
-        configured = getattr(config, "sim_engine", "auto") \
-            if config is not None else "auto"
-        requested = configured if configured != "auto" \
-            else get_default_engine()
+    requested = os.environ.get(ENV_SIM_ENGINE, "").strip().lower() \
+        or "auto"
     if requested not in ENGINES:
         raise SimulationError(
-            f"unknown sim engine {requested!r} "
+            f"unknown sim engine {requested!r} in ${ENV_SIM_ENGINE} "
             f"(choose from {', '.join(ENGINES)})"
         )
-    if requested == "auto":
-        ok, _ = vectorized_support(program, config)
-        return "vectorized" if ok else "scalar"
-    if requested == "vectorized":
-        ok, reason = vectorized_support(program, config)
-        if not ok:
-            raise SimulationError(
-                f"vectorized sim engine unavailable: {reason}"
-            )
     return requested
 
 
-def make_simulator(program, config=None, annotation=None, engine=None,
-                   **kwargs):
-    """Build a simulator through the engine-resolution rules.
+def resolve_engine(program, config=None):
+    """Resolve the effective engine name (``"scalar"``/``"vectorized"``).
+
+    Raises :class:`SimulationError` for an unknown name, or when
+    ``vectorized`` is requested but unsupported for this
+    (program, config).
+    """
+    requested = requested_engine()
+    if requested == "scalar":
+        return "scalar"
+    ok, reason = supports(program, config or ProcessorConfig())
+    if ok:
+        return "vectorized"
+    if requested == "vectorized":
+        raise SimulationError(
+            f"vectorized sim engine unavailable: {reason}"
+        )
+    return "scalar"
+
+
+def make_simulator(program, config=None, annotation=None, **kwargs):
+    """Build a simulator with the engine :func:`resolve_engine` picks.
 
     ``kwargs`` are forwarded to the simulator constructor
     (``collect_per_branch``, ``tracer``, ``metrics``, ``ledger``,
     ``profiler`` — plus ``window_size`` for the vectorized engine).
     """
-    resolved = resolve_engine(program, config, engine)
-    if resolved == "vectorized":
-        from repro.uarch.vectorized import VectorizedTimingSimulator
-
-        return VectorizedTimingSimulator(
-            program, config=config, annotation=annotation, **kwargs
-        )
-    return TimingSimulator(
-        program, config=config, annotation=annotation, **kwargs
-    )
+    if resolve_engine(program, config) == "vectorized":
+        cls = VectorizedTimingSimulator
+    else:
+        cls = TimingSimulator
+    return cls(program, config=config, annotation=annotation, **kwargs)

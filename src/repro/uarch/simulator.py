@@ -985,9 +985,9 @@ class TimingSimulator:
 def simulate(program, trace, config=None, annotation=None, label=""):
     """One-call convenience: build a simulator and run ``trace``.
 
-    Goes through the engine-resolution rules (``config.sim_engine`` /
-    process default / ``auto``), so it may pick the vectorized batch
-    replay — the result is bit-identical either way.
+    Goes through :func:`~repro.uarch.engine.make_simulator`, so
+    :envvar:`REPRO_SIM_ENGINE` (default ``auto``) may pick the
+    vectorized batch replay — the result is bit-identical either way.
     """
     from repro.uarch.engine import make_simulator
 

@@ -141,6 +141,9 @@ class TestSpec:
         Axis("not_a_threshold", (1,)),
         Axis("proc.not_a_field", (1,)),
         Axis("selection", ("not-a-preset",)),
+        # The engine is not cell identity: sweeping it would only split
+        # bit-identical cells under distinct IDs.
+        Axis("proc.sim_engine", ("scalar", "vectorized")),
     ])
     def test_bad_axes_rejected(self, axis):
         with pytest.raises(ValueError):

@@ -141,6 +141,16 @@ class TestValidation:
         assert status == 400
         assert "bogus" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("field", ["bogus", "sim_engine"])
+    def test_unknown_processor_field_is_a_client_error(self, app, field):
+        status, body = app.handle("simulate", {
+            "benchmark": BENCH, "scale": SCALE,
+            "processor": {field: 1},
+        })
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert f"unknown processor fields: {field}" in error
+
     def test_missing_benchmark_is_rejected(self, app):
         status, body = app.handle("compile", {"scale": SCALE})
         assert status == 400
@@ -479,64 +489,29 @@ class TestDrain:
 
 
 class TestEngineResolution:
-    """Per-request overrides are thread-local; env/process defaults
-    behave identically to the CLI path (PR 7 precedence)."""
-
-    def test_engine_override_is_thread_local(self):
-        from repro.uarch.engine import engine_override, get_default_engine
-
-        barrier = threading.Barrier(2, timeout=5)
-        seen = {}
-
-        def worker(name, engine):
-            with engine_override(engine):
-                barrier.wait()
-                seen[name] = get_default_engine()
-                barrier.wait()
-
-        threads = [
-            threading.Thread(target=worker, args=("a", "scalar")),
-            threading.Thread(target=worker, args=("b", "vectorized")),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert seen == {"a": "scalar", "b": "vectorized"}
+    """The daemon's request threads see the process's
+    ``REPRO_SIM_ENGINE``; requests cannot choose an engine."""
 
     def test_env_default_reaches_request_threads(self, monkeypatch):
-        from repro.uarch.engine import get_default_engine
+        from repro.uarch.engine import requested_engine
 
-        monkeypatch.setattr("repro.uarch.engine._default_engine", None)
         monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
         result = {}
 
         def worker():
-            result["engine"] = get_default_engine()
+            result["engine"] = requested_engine()
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join(timeout=5)
         assert result["engine"] == "scalar"
 
-    def test_per_request_engine_does_not_change_the_bytes(self, app):
-        _, scalar = app.handle("simulate", {
-            "benchmark": BENCH, "scale": SCALE, "engine": "scalar",
-        })
-        # Engine is excluded from the coalescing key, so clear the
-        # sequential-call path by asserting on a fresh app.
-        other = ServeApp()
-        with telemetry(metrics=other.registry):
-            _, auto = other.handle("simulate", {
-                "benchmark": BENCH, "scale": SCALE,
-            })
-        assert scalar == auto
-
     def test_invalid_engine_is_rejected(self, app):
         status, body = app.handle("simulate", {
             "benchmark": BENCH, "scale": SCALE, "engine": "warp",
         })
         assert status == 400
+        assert b"unknown field(s) engine" in body
 
 
 class TestDaemonProcess:

@@ -24,14 +24,12 @@ from repro.uarch import (
     ProcessorConfig,
     TimingSimulator,
     VectorizedTimingSimulator,
-    engine_override,
-    get_default_engine,
     make_simulator,
+    requested_engine,
     resolve_engine,
-    set_default_engine,
-    vectorized_support,
 )
 from repro.uarch.engine import ENV_SIM_ENGINE
+from repro.uarch.vectorized import supports
 from repro.workloads import load_benchmark
 from repro.workloads.generator import (
     BenchmarkSpec,
@@ -234,8 +232,9 @@ class TestPropertyBitIdentity:
 
 
 class TestEngineSelection:
-    def teardown_method(self):
-        set_default_engine(None)
+    @pytest.fixture(autouse=True)
+    def _engine_unset(self, monkeypatch):
+        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
 
     def test_auto_picks_vectorized_when_supported(self):
         workload = load_benchmark("gzip", scale=0.05)
@@ -247,76 +246,63 @@ class TestEngineSelection:
         """A tiny I-cache breaks residency → auto quietly uses scalar."""
         workload = load_benchmark("gzip", scale=0.05)
         tiny = ProcessorConfig(icache_kb=1, icache_assoc=1)
-        ok, reason = vectorized_support(workload.program, tiny)
+        ok, reason = supports(workload.program, tiny)
         assert not ok and "residency" in reason
         assert resolve_engine(workload.program, tiny) == "scalar"
         simulator = make_simulator(workload.program, config=tiny)
         assert type(simulator) is TimingSimulator
 
-    def test_explicit_vectorized_on_unsupported_raises(self):
+    def test_explicit_vectorized_on_unsupported_raises(self,
+                                                        monkeypatch):
         workload = load_benchmark("gzip", scale=0.05)
         tiny = ProcessorConfig(icache_kb=1, icache_assoc=1)
+        monkeypatch.setenv(ENV_SIM_ENGINE, "vectorized")
         with pytest.raises(SimulationError):
-            resolve_engine(workload.program, tiny, engine="vectorized")
+            resolve_engine(workload.program, tiny)
         with pytest.raises(SimulationError):
             VectorizedTimingSimulator(workload.program, config=tiny)
 
-    def test_precedence_explicit_beats_config_beats_default(self):
-        workload = load_benchmark("gzip", scale=0.05)
-        scalar_cfg = ProcessorConfig(sim_engine="scalar")
-        set_default_engine("vectorized")
-        assert resolve_engine(workload.program, scalar_cfg) == "scalar"
-        assert resolve_engine(
-            workload.program, scalar_cfg, engine="vectorized"
-        ) == "vectorized"
-        # auto in the config defers to the process default.
-        auto_cfg = ProcessorConfig(sim_engine="auto")
-        set_default_engine("scalar")
-        assert resolve_engine(workload.program, auto_cfg) == "scalar"
-
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv(ENV_SIM_ENGINE, "scalar")
-        assert get_default_engine() == "scalar"
+        assert requested_engine() == "scalar"
         monkeypatch.setenv(ENV_SIM_ENGINE, "bogus")
-        assert get_default_engine() == "auto"
+        with pytest.raises(SimulationError,
+                           match="auto, scalar, vectorized"):
+            requested_engine()
 
-    def test_engine_override_restores(self):
-        with engine_override("scalar"):
-            assert get_default_engine() == "scalar"
-        assert get_default_engine() == "auto"
-
-    def test_set_default_engine_validates(self):
-        with pytest.raises(ValueError):
-            set_default_engine("hyperspeed")
-
-    def test_config_validate_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            ProcessorConfig(sim_engine="bogus").validate()
-
-    def test_unknown_engine_name_raises(self):
+    def test_unknown_engine_name_raises(self, monkeypatch):
         workload = load_benchmark("gzip", scale=0.05)
+        monkeypatch.setenv(ENV_SIM_ENGINE, "warp")
         with pytest.raises(SimulationError):
-            resolve_engine(workload.program, engine="warp")
+            resolve_engine(workload.program)
+
+    def test_cli_exits_on_unknown_engine(self, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.setenv(ENV_SIM_ENGINE, "scaler")
+        assert main(["table1"]) == 2
+        assert "choose from auto, scalar, vectorized" \
+            in capsys.readouterr().err
 
 
 class TestProfileCliEngine:
     def test_profile_json_validates_with_vectorized(self, tmp_path,
-                                                    capsys):
+                                                    capsys, monkeypatch):
         from repro.obs.profile_cli import main, validate_profile
 
         out = tmp_path / "profile.json"
+        monkeypatch.setenv(ENV_SIM_ENGINE, "vectorized")
         assert main(["gzip", "--scale", "0.1", "--json",
-                     "--sim-engine", "vectorized",
                      "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["engine"] == "vectorized"
         assert validate_profile(data) == []
 
-    def test_profile_engine_scalar_reported(self):
+    def test_profile_engine_scalar_reported(self, monkeypatch):
         from repro.obs.profile_cli import build_profile
 
+        monkeypatch.setenv(ENV_SIM_ENGINE, "scalar")
         data = build_profile(
             "gzip", SelectionConfig.all_best_cost(), scale=0.1,
-            engine="scalar",
         )
         assert data["engine"] == "scalar"
