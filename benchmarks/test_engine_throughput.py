@@ -28,6 +28,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SUITE_BENCHMARKS = ["gzip", "twolf", "crafty"]
 SUITE_SCALE = 0.2
 
+#: The single workload the per-stage benchmarks time.
+WORKLOAD_SCALE = 0.2
+
 _RESULTS = {}
 
 #: Extra top-level report keys; ``*_per_sec`` entries here are picked
@@ -70,7 +73,7 @@ def engine_report(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def workload():
-    return load_benchmark("crafty", scale=0.2)
+    return load_benchmark("crafty", scale=WORKLOAD_SCALE)
 
 
 def _single_pass(workload):
@@ -117,7 +120,10 @@ def test_cache_warm_load(benchmark, workload):
     """Deserializing a cached (trace, profile) pair from disk."""
     profiler = Profiler()
     trace, profile = _single_pass(workload)
-    key = artifact_cache.artifact_key(workload, profiler.fingerprint())
+    key = artifact_cache.artifact_key(
+        workload.name, workload.input_set, WORKLOAD_SCALE,
+        profiler.fingerprint(),
+    )
     artifact_cache.store(key, trace, profile)
     loaded = benchmark.pedantic(
         lambda: artifact_cache.load(key), rounds=3, iterations=1

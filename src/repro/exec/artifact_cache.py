@@ -6,12 +6,17 @@ in-memory :class:`~repro.experiments.runner.KeyedCache` only helps
 within one process; this module adds an on-disk layer so repeated
 invocations (and every worker of a parallel run) reuse them.
 
-Entries are *content-addressed*: the key is a SHA-256 over the
-program's disassembly and function layout, the memory image (the input
-set), the run budget, and the profiler configuration fingerprint.  Any
-change to the workload generator, the input set, the scale, or the
-profiling predictors therefore produces a different key — a miss —
-rather than a stale hit.  There is no invalidation logic to get wrong.
+Entries are keyed on the *inputs* that produce them, never on the
+products: the key is a SHA-256 over the format version, the benchmark
+name, input set and scale, a digest of the source of every package
+that turns those into a trace and a profile (the workload generator,
+the ISA, the emulator, the profiler and the branch predictors), the
+Python and numpy versions, and the profiler configuration fingerprint.
+Computing it builds no program, generates no input memory and runs no
+emulation, so a warm hit costs only the disk load.  A changed input
+set, scale, profiler geometry, or an edit to any of that code produces
+a different key — a miss — rather than a stale hit.  There is no
+invalidation logic to get wrong.
 
 On-disk format (one file per entry, named ``<key>.dmpart``)::
 
@@ -31,11 +36,14 @@ with the ``REPRO_CACHE_DIR`` environment variable or the CLI's
 turns the disk layer off entirely.
 """
 
+import functools
 import hashlib
+import importlib
 import logging
 import os
 import pickle
 import struct
+import sys
 import tempfile
 import zlib
 
@@ -44,9 +52,10 @@ from repro.obs.context import get_metrics
 
 log = logging.getLogger(__name__)
 
-#: Bump when the on-disk body layout changes; stale-format files from
-#: older versions simply miss (the version is part of the key).
-FORMAT_VERSION = 1
+#: Bump when the on-disk body layout or the key material changes;
+#: entries from older versions simply miss (the version is part of the
+#: key).
+FORMAT_VERSION = 2
 
 #: File magic: identifies the format and its major version.
 MAGIC = b"DMPART01"
@@ -95,37 +104,66 @@ def enabled():
 # -- keys ----------------------------------------------------------------
 
 
-def program_fingerprint(program):
-    """SHA-256 over the disassembly and function layout."""
+#: Packages whose source determines an entry's contents: the program
+#: and its input (workloads, isa), and the trace and profile built
+#: from them (emulator, profiling, branchpred).
+SOURCE_PACKAGES = (
+    "repro.workloads",
+    "repro.isa",
+    "repro.emulator",
+    "repro.profiling",
+    "repro.branchpred",
+)
+
+
+def source_digest(packages):
+    """SHA-256 over the ``.py`` files of ``packages``.
+
+    ``packages`` maps a label to a package directory; each file
+    contributes its label-qualified relative path and its bytes.
+    """
     digest = hashlib.sha256()
-    for inst in program.instructions:
-        digest.update(inst.format().encode())
-        digest.update(b"\n")
-    for function in program.functions:
-        digest.update(
-            f"{function.name}:{function.start}:{function.end};".encode()
-        )
+    for label, root in sorted(packages.items()):
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for filename in sorted(filenames):
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, filename)
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                relative = os.path.relpath(path, root).replace(os.sep, "/")
+                digest.update(f"{label}/{relative}:{len(data)}\n".encode())
+                digest.update(data)
     return digest.hexdigest()
 
 
-def memory_fingerprint(memory):
-    """SHA-256 over the sparse word-memory image (the input set)."""
-    digest = hashlib.sha256()
-    for address in sorted(memory):
-        digest.update(struct.pack("<q", address))
-        digest.update(repr(memory[address]).encode())
-    return digest.hexdigest()
+def _package_dirs():
+    return {
+        name: os.path.dirname(importlib.import_module(name).__file__)
+        for name in SOURCE_PACKAGES
+    }
 
 
-def artifact_key(workload, profiler_fingerprint):
-    """The content-addressed key for one (workload, profiler config)."""
+@functools.lru_cache(maxsize=None)
+def _code_digest():
+    """The once-per-process digest of the producing code and runtime."""
+    import numpy
+
+    runtime = f"py{sys.version_info[0]}.{sys.version_info[1]}"
+    return "|".join((
+        source_digest(_package_dirs()), runtime, f"numpy{numpy.__version__}",
+    ))
+
+
+def artifact_key(name, input_set, scale, profiler_fingerprint):
+    """The key for one (benchmark, input set, scale, profiler config)."""
     material = "|".join((
         f"v{FORMAT_VERSION}",
-        workload.name,
-        workload.input_set,
-        program_fingerprint(workload.program),
-        memory_fingerprint(workload.memory),
-        str(workload.max_instructions),
+        name,
+        input_set,
+        repr(scale),
+        _code_digest(),
         profiler_fingerprint,
     ))
     return hashlib.sha256(material.encode()).hexdigest()

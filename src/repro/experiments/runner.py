@@ -122,8 +122,9 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
     The functional trace and the profile come out of *one* emulator
     run: the profiler's :class:`~repro.profiling.ProfileCollector`
     rides along on the ``on_branch`` hook of the traced execution.  On
-    a disk-cache hit no emulation happens at all (the workload is
-    still loaded — the simulator needs the program).
+    a disk-cache hit no emulation happens at all: the workload is
+    still loaded (the simulator needs the program), but its input
+    memory is never generated.
     """
     key = (name, input_set, scale)
     cached = _artifact_cache.get(key)
@@ -131,7 +132,9 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
         return cached
     workload = load_benchmark(name, input_set=input_set, scale=scale)
     profiler = Profiler()
-    disk_key = artifact_cache.artifact_key(workload, profiler.fingerprint())
+    disk_key = artifact_cache.artifact_key(
+        name, input_set, scale, profiler.fingerprint()
+    )
     entry = artifact_cache.load(disk_key)
     if entry is not None:
         trace, profile = entry

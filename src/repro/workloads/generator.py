@@ -115,8 +115,9 @@ class BenchmarkSpec:
     """A named benchmark: regions + outer iteration count.
 
     ``target_dynamic`` is the intended dynamic trace length; the suite
-    loader calibrates ``iterations`` to hit it (regions have very
-    different per-iteration costs).
+    loader scales ``iterations`` to hit it from the pinned per-iteration
+    cost in ``suite.CALIBRATION_COUNTS`` (regions have very different
+    per-iteration costs).
     """
 
     name: str

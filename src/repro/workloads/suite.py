@@ -25,7 +25,7 @@ without changing program character).
 """
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.errors import WorkloadError
@@ -45,14 +45,33 @@ INPUT_SETS = {
 
 @dataclass
 class Workload:
-    """A ready-to-run benchmark instance."""
+    """A ready-to-run benchmark instance.
+
+    The input memory image is generated on first read of
+    :attr:`memory` and then kept: a run served from the artifact cache
+    needs only the program, so it never pays for ``fill_memory``.
+    """
 
     name: str
     input_set: str
     spec: BenchmarkSpec
     program: object
-    memory: dict
+    segments: list
     max_instructions: int
+    _memory: dict = field(default=None, init=False, repr=False,
+                          compare=False)
+
+    @property
+    def memory(self):
+        """The input set's memory image (built once, on first read)."""
+        if self._memory is None:
+            seed_offset, p_shift, iter_scale = INPUT_SETS[self.input_set]
+            seed = zlib.crc32(self.name.encode()) + seed_offset
+            self._memory = fill_memory(
+                self.spec, self.segments, seed,
+                p_shift=p_shift, iter_scale=iter_scale,
+            )
+        return self._memory
 
 
 def _spec(name, regions, iterations, note=""):
@@ -233,61 +252,80 @@ BENCHMARK_SPECS: Dict[str, BenchmarkSpec] = {
 BENCHMARK_NAMES = tuple(BENCHMARK_SPECS)
 
 _CALIBRATION_ITERATIONS = 48
-_per_iteration_cache = {}
+
+#: Dynamic instructions each benchmark's ``reduced`` input executes in
+#: ``_CALIBRATION_ITERATIONS`` outer iterations.  The counts are
+#: deterministic functions of the specs above; pinning them keeps the
+#: calibration emulation off every load.  After editing a spec, the
+#: generator or the emulator, re-measure with
+#: :func:`measure_calibration_count` (the workload tests compare this
+#: table against a fresh measurement and print the line to paste).
+CALIBRATION_COUNTS: Dict[str, int] = {
+    "gzip": 32272,
+    "vpr": 15980,
+    "gcc": 27092,
+    "mcf": 16855,
+    "crafty": 32404,
+    "parser": 23127,
+    "eon": 17136,
+    "perlbmk": 13855,
+    "gap": 12407,
+    "vortex": 12127,
+    "bzip2": 25312,
+    "twolf": 20382,
+    "compress": 16184,
+    "go": 34487,
+    "ijpeg": 22517,
+    "li": 11917,
+    "m88ksim": 16055,
+}
+
 _program_cache = {}
 
 
-def _per_iteration_cost(name):
-    """Measured average dynamic instructions per outer iteration."""
-    if name in _per_iteration_cache:
-        return _per_iteration_cache[name]
-    # Imported here to keep workloads importable without the emulator
-    # in pathological partial-install situations.
-    from repro.emulator import Emulator, ArchState
+def measure_calibration_count(name):
+    """Emulate ``name`` for the calibration run; its instruction count."""
+    from repro.emulator import ArchState, Emulator
 
     spec = BENCHMARK_SPECS[name].with_iterations(_CALIBRATION_ITERATIONS)
     program, segments = build_program(spec)
-    memory = fill_memory(spec, segments, seed=zlib.crc32(name.encode()))
+    workload = Workload(name, "reduced", spec, program, segments,
+                        max_instructions=2_000_000)
     result = Emulator(program).run(
-        state=ArchState(memory=memory),
-        max_instructions=2_000_000,
+        state=ArchState(memory=workload.memory),
+        max_instructions=workload.max_instructions,
     )
-    cost = max(8.0, result.instruction_count / _CALIBRATION_ITERATIONS)
-    _per_iteration_cache[name] = cost
-    return cost
+    return result.instruction_count
 
 
 def load_benchmark(name, input_set="reduced", scale=1.0):
     """Instantiate a benchmark with one of its input sets.
 
     ``scale`` multiplies the target dynamic length (run-length knob for
-    quick tests vs full experiments).  The outer iteration count is
-    calibrated from a short measurement run so every benchmark lands
-    near its ``target_dynamic`` regardless of region mix.
+    quick tests vs full experiments).  The outer iteration count comes
+    from the pinned calibration (:data:`CALIBRATION_COUNTS`) so every
+    benchmark lands near its ``target_dynamic`` regardless of region
+    mix.
     """
     if name not in BENCHMARK_SPECS:
         raise WorkloadError(f"unknown benchmark {name!r}")
     if input_set not in INPUT_SETS:
         raise WorkloadError(f"unknown input set {input_set!r}")
     base_spec = BENCHMARK_SPECS[name]
-    iterations = int(
-        base_spec.target_dynamic * scale / _per_iteration_cost(name)
+    per_iteration = max(
+        8.0, CALIBRATION_COUNTS[name] / _CALIBRATION_ITERATIONS
     )
+    iterations = int(base_spec.target_dynamic * scale / per_iteration)
     spec = base_spec.with_iterations(iterations)
     cache_key = (name, spec.iterations)
     if cache_key not in _program_cache:
         _program_cache[cache_key] = build_program(spec)
     program, segments = _program_cache[cache_key]
-    seed_offset, p_shift, iter_scale = INPUT_SETS[input_set]
-    seed = zlib.crc32(name.encode()) + seed_offset
-    memory = fill_memory(
-        spec, segments, seed, p_shift=p_shift, iter_scale=iter_scale
-    )
     return Workload(
         name=name,
         input_set=input_set,
         spec=spec,
         program=program,
-        memory=memory,
+        segments=segments,
         max_instructions=int(spec.target_dynamic * scale * 4) + 100_000,
     )

@@ -2,22 +2,37 @@
 tolerance, and the single-pass artifact-build guarantee."""
 
 import os
+import pickle
+import shutil
 
 import pytest
 
+from repro.emulator import Emulator
 from repro.exec import artifact_cache
 from repro.experiments import runner
 from repro.obs import MetricsRegistry, telemetry
 from repro.profiling import Profiler
-from repro.workloads import load_benchmark
+from repro.workloads import generator, load_benchmark, suite
 
 SCALE = 0.1
 
 
 def _key(name="gzip", input_set="reduced", scale=SCALE, profiler=None):
-    workload = load_benchmark(name, input_set=input_set, scale=scale)
     profiler = profiler or Profiler()
-    return artifact_cache.artifact_key(workload, profiler.fingerprint())
+    return artifact_cache.artifact_key(
+        name, input_set, scale, profiler.fingerprint()
+    )
+
+
+def _forbid_input_building(monkeypatch):
+    """Make generating input memory or emulating raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("input memory or emulation on a warm path")
+
+    monkeypatch.setattr(suite, "fill_memory", forbidden)
+    monkeypatch.setattr(generator, "fill_memory", forbidden)
+    monkeypatch.setattr(Emulator, "run", forbidden)
 
 
 class TestKeys:
@@ -52,6 +67,39 @@ class TestKeys:
         assert "PerceptronPredictor" in default
         assert "JRSConfidenceEstimator" in default
 
+    def test_source_change_misses(self, tmp_path, monkeypatch):
+        copy = tmp_path / "workloads"
+        shutil.copytree(
+            os.path.dirname(suite.__file__), copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        dirs = artifact_cache._package_dirs()
+        dirs["repro.workloads"] = str(copy)
+        monkeypatch.setattr(artifact_cache, "_package_dirs", lambda: dirs)
+
+        def key_of_copy():
+            artifact_cache._code_digest.cache_clear()
+            try:
+                return _key()
+            finally:
+                artifact_cache._code_digest.cache_clear()
+
+        original = _key()
+        assert key_of_copy() == original
+        generator_source = copy / "generator.py"
+        data = bytearray(generator_source.read_bytes())
+        data[-1] ^= 0x01
+        generator_source.write_bytes(bytes(data))
+        assert key_of_copy() != original
+
+    def test_key_builds_no_input_memory(self, monkeypatch):
+        expected = _key()
+        _forbid_input_building(monkeypatch)
+        monkeypatch.setattr(suite, "_program_cache", {})
+        artifact_cache._code_digest.cache_clear()
+        load_benchmark("gzip", scale=SCALE)
+        assert _key() == expected
+
 
 class TestRoundtrip:
     def test_store_load_roundtrip(self):
@@ -67,14 +115,18 @@ class TestRoundtrip:
             == artifacts.profile.measured_acc_conf
         runner.clear_cache()
 
-    def test_disk_hit_skips_emulation(self):
-        runner.get_artifacts("gzip", scale=SCALE)   # populate disk
-        runner.clear_cache()                        # drop in-memory
+    def test_disk_hit_skips_emulation(self, monkeypatch):
+        first = runner.get_artifacts("gzip", scale=SCALE)  # populate disk
+        runner.clear_cache()                              # drop in-memory
+        monkeypatch.setattr(suite, "_program_cache", {})  # as a new process
+        _forbid_input_building(monkeypatch)
         registry = MetricsRegistry()
         with telemetry(metrics=registry):
-            runner.get_artifacts("gzip", scale=SCALE)
+            hit = runner.get_artifacts("gzip", scale=SCALE)
         assert "emulator_runs_total" not in registry
         assert registry.counter("cache_disk_hits_total").value == 1
+        assert list(hit.trace.rows()) == list(first.trace.rows())
+        assert pickle.dumps(hit.profile) == pickle.dumps(first.profile)
         runner.clear_cache()
 
     def test_single_emulation_per_workload(self):

@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generator and benchmark suite."""
 
+import zlib
+
 import pytest
 
 from repro.cfg import build_cfgs, find_natural_loops
@@ -15,6 +17,7 @@ from repro.workloads import (
     build_program,
     load_benchmark,
 )
+from repro.workloads import suite
 from repro.workloads.behaviors import BehaviorRNG
 from repro.workloads.generator import fill_memory
 
@@ -228,3 +231,24 @@ class TestSuite:
 
     def test_specs_have_notes(self):
         assert all(spec.note for spec in BENCHMARK_SPECS.values())
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_pinned_calibration_matches_measurement(self, name):
+        measured = suite.measure_calibration_count(name)
+        assert measured == suite.CALIBRATION_COUNTS[name], (
+            f"stale calibration; replace its table line with:\n"
+            f'    "{name}": {measured},'
+        )
+
+    @pytest.mark.parametrize("input_set", ["reduced", "train"])
+    def test_lazy_memory_equals_eager_fill(self, input_set):
+        workload = load_benchmark("mcf", input_set=input_set, scale=0.2)
+        _, segments = build_program(workload.spec)
+        seed_offset, p_shift, iter_scale = suite.INPUT_SETS[input_set]
+        eager = fill_memory(
+            workload.spec, segments,
+            zlib.crc32(b"mcf") + seed_offset,
+            p_shift=p_shift, iter_scale=iter_scale,
+        )
+        assert workload.memory == eager
+        assert workload.memory is workload.memory
