@@ -19,7 +19,7 @@ import pathlib
 import pytest
 
 from repro.obs import build_manifest, write_manifest
-from repro.obs.context import get_metrics, get_phases
+from repro.obs.context import get_metrics, get_spans
 from repro.workloads import BENCHMARK_NAMES
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -87,6 +87,6 @@ def pytest_sessionfinish(session, exitstatus):
         scale=bench_scale(),
         phases=dict(_TIMINGS),
         metrics=get_metrics(),
-        extra={"pipeline_phases": get_phases().as_dict()},
+        extra={"pipeline_phases": get_spans().by_name()},
     )
     write_manifest(str(RESULTS_DIR / "manifest.json"), manifest)

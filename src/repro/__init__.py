@@ -16,7 +16,7 @@ The package is organized bottom-up:
 - :mod:`repro.workloads` — the synthetic SPEC-like benchmark suite.
 - :mod:`repro.experiments` — harnesses regenerating every paper table/figure.
 - :mod:`repro.obs` — telemetry: metrics registry, structured event
-  tracing, phase timers, and run manifests (docs/observability.md).
+  tracing, timed spans, and run manifests (docs/observability.md).
 """
 
 from repro._version import __version__

@@ -79,9 +79,10 @@ from repro.experiments import (
 from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
-    PhaseProfile,
+    SpanTree,
     activate,
     build_manifest,
+    format_by_name,
     format_trace_report,
     jsonl_tracer,
     span,
@@ -240,7 +241,7 @@ def main(argv=None):
         "--manifest",
         metavar="OUT.json",
         default=None,
-        help="write a run manifest (config, git rev, phase timings, "
+        help="write a run manifest (config, git rev, span timings, "
              f"metrics); 'all' defaults to {DEFAULT_ALL_MANIFEST}",
     )
     args = parser.parse_args(argv)
@@ -281,7 +282,7 @@ def main(argv=None):
     )
 
     registry = MetricsRegistry()
-    phases = PhaseProfile()
+    spans = SpanTree()
     tracer = jsonl_tracer(args.trace) if args.trace else NULL_TRACER
     telemetry_requested = bool(
         args.trace or args.metrics or args.manifest
@@ -298,8 +299,7 @@ def main(argv=None):
     try:
         with ExitStack() as stack:
             stack.enter_context(
-                telemetry(tracer=tracer, metrics=registry,
-                          phases=phases))
+                telemetry(tracer=tracer, metrics=registry, spans=spans))
             stack.enter_context(activate(ctx))
             if ctx is not None:
                 stack.enter_context(span(f"repro.{args.artifact}"))
@@ -340,7 +340,7 @@ def main(argv=None):
             },
             benchmarks=benchmarks,
             scale=args.scale,
-            phases=phases,
+            phases=spans,
             metrics=registry,
         )
         write_manifest(manifest_path, manifest)
@@ -348,7 +348,7 @@ def main(argv=None):
 
     if telemetry_requested or args.artifact == "all":
         print()
-        print(phases.report())
+        print(format_by_name(spans.by_name()))
     return 0
 
 

@@ -50,7 +50,7 @@ from multiprocessing.connection import wait as connection_wait
 
 from repro.campaign.journal import JOURNAL_NAME
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timers import PhaseProfile
+from repro.obs.spans import SpanTree, span
 
 #: Registered backend names (see :func:`make_backend`).
 BACKENDS = ("local", "sharded")
@@ -79,19 +79,19 @@ def cell_usage():
 def cell_worker(conn, fn, params, trace=None):
     """Run one cell under fresh telemetry; ship outcome over the pipe.
 
-    ``trace`` is an optional distributed-trace propagation payload
+    The cell runs inside a ``cell`` span, so its stages nest under it
+    exactly as in an engine worker.  ``trace`` is an optional
+    distributed-trace propagation payload
     (:meth:`~repro.obs.tracectx.TraceContext.propagation`); when
-    present the cell runs inside a ``cell`` span parented to the
-    scheduler's campaign span, spooled to the shared trace directory —
-    so a 2-shard run merges into one cross-process timeline.  When
-    absent (tracing off) the worker behaves exactly as before and the
-    journal stays byte-identical.
+    present that span is parented to the scheduler's campaign span and
+    spooled to the shared trace directory — so a 2-shard run merges
+    into one cross-process timeline.  When absent (tracing off) nothing
+    is spooled and the journal stays byte-identical.
     """
     import signal
 
     from repro.obs import tracectx
     from repro.obs.context import telemetry
-    from repro.obs.spans import span
 
     # Forked workers inherit the CLI's graceful-exit SIGTERM handler;
     # restore the default so a post-collect terminate() kills the
@@ -101,21 +101,16 @@ def cell_worker(conn, fn, params, trace=None):
         trace, service="campaign-worker"
     )
     registry = MetricsRegistry()
-    phases = PhaseProfile()
+    tree = SpanTree()
     try:
-        with telemetry(metrics=registry, phases=phases):
-            if ctx is not None:
-                with tracectx.activate(ctx):
-                    with span("cell"):
-                        result = fn(params)
-            else:
+        with telemetry(metrics=registry, spans=tree):
+            with tracectx.activate(ctx), span("cell"):
                 result = fn(params)
         payload = {
             "ok": True,
             "result": result,
             "metrics": registry.as_dict(),
-            "phases": phases.as_dict(),
-            "spans": phases.spans_as_dict(),
+            "spans": tree.as_dict(),
             "resources": cell_usage(),
         }
     except BaseException as exc:  # noqa: BLE001 — must reach the parent

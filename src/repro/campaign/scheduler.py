@@ -23,7 +23,7 @@ Every transition is journaled *before* the next action is taken, so a
 ``kill -9`` of the scheduler itself loses at most the in-flight cells,
 which replay as pending.  Successful workers ship their telemetry
 snapshots back over the result pipe and the parent folds them into the
-active registry/profile (completion order), alongside the campaign's
+active registry/span tree (completion order), alongside the campaign's
 own ``campaign_cells_{completed,retried,quarantined}_total`` counters
 and ``campaign.cell.*`` trace events.
 """
@@ -34,7 +34,7 @@ import time
 from repro.campaign.backends import LocalPoolBackend, cell_usage
 from repro.campaign.spec import resolve_cell_fn
 from repro.obs import events, tracectx
-from repro.obs.context import get_metrics, get_phases, get_tracer
+from repro.obs.context import get_metrics, get_spans, get_tracer
 
 #: Total attempts (first try + retries) before a cell is quarantined.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -242,13 +242,7 @@ class Scheduler:
         cell_id = task.cell.cell_id
         if payload is not None and payload.get("ok"):
             get_metrics().merge_snapshot(payload["metrics"])
-            spans_snapshot = payload.get("spans")
-            if spans_snapshot is not None:
-                # Full hierarchical snapshot; the flat phase view
-                # follows from it (merging both would double count).
-                get_phases().merge_spans(spans_snapshot)
-            else:
-                get_phases().merge_snapshot(payload["phases"])
+            get_spans().merge_snapshot(payload["spans"])
             result = payload["result"]
             # The ledger summary is a journal *annotation* (like the
             # cache counters), not part of the deterministic report

@@ -1,8 +1,8 @@
 """Pass-manager pipeline: scheduling, specs, and the run loop.
 
 A :class:`Pipeline` runs an ordered list of passes over one
-:class:`~repro.compiler.passes.SelectionState`, with per-pass phase
-timers (``compile.<pass>``), ``compile.pass.{start,end}`` trace events
+:class:`~repro.compiler.passes.SelectionState`, with per-pass
+spans (``compile.<pass>``), ``compile.pass.{start,end}`` trace events
 and a ``pipeline_pass_runs_total`` counter.  The
 :class:`PipelineBuilder` produces the canonical schedule for a
 :class:`~repro.core.selector.SelectionConfig` — either given directly
@@ -49,7 +49,7 @@ from repro.compiler.passes import (
 from repro.core.marks import BinaryAnnotation
 from repro.obs.context import get_metrics, get_tracer
 from repro.obs.events import CompilePassEnd, CompilePassStart
-from repro.obs.timers import phase
+from repro.obs.spans import span
 
 #: Pass tokens that toggle a producer/finisher in the spec grammar.
 _FLAG_TOKENS = ("exact", "freq", "short", "ret", "loop")
@@ -211,7 +211,7 @@ class Pipeline:
             ctx.current_pass = pipeline_pass.name
             start = time.perf_counter()
             try:
-                with phase(f"compile.{pipeline_pass.name}"):
+                with span(f"compile.{pipeline_pass.name}"):
                     pipeline_pass.run(ctx, state)
             finally:
                 ctx.current_pass = ""

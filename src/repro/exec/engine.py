@@ -13,7 +13,7 @@ process: no pool, no pickling, identical to the historical serial
 path.  ``jobs>1`` fans out over a :class:`ProcessPoolExecutor`.  Each
 worker job runs under a *fresh* telemetry bundle
 (:class:`~repro.obs.metrics.MetricsRegistry` +
-:class:`~repro.obs.timers.PhaseProfile`); the snapshots travel back
+:class:`~repro.obs.spans.SpanTree`); the snapshots travel back
 with the result and are folded into the parent's active bundle in plan
 order, so ``--metrics`` output and run manifests account for work done
 in workers exactly as if it had run inline.
@@ -37,10 +37,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.obs import tracectx
-from repro.obs.context import get_metrics, get_phases, telemetry
+from repro.obs.context import get_metrics, get_spans, telemetry
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import span
-from repro.obs.timers import PhaseProfile
+from repro.obs.spans import SpanTree, span
 
 
 class JobError(RuntimeError):
@@ -93,11 +92,8 @@ def resolve_jobs(jobs):
 def _run_job(fn, args, trace=None, label=None):
     """Worker-side wrapper: isolate telemetry and ship snapshots back.
 
-    The full hierarchical span snapshot travels back (not the flat
-    phase view): merging it into the parent's span tree carries nested
-    spans across the process boundary, and the parent's
-    :class:`PhaseProfile` — a depth-1 view over that tree — follows
-    automatically without double counting.
+    The metrics and span-tree snapshots travel back; merging the tree
+    carries nested spans across the process boundary.
 
     ``trace`` is an optional distributed-trace propagation payload
     (:meth:`~repro.obs.tracectx.TraceContext.propagation`): when
@@ -106,15 +102,15 @@ def _run_job(fn, args, trace=None, label=None):
     active in the parent when the plan was submitted.
     """
     registry = MetricsRegistry()
-    phases = PhaseProfile()
+    tree = SpanTree()
     ctx = tracectx.TraceContext.from_propagation(
         trace, service="exec-worker"
     )
-    with telemetry(metrics=registry, phases=phases):
+    with telemetry(metrics=registry, spans=tree):
         with tracectx.activate(ctx):
             with span("cell", attrs={"job": label} if label else None):
                 result = fn(*args)
-    return result, registry.as_dict(), phases.spans_as_dict()
+    return result, registry.as_dict(), tree.as_dict()
 
 
 def execute(jobs_list, jobs=None):
@@ -124,14 +120,14 @@ def execute(jobs_list, jobs=None):
     ``jobs`` <= 1 (or fewer than two jobs) everything runs inline under
     the caller's telemetry; otherwise a process pool of ``jobs``
     workers is used and worker telemetry snapshots are merged into the
-    active registry/profile, also in plan order.
+    active registry/span tree, also in plan order.
 
     A failing job raises in the parent either way; on the pool path it
     is wrapped in :class:`JobError` with the failing job's label, the
     outstanding futures are cancelled so the pool drains instead of
     running the rest of the plan to completion, and *no* worker
     telemetry is merged — snapshots are folded into the parent's
-    registry/profile only once every job has succeeded, so ``--metrics``
+    registry/span tree only once every job has succeeded, so ``--metrics``
     output never reports a half-gathered plan.
     """
     planned = list(jobs_list)
@@ -147,7 +143,7 @@ def execute(jobs_list, jobs=None):
         return results
 
     metrics = get_metrics()
-    phases = get_phases()
+    tree = get_spans()
     ctx = tracectx.current()
     trace = ctx.propagation() if ctx is not None else None
     payloads = []
@@ -170,7 +166,7 @@ def execute(jobs_list, jobs=None):
     results = []
     for result, metrics_snapshot, spans_snapshot in payloads:
         metrics.merge_snapshot(metrics_snapshot)
-        phases.merge_spans(spans_snapshot)
+        tree.merge_snapshot(spans_snapshot)
         results.append(result)
     return results
 

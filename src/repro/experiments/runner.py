@@ -11,12 +11,13 @@ All hit/miss counters land in the metrics registry, so cache
 effectiveness is visible in ``--metrics`` output instead of silently
 growing memory.
 
-Every stage runs under a phase timer (:func:`repro.obs.phase`):
-``trace`` (the fused functional execution + profiling pass),
-``profile`` (sealing the collected profiles), ``select``
-(diverge-branch selection), and ``simulate`` (timing model), each
-reporting wall-clock seconds and events/sec through the active
-telemetry context.
+Every stage runs under a span (:func:`repro.obs.span`): ``trace``
+(the fused functional execution + profiling pass), ``profile``
+(sealing the collected profiles), ``select`` (diverge-branch
+selection), and ``simulate`` (timing model), each reporting
+wall-clock seconds and events/sec through the active telemetry
+context and nesting under whatever span encloses it (a ``cell``, a
+``serve.*`` request).
 """
 
 import math
@@ -27,7 +28,7 @@ from repro.core import DivergeSelector
 from repro.emulator import execute
 from repro.exec import artifact_cache
 from repro.obs.context import get_metrics
-from repro.obs.timers import phase
+from repro.obs.spans import span
 from repro.profiling import Profiler
 from repro.uarch import make_simulator
 from repro.workloads import BENCHMARK_NAMES, load_benchmark
@@ -144,7 +145,7 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
         _artifact_cache.put(key, artifacts)
         return artifacts
     collector = profiler.collector()
-    with phase("trace") as ph:
+    with span("trace") as sp:
         trace, result = execute(
             workload.program,
             memory=workload.memory,
@@ -152,14 +153,14 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
             on_branch=collector.on_branch,
             compact=True,
         )
-        ph.events = result.instruction_count
+        sp.events = result.instruction_count
     if not result.halted:
         raise RuntimeError(
             f"benchmark {name!r} did not halt within its budget"
         )
-    with phase("profile") as ph:
+    with span("profile") as sp:
         profile = collector.finish(result)
-        ph.events = result.instruction_count
+        sp.events = result.instruction_count
     artifact_cache.store(disk_key, trace, profile)
     artifacts = Artifacts(workload=workload, trace=trace, profile=profile)
     _artifact_cache.put(key, artifacts)
@@ -188,9 +189,9 @@ def run_baseline(name, input_set="reduced", scale=1.0, config=None):
         return cached
     artifacts = get_artifacts(name, input_set, scale)
     simulator = make_simulator(artifacts.program, config=config)
-    with phase("simulate") as ph:
+    with span("simulate") as sp:
         stats = simulator.run(artifacts.trace, label=f"{name}/baseline")
-        ph.events = stats.retired_instructions
+        sp.events = stats.retired_instructions
     _baseline_cache.put(key, stats)
     return stats
 
@@ -210,11 +211,11 @@ def run_annotated(name, annotation, input_set="reduced", scale=1.0,
         artifacts.program, config=config, annotation=annotation,
         ledger=ledger, profiler=profiler,
     )
-    with phase("simulate") as ph:
+    with span("simulate") as sp:
         stats = simulator.run(
             artifacts.trace, label=label or f"{name}/dmp"
         )
-        ph.events = stats.retired_instructions
+        sp.events = stats.retired_instructions
     return stats
 
 
@@ -245,9 +246,9 @@ def run_selection(name, selection_config, input_set="reduced",
         run_artifacts.program, profile_artifacts.profile,
         selection_config, ledger=selection_ledger,
     )
-    with phase("select") as ph:
+    with span("select") as sp:
         annotation = selector.select()
-        ph.events = len(annotation)
+        sp.events = len(annotation)
     stats = run_annotated(
         name,
         annotation,

@@ -1,4 +1,4 @@
-"""Observability: metrics, structured tracing, phase profiling, manifests.
+"""Observability: metrics, structured tracing, span timing, manifests.
 
 The package has five pieces:
 
@@ -7,7 +7,7 @@ The package has five pieces:
 - :mod:`repro.obs.events` + :mod:`repro.obs.tracer` — typed trace
   events written as JSONL through a pluggable sink (default: the
   no-op :data:`NULL_TRACER`, one attribute check in the hot loop);
-- :mod:`repro.obs.timers` — phase timers for the harness pipeline
+- :mod:`repro.obs.spans` — nested timed spans for the harness pipeline
   (trace → profile → select → simulate) with events/sec throughput;
 - :mod:`repro.obs.manifest` — the per-run JSON manifest;
 - :mod:`repro.obs.trace_report` — offline trace summarization
@@ -16,7 +16,7 @@ The package has five pieces:
   ledger joining compile-time selection verdicts with runtime dpred
   outcomes (``python -m repro explain``).
 
-:mod:`repro.obs.context` holds the active tracer/registry/profile so
+:mod:`repro.obs.context` holds the active tracer/registry/span tree so
 the CLI can enable telemetry without threading arguments through every
 experiment signature.  See ``docs/observability.md``.
 """
@@ -26,7 +26,7 @@ from repro.obs.context import (
     Telemetry,
     active,
     get_metrics,
-    get_phases,
+    get_spans,
     get_tracer,
     telemetry,
 )
@@ -57,8 +57,13 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_openmetrics,
 )
-from repro.obs.spans import PATH_SEP, SpanHandle, SpanTree, span
-from repro.obs.timers import PhaseProfile, phase
+from repro.obs.spans import (
+    PATH_SEP,
+    SpanHandle,
+    SpanTree,
+    format_by_name,
+    span,
+)
 from repro.obs.trace_report import format_trace_report, summarize_trace
 from repro.obs.tracectx import (
     TRACE_DIR_ENV,
@@ -89,7 +94,7 @@ __all__ = [
     "Telemetry",
     "active",
     "get_metrics",
-    "get_phases",
+    "get_spans",
     "get_tracer",
     "telemetry",
     "MANIFEST_SCHEMA",
@@ -111,11 +116,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "parse_openmetrics",
-    "PhaseProfile",
-    "phase",
     "PATH_SEP",
     "SpanHandle",
     "SpanTree",
+    "format_by_name",
     "span",
     "format_trace_report",
     "summarize_trace",

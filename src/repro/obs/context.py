@@ -9,26 +9,27 @@ fresh registry in with :func:`telemetry` for the duration of a run.
 The defaults are a :data:`~repro.obs.tracer.NULL_TRACER` (tracing off,
 one attribute check per guarded site) and a process-wide
 :class:`~repro.obs.metrics.MetricsRegistry` (always on — counters are
-cheap).  Explicit ``tracer=``/``metrics=`` arguments always win over
-the context.
+cheap), plus a process-wide :class:`~repro.obs.spans.SpanTree`.
+Explicit ``tracer=``/``metrics=`` constructor arguments win over the
+context; :func:`~repro.obs.spans.span` always records into it.
 """
 
 from contextlib import contextmanager
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timers import PhaseProfile
+from repro.obs.spans import SpanTree
 from repro.obs.tracer import NULL_TRACER
 
 
 class Telemetry:
-    """One bundle of tracer + metrics registry + phase profile."""
+    """One bundle of tracer + metrics registry + span tree."""
 
-    __slots__ = ("tracer", "metrics", "phases")
+    __slots__ = ("tracer", "metrics", "spans")
 
-    def __init__(self, tracer=None, metrics=None, phases=None):
+    def __init__(self, tracer=None, metrics=None, spans=None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.phases = phases if phases is not None else PhaseProfile()
+        self.spans = spans if spans is not None else SpanTree()
 
 
 _ACTIVE = Telemetry()
@@ -47,12 +48,12 @@ def get_metrics():
     return _ACTIVE.metrics
 
 
-def get_phases():
-    return _ACTIVE.phases
+def get_spans():
+    return _ACTIVE.spans
 
 
 @contextmanager
-def telemetry(tracer=None, metrics=None, phases=None):
+def telemetry(tracer=None, metrics=None, spans=None):
     """Install a telemetry bundle for the duration of the block.
 
     Omitted pieces are inherited from the surrounding context (not
@@ -63,7 +64,7 @@ def telemetry(tracer=None, metrics=None, phases=None):
     _ACTIVE = Telemetry(
         tracer=tracer if tracer is not None else previous.tracer,
         metrics=metrics if metrics is not None else previous.metrics,
-        phases=phases if phases is not None else previous.phases,
+        spans=spans if spans is not None else previous.spans,
     )
     try:
         yield _ACTIVE

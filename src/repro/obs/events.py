@@ -273,17 +273,6 @@ class CampaignCellQuarantined:
 
 @event
 @dataclass(frozen=True)
-class PhaseEnd:
-    """A harness phase (trace/profile/select/simulate) completed."""
-
-    type: ClassVar[str] = "phase.end"
-    name: str
-    seconds: float
-    events: int
-
-
-@event
-@dataclass(frozen=True)
 class SpanEnd:
     """A hierarchical timed span closed (see :mod:`repro.obs.spans`).
 

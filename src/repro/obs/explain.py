@@ -26,6 +26,7 @@ package).
 
 import argparse
 import json
+import os
 import sys
 
 from repro.errors import WorkloadError
@@ -443,6 +444,22 @@ _TYPE_CHECKS = {
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
 }
+
+
+#: The checked-in schemas ship next to the code so every CLI can
+#: self-validate anywhere.
+SCHEMA_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))),
+    "docs", "schemas",
+)
+
+
+def load_schema(name):
+    """The checked-in ``docs/schemas/<name>.schema.json`` as a dict."""
+    path = os.path.join(SCHEMA_DIR, f"{name}.schema.json")
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def validate_explain(data, schema, path="$"):

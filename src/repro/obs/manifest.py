@@ -2,7 +2,7 @@
 
 A manifest answers "what exactly produced this result?": the command
 and arguments, benchmark set and scale, the git revision and python
-version, per-phase wall-clock timings, and a snapshot of the metrics
+version, per-span-name wall-clock timings, and a snapshot of the metrics
 registry.  ``python -m repro all`` writes one combined manifest for
 the whole run, and the benchmark suite writes its timings in the same
 format under ``benchmarks/results/``.
@@ -41,8 +41,9 @@ def build_manifest(command, *, args=None, benchmarks=None, scale=None,
                    phases=None, metrics=None, stats=None, extra=None):
     """Assemble a manifest dict.
 
-    ``phases`` is a :class:`~repro.obs.timers.PhaseProfile` (or a
-    plain dict already in its ``as_dict`` shape); ``metrics`` a
+    ``phases`` is a :class:`~repro.obs.spans.SpanTree`, written as its
+    :meth:`~repro.obs.spans.SpanTree.by_name` table (or a plain dict
+    already in that shape); ``metrics`` a
     :class:`~repro.obs.metrics.MetricsRegistry` (or dict); ``stats`` a
     mapping of label -> ``SimStats.as_dict()`` snapshots.
     """
@@ -62,7 +63,7 @@ def build_manifest(command, *, args=None, benchmarks=None, scale=None,
         manifest["scale"] = scale
     if phases is not None:
         manifest["phases"] = (
-            phases.as_dict() if hasattr(phases, "as_dict") else dict(phases)
+            phases.by_name() if hasattr(phases, "by_name") else dict(phases)
         )
     if metrics is not None:
         manifest["metrics"] = (

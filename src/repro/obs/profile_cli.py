@@ -30,19 +30,12 @@ benchmark trajectory gate tracks.
 
 import argparse
 import json
-import os
 import sys
 
 from repro.errors import WorkloadError
-from repro.obs.explain import validate_explain
+from repro.obs.explain import load_schema, validate_explain
+from repro.obs.spans import SpanTree, format_tree
 from repro.uarch.profiler import COMPONENTS, EVENT_MEANING
-
-#: Ships next to the code so the CLI can self-validate anywhere.
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "docs", "schemas", "profile.schema.json",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +57,13 @@ def build_profile(workload, selection_config, input_set="reduced",
     from repro.experiments.runner import get_artifacts, run_selection
     from repro.obs.context import telemetry
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.timers import PhaseProfile
     from repro.uarch.engine import resolve_engine
     from repro.uarch.profiler import SimProfiler
 
     registry = MetricsRegistry()
-    phases = PhaseProfile()
+    tree = SpanTree()
     profiler = SimProfiler()
-    with telemetry(metrics=registry, phases=phases):
+    with telemetry(metrics=registry, spans=tree):
         stats, annotation = run_selection(
             workload, selection_config,
             input_set=input_set, scale=scale,
@@ -81,7 +73,7 @@ def build_profile(workload, selection_config, input_set="reduced",
             get_artifacts(workload, input_set, scale).program,
             processor_config,
         )
-    simulate_self = phases.spans.self_seconds(("simulate",))
+    simulate_self = tree.self_seconds(("simulate",))
     attributed = profiler.total_seconds()
     return {
         "workload": workload,
@@ -95,7 +87,7 @@ def build_profile(workload, selection_config, input_set="reduced",
             "retired_instructions": stats.retired_instructions,
             "ipc": stats.ipc,
         },
-        "spans": phases.spans_as_dict(),
+        "spans": tree.as_dict(),
         "simulate": {
             "self_seconds": simulate_self,
             "attributed_seconds": attributed,
@@ -115,30 +107,6 @@ def build_profile(workload, selection_config, input_set="reduced",
 # ---------------------------------------------------------------------------
 # Rendering (pure functions of the data dict, so JSON round-trips render)
 # ---------------------------------------------------------------------------
-
-
-def _span_lines(spans):
-    """Indented span-tree lines from a ``spans_as_dict`` snapshot."""
-    if not spans:
-        return ["no spans recorded"]
-    keys = sorted(spans)
-    labels = {
-        key: "  " * key.count("/") + key.rsplit("/", 1)[-1]
-        for key in keys
-    }
-    width = max(len(label) for label in labels.values())
-    lines = ["span timings (self-time = region minus children):"]
-    for key in keys:
-        entry = spans[key]
-        line = (
-            f"  {labels[key].ljust(width)}  {entry['seconds']:8.3f}s"
-            f"  (self {entry['self_seconds']:8.3f}s)"
-            f"  x{entry['calls']}"
-        )
-        if entry.get("events"):
-            line += f"  {entry['events']} events"
-        lines.append(line)
-    return lines
 
 
 def _hotspot_lines(data):
@@ -180,7 +148,7 @@ def format_profile(data):
         f"self-time",
         "",
     ]
-    lines.extend(_span_lines(data["spans"]))
+    lines.extend(format_tree(data["spans"]))
     lines.append("")
     lines.extend(_hotspot_lines(data))
     return "\n".join(lines)
@@ -219,18 +187,6 @@ def folded_profile(data):
 # ---------------------------------------------------------------------------
 # Schema + profile log
 # ---------------------------------------------------------------------------
-
-
-def load_profile_schema(path=SCHEMA_PATH):
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def validate_profile(data, schema=None):
-    """Errors (empty list = valid) for one profile record vs the schema."""
-    if schema is None:
-        schema = load_profile_schema()
-    return validate_explain(data, schema)
 
 
 def append_profile_log(path, data):
@@ -337,7 +293,7 @@ def main(argv=None):
               file=sys.stderr)
         return 1
 
-    errors = validate_profile(data)
+    errors = validate_explain(data, load_schema("profile"))
     if errors:
         for error in errors:
             print(f"python -m repro profile: schema violation: {error}",

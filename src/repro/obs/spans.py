@@ -1,8 +1,9 @@
 """Hierarchical timed spans: where does the wall-clock go, by region?
 
-A *span* is a nestable timed region.  Spans form a tree: entering
-``span("simulate")`` inside ``span("fig6")`` records under the path
-``("fig6", "simulate")``.  Each path accumulates
+A *span* is a nestable timed region and the one timing primitive of
+the reproduction.  Spans form a tree: entering ``span("simulate")``
+inside ``span("cell")`` records under the path ``("cell",
+"simulate")``.  Each path accumulates
 
 - ``seconds`` — cumulative wall-clock (the span and everything below);
 - ``self_seconds`` — cumulative minus the children's cumulative, i.e.
@@ -10,14 +11,15 @@ A *span* is a nestable timed region.  Spans form a tree: entering
 - ``events`` — an optional throughput count (instructions, rows, ...);
 - ``calls`` — how many times the path was entered.
 
-The flat :class:`~repro.obs.timers.PhaseProfile` is a depth-1 view
-over a :class:`SpanTree` — ``phase()`` keeps its exact old behaviour
-while nested spans carry the finer structure.  Closing a span mirrors
+The stack of open spans is per thread, so serve request threads share
+one tree without nesting into each other.  Closing a span mirrors
 ``span_<dotted.path>_{seconds,calls}_total`` counters into the metrics
 registry and emits a :class:`~repro.obs.events.SpanEnd` trace event
 when tracing is on, so ``trace-report`` can rebuild the hotspot view
 offline.  Snapshots (:meth:`SpanTree.as_dict`) merge across ``--jobs
-N`` workers in plan order exactly like metrics snapshots do.
+N`` workers in plan order exactly like metrics snapshots do, and
+:meth:`SpanTree.by_name` folds them into the flat per-name table the
+run manifest calls ``phases``.
 
 Usage::
 
@@ -27,6 +29,7 @@ Usage::
         sp.events = stats.retired_instructions
 """
 
+import threading
 import time
 from contextlib import contextmanager
 
@@ -46,33 +49,47 @@ class SpanHandle:
 
 
 class SpanTree:
-    """Accumulated wall-clock per span path (tuple of names from root)."""
+    """Accumulated wall-clock per span path (tuple of names from root).
 
-    __slots__ = ("_entries", "_stack")
+    Safe to share between threads: each thread nests on its own stack
+    and :meth:`record` folds under a lock.
+    """
+
+    __slots__ = ("_entries", "_local", "_lock")
 
     def __init__(self):
         self._entries = {}
-        self._stack = []
+        self._local = threading.local()
+        self._lock = threading.Lock()
+
+    def stack(self):
+        """This thread's stack of open :class:`SpanHandle` objects."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
 
     def record(self, path, seconds, self_seconds=None, events=0, calls=1):
         """Fold one completed span (or a merged aggregate) into ``path``.
 
-        ``self_seconds`` defaults to ``seconds`` — correct for leaf
-        spans and for flat phase records, which have no children.
+        ``self_seconds`` defaults to ``seconds``, which is right for a
+        span without children.
         """
         path = tuple(path)
-        entry = self._entries.get(path)
-        if entry is None:
-            entry = self._entries[path] = {
-                "seconds": 0.0, "self_seconds": 0.0,
-                "events": 0, "calls": 0,
-            }
-        entry["seconds"] += seconds
-        entry["self_seconds"] += (
-            seconds if self_seconds is None else self_seconds
-        )
-        entry["events"] += events
-        entry["calls"] += calls
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is None:
+                entry = self._entries[path] = {
+                    "seconds": 0.0, "self_seconds": 0.0,
+                    "events": 0, "calls": 0,
+                }
+            entry["seconds"] += seconds
+            entry["self_seconds"] += (
+                seconds if self_seconds is None else self_seconds
+            )
+            entry["events"] += events
+            entry["calls"] += calls
         return entry
 
     def __len__(self):
@@ -97,21 +114,18 @@ class SpanTree:
         """All recorded paths, sorted (parents before children)."""
         return sorted(self._entries)
 
-    def roots(self):
-        """The depth-1 span names, sorted (the PhaseProfile view)."""
-        return sorted(p[0] for p in self._entries if len(p) == 1)
-
     def current_path(self, name=None):
-        """The active span path, optionally extended by ``name``."""
-        path = tuple(handle.name for handle in self._stack)
+        """This thread's open span path, optionally extended by ``name``."""
+        path = tuple(handle.name for handle in self.stack())
         return path + (name,) if name is not None else path
 
     def as_dict(self):
         """JSON-ready snapshot keyed by ``"/"``-joined path."""
-        return {
-            PATH_SEP.join(path): dict(self._entries[path])
-            for path in sorted(self._entries)
-        }
+        with self._lock:
+            return {
+                PATH_SEP.join(path): dict(self._entries[path])
+                for path in sorted(self._entries)
+            }
 
     def merge_snapshot(self, snapshot):
         """Fold another tree's :meth:`as_dict` snapshot into this one.
@@ -131,36 +145,83 @@ class SpanTree:
             )
         return self
 
-    def report(self):
-        """Human-readable indented tree, one line per path."""
-        paths = self.paths()
-        if not paths:
-            return "no spans recorded"
-        width = max(len("  " * (len(p) - 1) + p[-1]) for p in paths)
-        lines = ["span timings:"]
-        for path in paths:
-            entry = self._entries[path]
-            label = "  " * (len(path) - 1) + path[-1]
-            line = (
-                f"  {label.ljust(width)}  {entry['seconds']:8.3f}s"
-                f"  (self {entry['self_seconds']:8.3f}s)"
-                f"  x{entry['calls']}"
+    def by_name(self):
+        """Flat per-name table: every path folded by its last component.
+
+        This is the run manifest's ``phases`` shape, ``{name: {seconds,
+        events, calls, events_per_sec}}`` sorted by name: ``cell/trace``
+        and a root ``trace`` both count under ``trace``, so serial and
+        ``--jobs N`` runs give the same keys, calls and events.
+        """
+        table = {}
+        for key, entry in self.as_dict().items():
+            row = table.setdefault(
+                key.rsplit(PATH_SEP, 1)[-1],
+                {"seconds": 0.0, "events": 0, "calls": 0},
             )
-            if entry["events"]:
-                line += f"  {entry['events']} events"
-            lines.append(line)
-        return "\n".join(lines)
+            row["seconds"] += entry["seconds"]
+            row["events"] += entry["events"]
+            row["calls"] += entry["calls"]
+        for row in table.values():
+            row["events_per_sec"] = (
+                row["events"] / row["seconds"]
+                if row["seconds"] > 0 and row["events"] else 0.0
+            )
+        return dict(sorted(table.items()))
+
+
+def format_tree(snapshot):
+    """Indented span-tree lines from an :meth:`SpanTree.as_dict` snapshot."""
+    if not snapshot:
+        return ["no spans recorded"]
+    keys = sorted(snapshot, key=lambda key: key.split(PATH_SEP))
+    labels = {
+        key: "  " * key.count(PATH_SEP) + key.rsplit(PATH_SEP, 1)[-1]
+        for key in keys
+    }
+    width = max(len(label) for label in labels.values())
+    lines = ["span timings (self-time = region minus children):"]
+    for key in keys:
+        entry = snapshot[key]
+        line = (
+            f"  {labels[key].ljust(width)}  {entry['seconds']:8.3f}s"
+            f"  (self {entry['self_seconds']:8.3f}s)"
+            f"  x{entry['calls']}"
+        )
+        if entry.get("events"):
+            line += f"  {entry['events']} events"
+        lines.append(line)
+    return lines
+
+
+def format_by_name(table):
+    """The end-of-run report: one line per :meth:`SpanTree.by_name` row."""
+    if not table:
+        return "no spans recorded"
+    width = max(len(name) for name in table)
+    lines = ["phase timings:"]
+    for name, entry in table.items():
+        line = (
+            f"  {name.ljust(width)}  {entry['seconds']:8.3f}s"
+            f"  x{entry['calls']}"
+        )
+        if entry["events"]:
+            line += (
+                f"  {entry['events']} events"
+                f"  ({entry['events_per_sec']:,.0f}/s)"
+            )
+        lines.append(line)
+    return "\n".join(lines)
 
 
 @contextmanager
-def span(name, events=0, tree=None, metrics=None, tracer=None,
-         attrs=None):
+def span(name, events=0, attrs=None):
     """Time one nested region; see the module docstring for the contract.
 
-    ``tree``/``metrics``/``tracer`` default to the active telemetry
-    context (the tree lives on the context's phase profile).  The span
-    stack unwinds correctly when the body raises: the handle is popped
-    and the elapsed time recorded either way.
+    The span lands in the active telemetry context
+    (:mod:`repro.obs.context`): its span tree, metrics registry and
+    tracer.  The stack unwinds correctly when the body raises: the
+    handle is popped and the elapsed time recorded either way.
 
     When a distributed :class:`~repro.obs.tracectx.TraceContext` is
     active on this thread, the span also gets a trace-wide span id and
@@ -170,12 +231,11 @@ def span(name, events=0, tree=None, metrics=None, tracer=None,
     """
     from repro.obs import context, tracectx
 
-    tree = tree if tree is not None else context.get_phases().spans
-    metrics = metrics if metrics is not None else context.get_metrics()
-    tracer = tracer if tracer is not None else context.get_tracer()
+    bundle = context.active()
+    tree, metrics, tracer = bundle.spans, bundle.metrics, bundle.tracer
 
     handle = SpanHandle(name, events)
-    stack = tree._stack
+    stack = tree.stack()
     path = tuple(h.name for h in stack) + (name,)
     stack.append(handle)
     ctx = tracectx.current()

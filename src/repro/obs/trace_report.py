@@ -35,7 +35,6 @@ def summarize_trace(path, trace_id=None):
         "rejected_by_reason": TallyCounter(),
     }
     runs = []
-    phases = {}
     spans = {}
     total = 0
     corrupt = []
@@ -103,14 +102,6 @@ def summarize_trace(path, trace_id=None):
                 "dpred_episodes_merged": record.get(
                     "dpred_episodes_merged", 0),
             })
-        elif kind == "phase.end":
-            entry = phases.setdefault(
-                record.get("name", ""),
-                {"seconds": 0.0, "events": 0, "calls": 0},
-            )
-            entry["seconds"] += record.get("seconds", 0.0)
-            entry["events"] += record.get("events", 0)
-            entry["calls"] += 1
         elif kind == "span.end":
             entry = spans.setdefault(
                 record.get("path", record.get("name", "")),
@@ -156,7 +147,6 @@ def summarize_trace(path, trace_id=None):
         "flush_sources": flush_sources,
         "selection": selection,
         "runs": runs,
-        "phases": phases,
         "spans": spans,
         "reconciliation": reconciliation,
     }
@@ -249,15 +239,6 @@ def format_trace_report(summary, top=10):
             )
         if len(summary["runs"]) > top:
             lines.append(f"    ... and {len(summary['runs']) - top} more")
-
-    if summary["phases"]:
-        lines.append("")
-        lines.append("phase timings (from trace):")
-        for name, entry in sorted(summary["phases"].items()):
-            lines.append(
-                f"    {name:<12} {entry['seconds']:8.3f}s"
-                f"  x{entry['calls']}  {entry['events']} events"
-            )
 
     spans = summary.get("spans", {})
     if spans:

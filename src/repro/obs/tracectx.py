@@ -24,9 +24,8 @@ The active context is **thread-local**: the serve daemon installs one
 per request thread, CLI entry points install one on the main thread,
 and forked workers rebuild one from the propagated traceparent.  When
 no context is active (the default), :func:`current` returns ``None``
-and the tracing hooks in :func:`~repro.obs.spans.span` /
-:func:`~repro.obs.timers.phase` cost a single attribute check —
-mirroring the ``NULL_TRACER`` hot-loop contract.
+and the tracing hook in :func:`~repro.obs.spans.span` costs a single
+attribute check — mirroring the ``NULL_TRACER`` hot-loop contract.
 """
 
 import json

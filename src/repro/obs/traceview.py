@@ -30,16 +30,9 @@ import json
 import os
 import sys
 
-from repro.obs.explain import validate_explain
+from repro.obs.explain import load_schema, validate_explain
 from repro.obs.tracer import iter_records
 from repro.obs.tracectx import SPOOL_PREFIX, SPOOL_SUFFIX, TRACE_DIR_ENV
-
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))
-    ))),
-    "docs", "schemas", "trace.schema.json",
-)
 
 #: Keys every usable spool record must carry.
 _REQUIRED_KEYS = ("trace_id", "span_id", "name", "start_ts", "seconds")
@@ -231,17 +224,6 @@ def build_timeline(directory, trace_id):
     }
 
 
-def load_trace_schema(path=SCHEMA_PATH):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def validate_timeline(data, schema=None):
-    """Schema errors for a :func:`build_timeline` payload (empty = ok)."""
-    schema = schema if schema is not None else load_trace_schema()
-    return validate_explain(data, schema)
-
-
 def format_timeline(data):
     """Human-readable cross-process timeline, one line per span."""
     lines = [
@@ -377,7 +359,7 @@ def main(argv=None):
         print(f"python -m repro trace: error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        errors = validate_timeline(data)
+        errors = validate_explain(data, load_schema("trace"))
         if errors:
             for error in errors:
                 print(f"schema violation: {error}", file=sys.stderr)

@@ -153,6 +153,14 @@ class ServeApp:
     With the default ``trace_dir=None`` the request path is exactly the
     pre-tracing one (one ``None`` check per request), which is what
     keeps the serve benchmark's tracing-disabled throughput flat.
+
+    Request spans, like every other counter the computation bumps,
+    land in the *active* telemetry context, not in ``registry``: the
+    context is module-global, so per-request switching would race
+    between request threads.  The daemon installs
+    ``telemetry(metrics=app.registry)`` around ``serve_forever()``, so
+    ``/metrics`` shows them; an in-process ``ServeApp(registry=R)``
+    needs the same ``with telemetry(metrics=R):`` to see them in ``R``.
     """
 
     def __init__(self, registry=None, trace_dir=None, access_log=None):
@@ -214,15 +222,9 @@ class ServeApp:
         with tracectx.activate(ctx):
             if ctx is not None:
                 meta["trace_id"] = ctx.trace_id
-                from repro.obs.spans import SpanTree, span
+                from repro.obs.spans import span
 
-                # A throwaway per-request tree: the *global* span tree
-                # stack is not safe under concurrent request threads,
-                # and the cross-process trace hierarchy lives on the
-                # TraceContext, not the tree.  Metrics still land in
-                # the (thread-safe) shared registry.
-                with span(f"serve.{endpoint}", tree=SpanTree(),
-                          metrics=self.registry):
+                with span(f"serve.{endpoint}"):
                     meta["traceparent"] = ctx.traceparent()
                     status, response = self._dispatch(
                         endpoint, body, meta

@@ -20,7 +20,7 @@ from repro.campaign import (
     replay,
 )
 from repro.campaign.spec import content_hash, resolve_cell_fn
-from repro.obs import MetricsRegistry, PhaseProfile, telemetry
+from repro.obs import MetricsRegistry, SpanTree, telemetry
 
 SCALE = 0.1
 BENCH = ["gzip", "twolf"]
@@ -224,7 +224,7 @@ class TestJournal:
 class TestScheduler:
     def test_happy_path_completes_every_cell(self, tmp_path):
         registry = MetricsRegistry()
-        with telemetry(metrics=registry, phases=PhaseProfile()):
+        with telemetry(metrics=registry, spans=SpanTree()):
             out = _run(_spec(), tmp_path, jobs=2)
         assert not out["interrupted"]
         assert len(out["results"]) == 4
@@ -237,7 +237,7 @@ class TestScheduler:
     def test_exception_cells_retry_then_quarantine(self, tmp_path):
         spec = _spec(cell="tests.test_campaign:crashy_cell")
         registry = MetricsRegistry()
-        with telemetry(metrics=registry, phases=PhaseProfile()):
+        with telemetry(metrics=registry, spans=SpanTree()):
             out = _run(spec, tmp_path, max_attempts=2)
         assert len(out["results"]) == 2          # gzip cells
         assert len(out["quarantined"]) == 2      # twolf cells

@@ -22,7 +22,7 @@ from repro.campaign import (
     shard_of,
 )
 from repro.campaign.backends import shard_journal_name
-from repro.obs import MetricsRegistry, PhaseProfile, telemetry
+from repro.obs import MetricsRegistry, SpanTree, telemetry
 
 SCALE = 0.1
 
@@ -63,7 +63,7 @@ def _spec(name="shards", benchmarks=("gzip", "twolf"),
 
 def _run_scheduler(spec, journal_path, backend=None):
     state = replay(journal_path)
-    with telemetry(metrics=MetricsRegistry(), phases=PhaseProfile()):
+    with telemetry(metrics=MetricsRegistry(), spans=SpanTree()):
         with Journal(journal_path) as journal:
             journal.campaign_start(spec.name, spec.spec_hash, 1)
             scheduler = Scheduler(

@@ -418,7 +418,7 @@ class TestPipelineBuilder:
         assert "exact" in repr(pipeline) and "freq" in repr(pipeline)
 
     def test_pass_telemetry(self, twolf, tmp_path):
-        """Each pass emits start/end events, phase timers, and counts."""
+        """Each pass emits start/end events, spans, and counts."""
         program, profile = twolf
         trace_path = tmp_path / "trace.jsonl"
         registry_ = MetricsRegistry()
@@ -443,7 +443,7 @@ class TestPipelineBuilder:
             pipeline.pass_names()
         )
         assert snapshot["selection_runs_total"]["value"] == 1
-        assert "phase_compile.exact_seconds_total" in snapshot
+        assert "span_compile.exact_seconds_total" in snapshot
 
     def test_empty_pipeline_yields_empty_annotation(self, twolf):
         program, profile = twolf

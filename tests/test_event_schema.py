@@ -78,10 +78,12 @@ def test_from_record_tolerates_unknown_type_and_extra_fields():
     assert generic.payload == {"x": 1}
     # Extra fields on a *known* type (written by a newer build) drop.
     evt = events.from_record({
-        "type": "phase.end", "name": "sim", "seconds": 0.5,
-        "events": 3, "added_in_v9": True,
+        "type": "span.end", "name": "sim", "path": "sim", "depth": 1,
+        "seconds": 0.5, "self_seconds": 0.5, "events": 3,
+        "added_in_v9": True,
     })
-    assert evt == events.PhaseEnd(name="sim", seconds=0.5, events=3)
+    assert evt == events.SpanEnd(name="sim", path="sim", depth=1,
+                                 seconds=0.5, self_seconds=0.5, events=3)
 
 
 # -- every event type through the offline readers ----------------------------
@@ -151,7 +153,6 @@ def _one_of_each():
         events.CampaignCellQuarantined(
             campaign="c", cell_id="def", attempts=3,
         ),
-        events.PhaseEnd(name="simulate", seconds=0.1, events=100),
         events.SpanEnd(
             name="fetch", path="simulate/fetch", depth=2,
             seconds=0.06, self_seconds=0.06, events=90,
@@ -240,7 +241,8 @@ def test_ensure_parent_creates_missing_directories(tmp_path):
 def test_jsonl_sink_creates_parent_directories(tmp_path):
     path = str(tmp_path / "deep" / "traces" / "out.jsonl")
     tracer = Tracer(JsonlSink(path))
-    tracer.emit(events.PhaseEnd(name="x", seconds=0.0, events=0))
+    tracer.emit(events.SpanEnd(name="x", path="x", depth=1, seconds=0.0,
+                               self_seconds=0.0))
     tracer.close()
     assert os.path.getsize(path) > 0
 

@@ -18,7 +18,7 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.coverage import run_many as coverage_run_many
-from repro.obs import MetricsRegistry, PhaseProfile, telemetry
+from repro.obs import MetricsRegistry, SpanTree, telemetry
 from repro.uarch import ProcessorConfig
 
 SCALE = 0.1
@@ -34,11 +34,11 @@ def _boom(x):
 
 
 def _count_one(tag):
-    from repro.obs.context import get_metrics, get_phases
+    from repro.obs.context import get_metrics, get_spans
 
     get_metrics().counter("probe_cells_total").inc()
     get_metrics().gauge("probe_last_tag").set(tag)
-    get_phases().record("probe", 0.25, events=10)
+    get_spans().record(("probe",), 0.25, events=10)
     return tag
 
 
@@ -91,12 +91,12 @@ class TestEngineBasics:
 class TestTelemetryMerging:
     def test_worker_counters_fold_into_parent(self):
         registry = MetricsRegistry()
-        phases = PhaseProfile()
-        with telemetry(metrics=registry, phases=phases):
+        tree = SpanTree()
+        with telemetry(metrics=registry, spans=tree):
             execute([Job(_count_one, i) for i in range(5)], jobs=3)
         assert registry.counter("probe_cells_total").value == 5
-        assert phases.seconds("probe") == pytest.approx(5 * 0.25)
-        snapshot = phases.as_dict()["probe"]
+        assert tree.seconds(("probe",)) == pytest.approx(5 * 0.25)
+        snapshot = tree.by_name()["probe"]
         assert snapshot["calls"] == 5
         assert snapshot["events"] == 50
 
@@ -111,8 +111,8 @@ class TestTelemetryMerging:
         # All-or-nothing: a mid-plan failure must not leave the parent
         # registry with a half-gathered snapshot set.
         registry = MetricsRegistry()
-        phases = PhaseProfile()
-        with telemetry(metrics=registry, phases=phases):
+        tree = SpanTree()
+        with telemetry(metrics=registry, spans=tree):
             with pytest.raises(JobError):
                 execute(
                     [Job(_count_one, 0), Job(_count_one, 1),
@@ -120,7 +120,7 @@ class TestTelemetryMerging:
                     jobs=2,
                 )
         assert registry.get("probe_cells_total") is None
-        assert "probe" not in phases
+        assert ("probe",) not in tree
 
     def test_parallel_metrics_match_serial(self):
         from repro.exec import artifact_cache
@@ -129,11 +129,11 @@ class TestTelemetryMerging:
         artifact_cache.set_disabled(True)
         try:
             serial = MetricsRegistry()
-            with telemetry(metrics=serial, phases=PhaseProfile()):
+            with telemetry(metrics=serial, spans=SpanTree()):
                 runner.clear_cache()
                 fig6.run(scale=SCALE, benchmarks=BENCH, jobs=1)
             parallel = MetricsRegistry()
-            with telemetry(metrics=parallel, phases=PhaseProfile()):
+            with telemetry(metrics=parallel, spans=SpanTree()):
                 runner.clear_cache()
                 fig6.run(scale=SCALE, benchmarks=BENCH, jobs=2)
             runner.clear_cache()

@@ -173,6 +173,34 @@ class TestCli:
         assert "reconciliation vs sim.run.end totals: OK" in report
         assert "selection decisions" in report
 
+    def test_manifest_phases_agree_serial_and_parallel(self, tmp_path,
+                                                       capsys):
+        """``--jobs 1`` and ``--jobs 2``: same phase names, calls, events."""
+        from repro.exec import artifact_cache
+
+        def phases(jobs):
+            path = tmp_path / f"jobs{jobs}.json"
+            runner.clear_cache()
+            assert main([
+                "fig5", "--scale", "0.05", "--benchmarks", "gzip,twolf",
+                "--jobs", str(jobs), "--no-disk-cache",
+                "--manifest", str(path),
+            ]) == 0
+            runner.clear_cache()
+            return read_manifest(str(path))["phases"]
+
+        try:
+            serial, parallel = phases(1), phases(2)
+        finally:
+            artifact_cache.set_disabled(None)
+        capsys.readouterr()
+        assert sorted(serial) == sorted(parallel)
+        for name in ("cell", "trace", "profile", "select", "simulate"):
+            assert name in serial, sorted(serial)
+        for name, entry in serial.items():
+            assert (entry["calls"], entry["events"]) == (
+                parallel[name]["calls"], parallel[name]["events"]), name
+
     def test_trace_report_requires_path(self):
         with pytest.raises(SystemExit):
             main(["trace-report"])

@@ -1,4 +1,4 @@
-"""Tracer, sinks, event round-trips, timers, context, manifests."""
+"""Tracer, sinks, event round-trips, span timings, context, manifests."""
 
 import dataclasses
 import json
@@ -10,17 +10,18 @@ from repro.obs import (
     ListSink,
     MetricsRegistry,
     NULL_TRACER,
-    PhaseProfile,
+    SpanTree,
     Tracer,
     build_manifest,
     events,
+    format_by_name,
     get_metrics,
     get_tracer,
     iter_records,
     jsonl_tracer,
-    phase,
     read_events,
     read_manifest,
+    span,
     telemetry,
     write_manifest,
 )
@@ -48,7 +49,8 @@ SAMPLE_EVENTS = [
     events.SimRunEnd(label="gzip/dmp", cycles=500,
                      retired_instructions=1000, pipeline_flushes=2,
                      dpred_episodes=3, dpred_episodes_merged=2),
-    events.PhaseEnd(name="simulate", seconds=0.5, events=1000),
+    events.SpanEnd(name="simulate", path="cell/simulate", depth=2,
+                   seconds=0.5, self_seconds=0.5, events=1000),
 ]
 
 
@@ -133,44 +135,46 @@ class TestJsonlSink:
 
 
 class TestPhaseTimers:
+    """The per-name view of the span tree (manifest ``phases``)."""
+
     def test_phase_records_profile_metrics_and_event(self):
-        profile = PhaseProfile()
+        tree = SpanTree()
         registry = MetricsRegistry()
         sink = ListSink()
         tracer = Tracer(sink)
-        with phase("simulate", profile=profile, metrics=registry,
-                   tracer=tracer) as handle:
-            handle.events = 500
-        assert "simulate" in profile
-        assert profile.seconds("simulate") > 0
-        snapshot = profile.as_dict()["simulate"]
+        with telemetry(tracer=tracer, metrics=registry, spans=tree):
+            with span("simulate") as handle:
+                handle.events = 500
+        assert ("simulate",) in tree
+        assert tree.seconds(("simulate",)) > 0
+        snapshot = tree.by_name()["simulate"]
         assert snapshot["events"] == 500
         assert snapshot["calls"] == 1
         assert snapshot["events_per_sec"] > 0
-        assert registry.counter("phase_simulate_calls_total").value == 1
-        assert registry.counter("phase_simulate_events_total").value == 500
+        assert registry.counter("span_simulate_calls_total").value == 1
+        assert registry.counter("span_simulate_seconds_total").value > 0
         (event,) = sink.events()
         assert event.name == "simulate"
         assert event.events == 500
 
     def test_phase_records_even_on_exception(self):
-        profile = PhaseProfile()
-        registry = MetricsRegistry()
-        with pytest.raises(RuntimeError):
-            with phase("boom", profile=profile, metrics=registry,
-                       tracer=NULL_TRACER):
-                raise RuntimeError("boom")
-        assert profile.as_dict()["boom"]["calls"] == 1
+        tree = SpanTree()
+        with telemetry(metrics=MetricsRegistry(), tracer=NULL_TRACER,
+                       spans=tree):
+            with pytest.raises(RuntimeError):
+                with span("boom"):
+                    raise RuntimeError("boom")
+        assert tree.by_name()["boom"]["calls"] == 1
 
     def test_report_mentions_phases(self):
-        profile = PhaseProfile()
-        profile.record("trace", 0.5, events=1000)
-        profile.record("trace", 0.5, events=1000)
-        text = profile.report()
+        tree = SpanTree()
+        tree.record(("cell", "trace"), 0.5, events=1000)
+        tree.record(("trace",), 0.5, events=1000)
+        text = format_by_name(tree.by_name())
         assert "trace" in text
         assert "x2" in text
         assert "2000 events" in text
-        assert PhaseProfile().report() == "no phases recorded"
+        assert format_by_name(SpanTree().by_name()) == "no spans recorded"
 
 
 class TestTelemetryContext:
@@ -196,8 +200,8 @@ class TestTelemetryContext:
 
 class TestManifest:
     def test_build_and_round_trip(self, tmp_path):
-        profile = PhaseProfile()
-        profile.record("simulate", 1.0, events=100)
+        tree = SpanTree()
+        tree.record(("cell", "simulate"), 1.0, events=100)
         registry = MetricsRegistry()
         registry.counter("runs").inc()
         manifest = build_manifest(
@@ -205,7 +209,7 @@ class TestManifest:
             args={"scale": 0.5},
             benchmarks=["gzip"],
             scale=0.5,
-            phases=profile,
+            phases=tree,
             metrics=registry,
             stats={"gzip/dmp": {"ipc": 1.5}},
         )

@@ -22,17 +22,12 @@ import pytest
 from repro import __main__ as repro_main
 from repro.campaign.spec import DEFAULT_CELL, content_hash, run_cell
 from repro.obs.context import telemetry
-from repro.obs.explain import validate_explain
+from repro.obs.explain import load_schema, validate_explain
 from repro.serve.app import ServeApp, SingleFlight
 from repro.serve.daemon import RequestHandler, build_server
 
 SCALE = 0.1
 BENCH = "gzip"
-
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "docs", "schemas",
-    "simulate.schema.json",
-)
 
 
 def _cli_stdout(argv):
@@ -128,9 +123,8 @@ class TestByteIdentity:
             "benchmark": BENCH, "scale": SCALE,
         })
         assert status == 200
-        with open(SCHEMA_PATH, encoding="utf-8") as handle:
-            schema = json.load(handle)
-        assert validate_explain(json.loads(body), schema) == []
+        assert validate_explain(
+            json.loads(body), load_schema("simulate")) == []
 
 
 class TestValidation:
@@ -637,7 +631,7 @@ class TestServeTracing:
         assert len(data["roots"]) == 1
         names = {span["name"] for span in data["spans"]}
         assert "serve.simulate" in names
-        assert traceview.validate_timeline(data) == []
+        assert validate_explain(data, load_schema("trace")) == []
         # per-span self time sums back to the request wall time
         total_self = sum(
             span["derived_self_seconds"] for span in data["spans"])
@@ -672,7 +666,7 @@ class TestServeTracing:
         status, body = traced_app.trace_timeline(meta["trace_id"])
         assert status == 200
         data = json.loads(body)
-        assert traceview.validate_timeline(data) == []
+        assert validate_explain(data, load_schema("trace")) == []
         assert data["trace_id"] == meta["trace_id"]
 
     def test_trace_endpoint_unknown_id_is_404(self, traced_app):

@@ -1,7 +1,8 @@
 """Hierarchical spans, the simulator cost profiler, and the profile CLI.
 
-Covers the observability tentpole: span nesting/unwinding semantics,
-the PhaseProfile-as-view byte compatibility, deterministic simulator
+Covers span nesting/unwinding semantics, per-thread stacks on a shared
+tree, the by-name ``phases`` view and self-time accounting of a real
+cell, deterministic simulator
 cost attribution (``profiler=None`` changes nothing), structural
 bit-identity of span trees under parallel execution, the ``repro
 profile`` CLI with its schema, torn-tail-tolerant profile logs, and
@@ -9,15 +10,17 @@ the campaign ``--resources`` annotation path.
 """
 
 import json
+import threading
 import time
 
 import pytest
 
+from repro.exec import Job, artifact_cache, execute
 from repro.experiments import fig6, runner
-from repro.obs import MetricsRegistry, PhaseProfile, SpanTree, span
+from repro.obs import MetricsRegistry, SpanTree, span
 from repro.obs.context import telemetry
+from repro.obs.explain import load_schema, validate_explain
 from repro.obs.spans import PATH_SEP
-from repro.obs.timers import phase
 from repro.uarch import SimProfiler, TimingSimulator
 from repro.uarch.profiler import COMPONENTS, NUM_COMPONENTS
 
@@ -26,7 +29,7 @@ class TestSpanTree:
     def test_nested_spans_record_paths_and_self_time(self):
         tree = SpanTree()
         registry = MetricsRegistry()
-        with telemetry(metrics=registry, phases=PhaseProfile(tree)):
+        with telemetry(metrics=registry, spans=tree):
             with span("outer"):
                 time.sleep(0.01)
                 with span("inner"):
@@ -48,9 +51,7 @@ class TestSpanTree:
 
     def test_span_stack_unwinds_on_exception(self):
         tree = SpanTree()
-        bundle = telemetry(
-            metrics=MetricsRegistry(), phases=PhaseProfile(tree)
-        )
+        bundle = telemetry(metrics=MetricsRegistry(), spans=tree)
         with bundle:
             with pytest.raises(RuntimeError):
                 with span("outer"):
@@ -78,22 +79,55 @@ class TestSpanTree:
         assert a.seconds(("z",)) == pytest.approx(1.0)
         assert a.seconds(("x", "y")) == pytest.approx(0.5)
 
-    def test_phase_profile_is_a_depth1_view(self):
-        profile = PhaseProfile()
-        with telemetry(metrics=MetricsRegistry(), phases=profile):
-            with phase("simulate") as ph:
-                ph.events = 100
+    def test_by_name_view_folds_paths_by_last_component(self):
+        tree = SpanTree()
+        with telemetry(metrics=MetricsRegistry(), spans=tree):
+            with span("cell"):
+                with span("simulate") as sp:
+                    sp.events = 100
             with span("simulate"):
                 pass
-        # Phases and depth-1 spans share the same tree path.
-        assert profile.spans.get(("simulate",))["calls"] == 2
-        snapshot = profile.as_dict()["simulate"]
-        # The flat snapshot keeps its historical shape: no
-        # self_seconds key leaks into the byte-compatible view.
+        assert tree.get(("cell", "simulate"))["calls"] == 1
+        assert tree.get(("simulate",))["calls"] == 1
+        table = tree.by_name()
+        assert list(table) == ["cell", "simulate"]
+        snapshot = table["simulate"]
+        # The manifest's ``phases`` entry shape: no self_seconds key.
         assert sorted(snapshot) == [
             "calls", "events", "events_per_sec", "seconds"
         ]
+        assert snapshot["calls"] == 2
         assert snapshot["events"] == 100
+        assert snapshot["seconds"] == pytest.approx(
+            tree.seconds(("cell", "simulate")) + tree.seconds(("simulate",))
+        )
+
+    def test_threads_nest_on_their_own_stacks(self):
+        """Two threads nesting spans on one shared tree stay apart."""
+        tree = SpanTree()
+        both_open = threading.Barrier(2, timeout=10)
+        inner_done = threading.Barrier(2, timeout=10)
+
+        def work(outer):
+            with span(outer):
+                both_open.wait()
+                with span("inner"):
+                    pass
+                inner_done.wait()
+
+        with telemetry(metrics=MetricsRegistry(), spans=tree):
+            threads = [threading.Thread(target=work, args=(name,))
+                       for name in ("outer_a", "outer_b")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        assert tree.paths() == [
+            ("outer_a",), ("outer_a", "inner"),
+            ("outer_b",), ("outer_b", "inner"),
+        ]
+        assert tree.current_path() == ()
 
     def test_span_end_event_in_trace(self, tmp_path):
         from repro.obs import jsonl_tracer
@@ -101,7 +135,7 @@ class TestSpanTree:
         path = tmp_path / "t.jsonl"
         tracer = jsonl_tracer(str(path))
         with telemetry(tracer=tracer, metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with span("a"):
                 with span("b", events=7):
                     pass
@@ -124,7 +158,7 @@ class TestTraceReportSpans:
         path = tmp_path / "t.jsonl"
         tracer = jsonl_tracer(str(path))
         with telemetry(tracer=tracer, metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             for _ in range(2):
                 with span("outer"):
                     with span("inner"):
@@ -162,16 +196,14 @@ class TestParallelSpanMerge:
         tree's *structure* — paths, call counts, event counts — must be
         bit-identical, as must the driver's result.
         """
-        from repro.exec import artifact_cache
-
         def run(jobs):
-            phases = PhaseProfile()
-            with telemetry(metrics=MetricsRegistry(), phases=phases):
+            tree = SpanTree()
+            with telemetry(metrics=MetricsRegistry(), spans=tree):
                 runner.clear_cache()
                 result = fig6.run(scale=SCALE, benchmarks=BENCH,
                                   jobs=jobs)
             runner.clear_cache()
-            return result, phases.spans_as_dict()
+            return result, tree.as_dict()
 
         # Disable the disk cache so both runs do the same cold work
         # (a warm load skips the trace/profile phases entirely).
@@ -190,6 +222,32 @@ class TestParallelSpanMerge:
                 == parallel_spans[key]["events"], key
         # The engine wraps every job in a "cell" span on both paths.
         assert serial_spans["cell"]["calls"] == len(BENCH)
+
+
+class TestCellSelfTime:
+    def test_cell_stages_nest_and_self_times_add_up(self):
+        """A cold baseline cell: stages nest under ``cell``, no double count.
+
+        Self-times partition the wall clock, so over the whole tree
+        they sum to the root span's ``seconds``.
+        """
+        tree = SpanTree()
+        artifact_cache.set_disabled(True)
+        try:
+            runner.clear_cache()
+            with telemetry(metrics=MetricsRegistry(), spans=tree):
+                execute([Job(runner.run_baseline, "gzip", "reduced", 0.1)],
+                        jobs=1)
+        finally:
+            runner.clear_cache()
+            artifact_cache.set_disabled(None)
+        snapshot = tree.as_dict()
+        for stage in ("trace", "profile", "simulate"):
+            assert f"cell{PATH_SEP}{stage}" in snapshot, sorted(snapshot)
+        assert [key for key in snapshot if PATH_SEP not in key] == ["cell"]
+        total_self = sum(e["self_seconds"] for e in snapshot.values())
+        assert total_self == pytest.approx(
+            snapshot["cell"]["seconds"], abs=1e-9)
 
 
 class TestSimProfiler:
@@ -283,21 +341,18 @@ class TestProfileCli:
         )
 
     def test_json_validates_against_schema(self):
-        from repro.obs.profile_cli import validate_profile
-
+        schema = load_schema("profile")
         data = self._build()
-        assert validate_profile(data) == []
+        assert validate_explain(data, schema) == []
         # Round-trips through JSON unchanged (no non-serializable
         # values sneak in).
-        assert validate_profile(json.loads(json.dumps(data))) == []
+        assert validate_explain(json.loads(json.dumps(data)), schema) == []
 
     def test_schema_rejects_malformed(self):
-        from repro.obs.profile_cli import validate_profile
-
         data = self._build()
         data["profiler"]["components"][0]["name"] = "warp_drive"
         del data["simulate"]["coverage"]
-        errors = validate_profile(data)
+        errors = validate_explain(data, load_schema("profile"))
         assert any("warp_drive" in e for e in errors)
         assert any("coverage" in e for e in errors)
 

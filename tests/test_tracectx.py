@@ -19,12 +19,13 @@ from repro.campaign import (
 from repro.exec import Job, execute
 from repro.obs import (
     MetricsRegistry,
-    PhaseProfile,
+    SpanTree,
     jsonl_tracer,
     span,
     telemetry,
 )
 from repro.obs import traceview
+from repro.obs.explain import load_schema, validate_explain
 from repro.obs.tracectx import (
     SpanSpool,
     TraceContext,
@@ -107,7 +108,7 @@ class TestActiveContext:
 
     def test_span_hook_parents_nested_spans(self, tmp_path):
         ctx = TraceContext.root(service="t", trace_dir=str(tmp_path))
-        with telemetry(metrics=MetricsRegistry(), phases=PhaseProfile()):
+        with telemetry(metrics=MetricsRegistry(), spans=SpanTree()):
             with activate(ctx):
                 with span("outer"):
                     with span("inner"):
@@ -124,7 +125,7 @@ class TestActiveContext:
         ctx = TraceContext.root(service="t", trace_dir=str(tmp_path))
         tracer = jsonl_tracer(str(out))
         with telemetry(tracer=tracer, metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with activate(ctx):
                 with span("work"):
                     pass
@@ -137,7 +138,7 @@ class TestActiveContext:
         assert ends[0]["span_id"] == spooled[0]["span_id"]
 
     def test_no_context_means_no_spool(self, tmp_path):
-        with telemetry(metrics=MetricsRegistry(), phases=PhaseProfile()):
+        with telemetry(metrics=MetricsRegistry(), spans=SpanTree()):
             with span("untraced"):
                 pass
         assert traceview.spool_paths(str(tmp_path)) == []
@@ -239,7 +240,7 @@ class TestBuildTimeline:
                           attrs={"k": "v"}),
         ])
         data = traceview.build_timeline(str(tmp_path), tid)
-        assert traceview.validate_timeline(data) == []
+        assert validate_explain(data, load_schema("trace")) == []
 
     def test_folded_output_weights_by_self_time(self, tmp_path):
         tid = "d" * 32
@@ -284,7 +285,7 @@ class TestTraceCLI:
             ["trace", "show", tid, "--dir", str(tmp_path),
              "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert traceview.validate_timeline(data) == []
+        assert validate_explain(data, load_schema("trace")) == []
 
     def test_show_missing_trace_fails(self, tmp_path, capsys):
         _write_spool(tmp_path, 1, [])
@@ -309,7 +310,7 @@ class TestExecPropagation:
         jobs = [Job(_traced_cell, n, label=f"job{n}")
                 for n in range(2)]
         with telemetry(metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with activate(ctx):
                 with span("driver.run"):
                     results = execute(jobs, jobs=2)
@@ -330,7 +331,7 @@ class TestExecPropagation:
         ctx = TraceContext.root(service="driver",
                                 trace_dir=str(tmp_path))
         with telemetry(metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with activate(ctx):
                 results = execute(
                     [Job(_traced_cell, 3, label="one")], jobs=1)
@@ -359,7 +360,7 @@ class TestCampaignPropagation:
                 tmp_path / f"journal.shard-{index}-of-2.jsonl")
             backend = ShardedBackend(2, index)
             with telemetry(metrics=MetricsRegistry(),
-                           phases=PhaseProfile()):
+                           spans=SpanTree()):
                 with activate(ctx):
                     with span("campaign.run"):
                         with Journal(journal_path) as journal:
@@ -376,7 +377,7 @@ class TestCampaignPropagation:
         assert "campaign-worker" in services
         cells = [s for s in data["spans"] if s["name"] == "cell"]
         assert len(cells) == len(spec.cells())
-        assert traceview.validate_timeline(data) == []
+        assert validate_explain(data, load_schema("trace")) == []
 
     def test_untraced_run_writes_no_spools(self, tmp_path):
         spec = CampaignSpec(
@@ -386,7 +387,7 @@ class TestCampaignPropagation:
         )
         journal_path = str(tmp_path / "journal.jsonl")
         with telemetry(metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with Journal(journal_path) as journal:
                 journal.campaign_start(spec.name, spec.spec_hash, 1)
                 Scheduler(spec, journal, backoff=0.0,

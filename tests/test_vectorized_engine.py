@@ -288,7 +288,8 @@ class TestEngineSelection:
 class TestProfileCliEngine:
     def test_profile_json_validates_with_vectorized(self, tmp_path,
                                                     capsys, monkeypatch):
-        from repro.obs.profile_cli import main, validate_profile
+        from repro.obs.explain import load_schema, validate_explain
+        from repro.obs.profile_cli import main
 
         out = tmp_path / "profile.json"
         monkeypatch.setenv(ENV_SIM_ENGINE, "vectorized")
@@ -296,7 +297,7 @@ class TestProfileCliEngine:
                      "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["engine"] == "vectorized"
-        assert validate_profile(data) == []
+        assert validate_explain(data, load_schema("profile")) == []
 
     def test_profile_engine_scalar_reported(self, monkeypatch):
         from repro.obs.profile_cli import build_profile
