@@ -19,7 +19,8 @@ The same pair runs against the vectorized batch-replay engine: its
 ``profiler=None`` path carries no stopwatch checks either (kernels are
 charged per window, never per row), and its attributed run must keep
 the nine component buckets meaningful (non-empty partition summing to
-the run).
+the run).  Both vectorized benchmarks drop the pre-pass memo before
+every round, so each round is a trace's first (cold) run.
 """
 
 import json
@@ -35,6 +36,7 @@ from repro.uarch import (
     TimingSimulator,
     VectorizedTimingSimulator,
 )
+from repro.uarch.vectorized import clear_prepass_memo
 from repro.workloads import load_benchmark
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -137,6 +139,7 @@ def test_run_vectorized_unprofiled(benchmark, prepared):
     workload, trace = prepared
     stats = benchmark.pedantic(
         lambda: VectorizedTimingSimulator(workload.program).run(trace),
+        setup=clear_prepass_memo,
         rounds=5,
         iterations=1,
     )
@@ -158,7 +161,8 @@ def test_run_vectorized_profiled(benchmark, prepared):
         ).run(trace)
         return stats, profiler
 
-    stats, profiler = benchmark.pedantic(run, rounds=5, iterations=1)
+    stats, profiler = benchmark.pedantic(run, setup=clear_prepass_memo,
+                                         rounds=5, iterations=1)
     seconds = benchmark.stats.stats.min
     _RESULTS["vectorized_profiled_seconds"] = seconds
     _RESULTS["vectorized_profiled_insts_per_sec"] = (

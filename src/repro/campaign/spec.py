@@ -358,17 +358,21 @@ def run_cell(params):
 def prepare_cell(params):
     """Warm shared caches in the scheduler *parent* before a cell forks.
 
-    Builds the cell's artifacts (trace + profile) and the shared
+    Builds the cell's artifacts (trace + profile), the shared
     :class:`~repro.compiler.AnalysisManager` entry for its
-    (program, profile) pair, so every forked worker of the same
-    (benchmark, input set) inherits the analysis — dominators, loops,
-    and memoized path sets — via copy-on-write instead of recomputing
-    it per cell.  Repeat calls are cache hits, so the scheduler can
-    invoke this per launch.  Workers journal their
-    ``analysis_cache_hits_total`` so reports can show the reuse.
+    (program, profile) pair, and the simulator's pre-pass memo entry
+    for its (trace, processor config), so every forked worker of the
+    same (benchmark, input set) inherits the analysis — dominators,
+    loops, and memoized path sets — and the D-cache/branch/control
+    pre-passes via copy-on-write instead of recomputing them per cell.
+    Repeat calls are cache hits, so the scheduler can invoke this per
+    launch.  Workers journal their ``analysis_cache_hits_total`` so
+    reports can show the reuse.
     """
     from repro.compiler import shared_manager
     from repro.experiments.runner import get_artifacts
+    from repro.uarch.engine import resolve_engine
+    from repro.uarch.vectorized import warm_prepass_memo
 
     artifacts = get_artifacts(
         params["benchmark"],
@@ -376,6 +380,9 @@ def prepare_cell(params):
         scale=params.get("scale", 1.0),
     )
     shared_manager().analysis(artifacts.program, artifacts.profile)
+    processor = build_processor(params.get("processor"))
+    if resolve_engine(artifacts.program, processor) == "vectorized":
+        warm_prepass_memo(artifacts.program, artifacts.trace, processor)
 
 
 #: The scheduler looks for this attribute on a cell function and, when

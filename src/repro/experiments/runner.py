@@ -107,14 +107,17 @@ _baseline_cache = KeyedCache("baseline", max_entries=128)
 
 
 def clear_cache():
-    """Drop all cached traces/profiles/baselines/analyses (frees memory)."""
+    """Drop all cached traces/profiles/baselines/analyses and the
+    simulator's pre-pass memo (frees memory)."""
     from repro.compiler.analysis_manager import reset_shared_manager
     from repro.experiments import meldcompare
+    from repro.uarch.vectorized import clear_prepass_memo
 
     _artifact_cache.clear()
     _baseline_cache.clear()
     meldcompare.clear_meld_caches()
     reset_shared_manager()
+    clear_prepass_memo()
 
 
 def get_artifacts(name, input_set="reduced", scale=1.0):

@@ -35,6 +35,7 @@ def summarize_trace(path, trace_id=None):
         "rejected_by_reason": TallyCounter(),
     }
     runs = []
+    run_starts = TallyCounter()
     spans = {}
     total = 0
     corrupt = []
@@ -91,6 +92,8 @@ def summarize_trace(path, trace_id=None):
         elif kind == "select.branch.rejected":
             selection["rejected"] += 1
             selection["rejected_by_reason"][record.get("reason", "")] += 1
+        elif kind == "sim.run.start":
+            run_starts[record.get("label", "")] += 1
         elif kind == "sim.run.end":
             runs.append({
                 "label": record.get("label", ""),
@@ -116,7 +119,15 @@ def summarize_trace(path, trace_id=None):
             if record.get("span_id"):
                 entry["span_ids"].append(record["span_id"])
 
+    # A run that started but never wrote its end dropped the events
+    # its totals would reconcile.
+    run_ends = TallyCounter(run["label"] for run in runs)
     reconciliation = {
+        "run_starts": sum(run_starts.values()),
+        "run_ends": len(runs),
+        "unmatched_run_starts": sum(
+            (run_starts - run_ends).values()
+        ),
         "episode_starts": by_type.get("dpred.episode.start", 0),
         "episode_merges": by_type.get("dpred.episode.merge", 0),
         "pipeline_flushes": by_type.get("uarch.pipeline.flush", 0),
@@ -127,7 +138,8 @@ def summarize_trace(path, trace_id=None):
         "run_pipeline_flushes": sum(r["pipeline_flushes"] for r in runs),
     }
     reconciliation["consistent"] = (
-        reconciliation["episode_starts"]
+        reconciliation["unmatched_run_starts"] == 0
+        and reconciliation["episode_starts"]
         == reconciliation["run_dpred_episodes"]
         and reconciliation["episode_merges"]
         == reconciliation["run_dpred_episodes_merged"]
@@ -278,6 +290,12 @@ def format_trace_report(summary, top=10):
         "reconciliation vs sim.run.end totals: "
         + ("OK" if recon["consistent"] else "MISMATCH")
     )
+    if recon.get("unmatched_run_starts"):
+        lines.append(
+            f"    {recon['unmatched_run_starts']} of "
+            f"{recon['run_starts']} sim.run.start events have no "
+            f"sim.run.end: those runs' events are incomplete"
+        )
     lines.append(
         f"    episode starts {recon['episode_starts']} "
         f"(runs say {recon['run_dpred_episodes']}), "

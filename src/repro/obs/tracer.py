@@ -13,6 +13,7 @@ log back as typed events / raw dicts.
 """
 
 import json
+import os
 
 from repro.ioutil import ensure_parent
 from repro.obs import tracectx
@@ -65,7 +66,16 @@ class Tracer:
 
 
 class JsonlSink:
-    """Appends records as JSON lines to a file path or file object."""
+    """Appends records as JSON lines to a file path or file object.
+
+    Every record is written as one line and flushed, so the file holds
+    all a process wrote even if it exits without closing the sink.
+    Forked workers (figure process pools, campaign cells) inherit the
+    sink; a process other than the one that opened the path appends
+    through its own handle, opened on its first record like the per-pid
+    reopen of :class:`~repro.obs.tracectx.SpanSpool`, and every handle
+    appends, so no two processes' lines overwrite or tear each other.
+    """
 
     def __init__(self, path_or_file):
         if hasattr(path_or_file, "write"):
@@ -74,13 +84,22 @@ class JsonlSink:
             self.path = getattr(path_or_file, "name", None)
         else:
             ensure_parent(path_or_file)
-            self._handle = open(path_or_file, "w", encoding="utf-8")
+            # The file starts empty; append mode keeps every process's
+            # writes at its end.
+            fd = os.open(path_or_file,
+                         os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                         | os.O_APPEND, 0o666)
+            self._handle = open(fd, "w", encoding="utf-8")
             self._owns_handle = True
             self.path = path_or_file
+        self._pid = os.getpid()
 
     def write(self, record):
-        self._handle.write(json.dumps(record, sort_keys=False))
-        self._handle.write("\n")
+        if self._owns_handle and self._pid != os.getpid():
+            self._handle = open(self.path, "a", encoding="utf-8")
+            self._pid = os.getpid()
+        self._handle.write(json.dumps(record, sort_keys=False) + "\n")
+        self._handle.flush()
 
     def close(self):
         if self._owns_handle and not self._handle.closed:

@@ -15,7 +15,52 @@ predictor's global history down a path that never really executed
 (documented approximation, DESIGN.md §5).
 """
 
+import weakref
+
 from repro.isa.instructions import Opcode
+
+#: Walk classes: straight-line, conditional branch, jump, call,
+#: return, halt.
+_SEQ, _COND, _JMP, _CALL, _RET, _HALT = range(6)
+
+_KIND_OF = {
+    Opcode.BEQZ: _COND, Opcode.BNEZ: _COND, Opcode.JMP: _JMP,
+    Opcode.CALL: _CALL, Opcode.RET: _RET, Opcode.HALT: _HALT,
+}
+
+#: Per-program walk tables, shared by every walker over the program.
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _walk_tables(program):
+    """``(kinds, targets, run_end)`` lists indexed by pc.
+
+    ``run_end[pc]`` is, for a straight-line pc, the first pc at or after
+    it that is not straight-line (or the program length): the walk
+    covers ``[pc, run_end[pc])`` without a decision.
+    """
+    try:
+        tables = _TABLES.get(program)
+    except TypeError:         # unweakrefable program stand-in
+        tables = None
+    if tables is not None:
+        return tables
+    instructions = program.instructions
+    n = len(instructions)
+    kinds = [_KIND_OF.get(inst.op, _SEQ) for inst in instructions]
+    targets = [inst.target for inst in instructions]
+    run_end = [n] * n
+    stop = n
+    for pc in range(n - 1, -1, -1):
+        if kinds[pc] != _SEQ:
+            stop = pc
+        run_end[pc] = stop
+    tables = (kinds, targets, run_end)
+    try:
+        _TABLES[program] = tables
+    except TypeError:         # unweakrefable program stand-in
+        pass
+    return tables
 
 
 class BiasTable:
@@ -89,37 +134,51 @@ class WrongPathWalker:
         return count, merged
 
     def _walk(self, start_pc, cfm_pcs, return_cfm, max_insts):
-        instructions = self.program.instructions
-        bias = self.bias
+        kinds, targets, run_end = _walk_tables(self.program)
+        n = len(kinds)
+        counters = self.bias._counters
         pc = start_pc
         count = 0
         call_stack = []
         while count < max_insts:
-            if not 0 <= pc < len(instructions):
+            if not 0 <= pc < n:
                 return count, False
             if pc in cfm_pcs:
                 return count, True
-            inst = instructions[pc]
-            op = inst.op
+            kind = kinds[pc]
+            if kind == _SEQ:
+                # Skip the straight-line run in one step, stopping at
+                # the first CFM point inside it or at the budget.
+                stop = run_end[pc]
+                if stop - pc > max_insts - count:
+                    stop = pc + max_insts - count
+                for cfm in cfm_pcs:
+                    if pc < cfm < stop:
+                        stop = cfm
+                count += stop - pc
+                pc = stop
+                continue
             count += 1
-            if op is Opcode.JMP:
-                pc = inst.target
-            elif op is Opcode.CALL:
+            if kind == _COND:
+                # The bias table's 2-bit counter, weakly taken when new.
+                if counters.get(pc, 2) >= 2:
+                    pc = targets[pc]
+                else:
+                    pc += 1
+            elif kind == _JMP:
+                pc = targets[pc]
+            elif kind == _CALL:
                 call_stack.append(pc + 1)
-                pc = inst.target
-            elif op is Opcode.RET:
+                pc = targets[pc]
+            elif kind == _RET:
                 if not call_stack:
                     # Returning out of the hammock's own function: a
                     # return CFM merges exactly here; any other path
                     # escapes the analysis scope unmerged.
                     return count, bool(return_cfm)
                 pc = call_stack.pop()
-            elif op in (Opcode.BEQZ, Opcode.BNEZ):
-                pc = inst.target if bias.predict(pc) else pc + 1
-            elif op is Opcode.HALT:
+            else:                 # HALT
                 return count, False
-            else:
-                pc += 1
         return count, False
 
 

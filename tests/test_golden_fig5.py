@@ -2,9 +2,10 @@
 
 ``python -m repro fig5 --scale 0.3 --jobs 1 --benchmarks
 gzip,vpr,mcf,twolf`` must print exactly ``perfbench/golden/fig5.txt``
-(the table the steady benchmark checks), and turning telemetry on
-(``--trace``/``--manifest``) must not change a single table row.  The
-golden file is only read here.
+(the table the steady benchmark checks), so must the same command
+with ``--jobs 2``, and turning telemetry on (``--trace``/``--manifest``)
+must not change a single table row.  The golden file is only read
+here.
 """
 
 import json
@@ -57,3 +58,11 @@ def test_fig5_matches_golden_and_telemetry_keeps_the_rows(tmp_path):
     assert traced.startswith(golden)
     with open(manifest_path, encoding="utf-8") as handle:
         assert "simulate" in json.load(handle)["phases"]
+
+
+def test_fig5_two_jobs_matches_golden(tmp_path):
+    with open(GOLDEN, "rb") as handle:
+        golden = handle.read()
+    command = list(COMMAND)
+    command[command.index("--jobs") + 1] = "2"
+    assert _repro(command, tmp_path / "cache") == golden

@@ -316,3 +316,87 @@ class TestSimStatsHelpers:
 
     def test_merge_keeps_first_label_by_default(self):
         assert SimStats(label="a").merge(SimStats(label="b")).label == "a"
+
+
+class TestForkedWorkerTrace:
+    """Pool workers write their events through their own flushed
+    handle: a ``--jobs 2`` trace holds every event, one per line."""
+
+    @staticmethod
+    def _event_counts(tmp_path, jobs):
+        import collections
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.join(os.path.dirname(__file__), "..")
+        path = tmp_path / f"jobs{jobs}.jsonl"
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.join(root, "src"),
+                   REPRO_CACHE_DIR=str(tmp_path / f"cache{jobs}"))
+        subprocess.run(
+            [sys.executable, "-m", "repro", "fig5", "--scale", "0.1",
+             "--jobs", str(jobs), "--benchmarks", "gzip,twolf,mcf",
+             "--trace", str(path)],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+        counts = collections.Counter()
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                record = json.loads(line)       # no torn line
+                counts[(record["type"], record.get("path"))] += 1
+        return counts, str(path)
+
+    def test_parallel_trace_equals_serial(self, tmp_path):
+        serial, _ = self._event_counts(tmp_path, 1)
+        parallel, path = self._event_counts(tmp_path, 2)
+        assert serial[("sim.run.end", None)] == 33
+        assert parallel == serial
+        summary = summarize_trace(path)
+        assert summary["reconciliation"]["run_starts"] == 33
+        assert summary["reconciliation"]["consistent"]
+
+    def test_sink_reopens_per_process(self, tmp_path):
+        import os
+
+        from repro.obs import JsonlSink
+
+        path = tmp_path / "t.jsonl"
+        sink = JsonlSink(str(path))
+        sink.write({"type": "parent", "n": 0})
+        pid = os.fork()
+        if pid == 0:                              # pragma: no cover
+            sink.write({"type": "child", "n": 1})
+            os._exit(0)                           # no close, no flush
+        os.waitpid(pid, 0)
+        sink.write({"type": "parent", "n": 2})
+        sink.close()
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert sorted(r["n"] for r in records) == [0, 1, 2]
+
+
+def test_trace_report_flags_a_run_without_end(tmp_path):
+    from repro.obs import events as obs_events
+    from repro.obs import jsonl_tracer
+
+    path = str(tmp_path / "t.jsonl")
+    tracer = jsonl_tracer(path)
+    for label in ("a", "b"):
+        tracer.emit(obs_events.SimRunStart(
+            label=label, trace_length=10, dmp_enabled=False))
+    tracer.emit(obs_events.SimRunEnd(
+        label="a", cycles=5, retired_instructions=10,
+        pipeline_flushes=0, dpred_episodes=0, dpred_episodes_merged=0,
+        mispredictions=0, dpred_flushes_avoided=0,
+        dpred_wrong_path_insts=0, dpred_select_uops=0,
+    ))
+    tracer.close()
+    summary = summarize_trace(path)
+    recon = summary["reconciliation"]
+    assert (recon["run_starts"], recon["run_ends"],
+            recon["unmatched_run_starts"]) == (2, 1, 1)
+    assert not recon["consistent"]
+    text = format_trace_report(summary)
+    assert "reconciliation vs sim.run.end totals: MISMATCH" in text
+    assert "1 of 2 sim.run.start events have no sim.run.end" in text

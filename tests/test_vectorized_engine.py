@@ -28,6 +28,7 @@ from repro.uarch import (
     requested_engine,
     resolve_engine,
 )
+from repro.uarch import vectorized
 from repro.uarch.engine import ENV_SIM_ENGINE
 from repro.uarch.vectorized import supports
 from repro.workloads import load_benchmark
@@ -307,3 +308,180 @@ class TestProfileCliEngine:
             "gzip", SelectionConfig.all_best_cost(), scale=0.1,
         )
         assert data["engine"] == "scalar"
+
+
+def _component_state(simulator):
+    """Every counter a run exposes on the simulator's components."""
+    memory = simulator.memory
+    return (
+        memory.dcache.hits, memory.dcache.misses,
+        memory.l2.hits, memory.l2.misses,
+        simulator.confidence.snapshot(), simulator.confidence._history,
+        simulator.btb.hits, simulator.btb.misses,
+        simulator.ras.predictions, simulator.ras.mispredictions,
+        simulator.ras.overflows,
+    )
+
+
+class TestPrepassMemo:
+    """The pre-pass memo never changes a result: a miss, a hit, a
+    second run on the same simulator and every window size match the
+    scalar engine; hits restore the component counters and profiler
+    event counts a computed run leaves."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        vectorized.clear_prepass_memo()
+        yield
+        vectorized.clear_prepass_memo()
+
+    @pytest.fixture(scope="class")
+    def dmp_input(self):
+        workload = load_benchmark("twolf", scale=0.05)
+        trace, profile = _profiled_trace(
+            workload.program, workload.memory,
+            workload.max_instructions,
+        )
+        annotation = select_diverge_branches(
+            workload.program, profile, SelectionConfig.all_best_heur()
+        )
+        return workload.program, trace, annotation
+
+    def _scalar(self, program, trace, annotation=None, config=None,
+                runs=1):
+        simulator = TimingSimulator(program, config=config,
+                                    annotation=annotation,
+                                    collect_per_branch=True)
+        out = [simulator.run(trace).as_dict(per_branch=True)
+               for _ in range(runs)]
+        return out, _component_state(simulator)
+
+    def _vectorized(self, program, trace, annotation=None, config=None,
+                    runs=1, **kwargs):
+        simulator = VectorizedTimingSimulator(
+            program, config=config, annotation=annotation,
+            collect_per_branch=True, **kwargs,
+        )
+        out = [simulator.run(trace).as_dict(per_branch=True)
+               for _ in range(runs)]
+        return out, _component_state(simulator)
+
+    def test_miss_then_hit(self, dmp_input):
+        program, trace, annotation = dmp_input
+        reference = self._scalar(program, trace, annotation)
+        assert self._vectorized(program, trace, annotation) == reference
+        assert len(vectorized._PREPASS_MEMO) == 1
+        entry = next(iter(vectorized._PREPASS_MEMO.values()))
+        # A hit: same entry, same stats and component counters.
+        assert self._vectorized(program, trace, annotation) == reference
+        assert list(vectorized._PREPASS_MEMO.values()) == [entry]
+        # The baseline shares the annotation-independent entry.
+        assert self._vectorized(program, trace) \
+            == self._scalar(program, trace)
+        assert len(vectorized._PREPASS_MEMO) == 1
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_two_runs_on_one_simulator(self, dmp_input, warm):
+        """The second run starts from the state the first run's
+        pre-passes leave, whether the first run hit the memo or not."""
+        program, trace, annotation = dmp_input
+        if warm:
+            vectorized.warm_prepass_memo(program, trace)
+            assert len(vectorized._PREPASS_MEMO) == 1
+        assert self._vectorized(program, trace, annotation, runs=3) \
+            == self._scalar(program, trace, annotation, runs=3)
+
+    def test_non_default_config(self, dmp_input):
+        program, trace, annotation = dmp_input
+        config = ProcessorConfig(
+            predictor_kind="gshare", dcache_kb=4, dcache_assoc=2,
+            l2_kb=64, confidence_threshold=9, btb_entries=64,
+            ras_depth=4, memory_latency=40000,
+        )
+        reference = self._scalar(program, trace, annotation, config)
+        for _ in range(2):          # a miss, then a hit
+            assert self._vectorized(program, trace, annotation,
+                                    config) == reference
+        # Keyed on config values: the default config is its own entry.
+        self._vectorized(program, trace, annotation)
+        assert len(vectorized._PREPASS_MEMO) == 2
+        assert self._vectorized(
+            program, trace, annotation,
+            ProcessorConfig(**dict(config.__dict__)),
+        ) == reference
+        assert len(vectorized._PREPASS_MEMO) == 2
+
+    def test_tiny_windows_share_the_entry(self):
+        program, trace = hammock_setup()
+        annotation = hammock_annotation()
+        reference = self._scalar(program, trace, annotation, runs=2)
+        for window_size in (1, 3, 7, 1 << 15):
+            assert self._vectorized(
+                program, trace, annotation, runs=2,
+                window_size=window_size,
+            ) == reference, window_size
+        assert len(vectorized._PREPASS_MEMO) == 1
+
+    def test_keyed_on_trace_contents(self):
+        from repro.emulator import Trace
+
+        program, trace = hammock_setup()      # a list trace
+        other = Trace()
+        for dyn in trace:
+            other.record(dyn.pc, dyn.next_pc, dyn.address)
+        self._vectorized(program, trace)
+        self._vectorized(program, other)        # equal columns: a hit
+        assert len(vectorized._PREPASS_MEMO) == 1
+        for row, address in enumerate(other.addresses):
+            if address != -1:
+                other.addresses[row] = address + 4096
+                break
+        assert self._vectorized(program, other) \
+            == self._scalar(program, other)
+        assert len(vectorized._PREPASS_MEMO) == 2
+
+    def test_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "PREPASS_MEMO_ENTRIES", 3)
+        program, trace = hammock_setup()
+        configs = [ProcessorConfig(memory_latency=100 + i)
+                   for i in range(5)]
+        for config in configs[:3] + configs[:1] + configs[3:]:
+            VectorizedTimingSimulator(program, config=config).run(trace)
+        assert [key[2] for key in vectorized._PREPASS_MEMO] \
+            == [configs[0], configs[3], configs[4]]
+
+    def test_profiler_events_on_a_hit(self, dmp_input):
+        from repro.uarch import COMPONENTS, SimProfiler
+
+        program, trace, annotation = dmp_input
+        events = []
+        for cls in (TimingSimulator, VectorizedTimingSimulator,
+                    VectorizedTimingSimulator):    # scalar, miss, hit
+            profiler = SimProfiler()
+            cls(program, annotation=annotation,
+                profiler=profiler).run(trace)
+            events.append(dict(zip(COMPONENTS, profiler.events)))
+        assert events[1] == events[2]
+        assert len(vectorized._PREPASS_MEMO) == 1
+        # The vectorized engine attributes icache, fetch and dataflow
+        # events per kernel; every other bucket counts like the scalar.
+        for name in ("icache", "fetch", "dataflow"):
+            for counts in events:
+                del counts[name]
+        assert events[0] == events[2]
+
+    def test_campaign_prepare_warms_without_a_run(self, monkeypatch):
+        from repro.campaign.spec import prepare_cell
+        from repro.experiments import runner
+
+        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
+        params = {"benchmark": "gzip", "scale": 0.05,
+                  "selection": "all-best-heur"}
+        prepare_cell(params)
+        artifacts = runner.get_artifacts("gzip", scale=0.05)
+        key = vectorized._memo_key(
+            vectorized._decode_tables(artifacts.program)[-1],
+            vectorized.trace_columns(artifacts.trace),
+            ProcessorConfig(),
+        )
+        assert list(vectorized._PREPASS_MEMO) == [key]
