@@ -27,8 +27,10 @@ class Cache:
         self.words_per_line = words_per_line
         self.hits = 0
         self.misses = 0
-        # One OrderedDict per set: line_tag -> None, LRU order = insertion.
-        self._sets = [OrderedDict() for _ in range(num_sets)]
+        # One OrderedDict per set (line_tag -> None, LRU order =
+        # insertion), created when the set is first allocated into: a
+        # run touches a small part of a large cache's sets.
+        self._sets = [None] * num_sets
 
     @classmethod
     def from_kilobytes(cls, name, kilobytes, associativity,
@@ -47,7 +49,9 @@ class Cache:
         """Access ``address``; returns True on hit.  Misses allocate."""
         set_index, tag = self._locate(address)
         cache_set = self._sets[set_index]
-        if tag in cache_set:
+        if cache_set is None:
+            cache_set = self._sets[set_index] = OrderedDict()
+        elif tag in cache_set:
             cache_set.move_to_end(tag)
             self.hits += 1
             return True
@@ -60,7 +64,8 @@ class Cache:
     def contains(self, address):
         """Non-mutating presence probe (no stat or LRU change)."""
         set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        cache_set = self._sets[set_index]
+        return cache_set is not None and tag in cache_set
 
     @property
     def accesses(self):
@@ -75,4 +80,4 @@ class Cache:
     def reset(self):
         self.hits = 0
         self.misses = 0
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets = [None] * self.num_sets

@@ -204,6 +204,9 @@ class TimingSimulator:
         self.walker = WrongPathWalker(program, self.bias,
                                       metrics=self.metrics)
         self._loop_episode = None
+        # Diverge pc -> the episode fields its mark fixes (see
+        # _hammock_shape).
+        self._hammock_shapes = {}
         # Dynamic trip-count tracking for diverge loop branches: the
         # number of predicated iterations in an episode is bounded by
         # how much longer the loop will actually run, estimated from an
@@ -828,6 +831,24 @@ class TimingSimulator:
     # DMP episode construction
     # ------------------------------------------------------------------
 
+    def _hammock_shape(self, diverge):
+        """The episode fields a hammock mark fixes, built once per mark:
+        ``(mark, cfm_pcs, return_cfm, select_registers, num_selects)``.
+        """
+        shape = self._hammock_shapes.get(diverge.branch_pc)
+        if shape is None or shape[0] is not diverge:
+            # Table 1: the hardware tracks at most num_cfm_registers CFM
+            # points per dpred episode (the compiler caps MAX_CFM to
+            # match, so this only bites on hand-written annotations).
+            cfm_pcs = diverge.cfm_pcs
+            limit = self.config.num_cfm_registers
+            if len(cfm_pcs) > limit:
+                cfm_pcs = frozenset(sorted(cfm_pcs)[:limit])
+            shape = (diverge, cfm_pcs, diverge.has_return_cfm,
+                     diverge.select_registers, diverge.num_select_uops)
+            self._hammock_shapes[diverge.branch_pc] = shape
+        return shape
+
     def _make_hammock_episode(self, stats, diverge, taken, false_target,
                               fetch_cycle, resolve, mispredicted,
                               charge=None):
@@ -835,16 +856,8 @@ class TimingSimulator:
         stats.dpred_episodes += 1
         episode = _Episode("hammock", diverge.branch_pc, resolve,
                            fetch_cycle)
-        # Table 1: the hardware tracks at most num_cfm_registers CFM
-        # points per dpred episode (the compiler caps MAX_CFM to match,
-        # so this only bites on hand-written annotations).
-        cfm_pcs = diverge.cfm_pcs
-        if len(cfm_pcs) > cfg.num_cfm_registers:
-            cfm_pcs = frozenset(sorted(cfm_pcs)[: cfg.num_cfm_registers])
-        episode.cfm_pcs = cfm_pcs
-        episode.return_cfm = diverge.has_return_cfm
-        episode.select_registers = diverge.select_registers
-        episode.num_selects = diverge.num_select_uops
+        (_, episode.cfm_pcs, episode.return_cfm, episode.select_registers,
+         episode.num_selects) = self._hammock_shape(diverge)
         episode.mispredicted = mispredicted
         # Synthesize the path the trace did not take.  The walk is the
         # wrong-path bucket; episode setup around it stays in

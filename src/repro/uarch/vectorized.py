@@ -27,15 +27,21 @@ and the replay then consumes the trace in windows:
 4. **Decode gather** — per window, static per-pc tables (kind, latency,
    sources, destination) are gathered for the window's rows in one
    numpy indexing operation.
-5. **Lean replay** — a single python loop advances the front-end /
-   dataflow / ROB clocks over plain python lists (one ``tolist`` per
-   column), with the in-order retire state folded into a closed-form
-   counter (``p = retire_width * last_retire_cycle + retired_in_cycle
-   - 1`` advances as ``p' = max(p + 1, retire_width * complete)`` per
-   retired entry).  Dpred episodes, flushes, and wrong-path walks fall
-   back to the exact scalar semantics via the shared helpers on the
-   base class — the bias table and wrong-path walker stay interleaved
-   in the replay loop because the walker reads the bias table as of the
+5. **Lean replay** — a single python loop advances the front-end and
+   dataflow clocks over plain python lists (one ``tolist`` per column).
+   In-order retire is block-scanned: the scalar retire state is the
+   closed-form slot ``p_e = max(p_{e-1} + 1, retire_width * c_e)`` of
+   ROB entry ``e`` completing at ``c_e``, so one
+   ``np.maximum.accumulate`` computes the free cycles ``p_e //
+   retire_width`` of every entry appended so far, at least
+   ``rob_size`` entries at a time.  Free cycles never decrease and
+   neither does the fetch cycle, so the row loop keeps the index of
+   the next entry that can stall fetch (advanced lazily by
+   ``bisect_right``) and pays one integer compare per row.  Dpred
+   episodes, flushes, and wrong-path walks fall back to the exact
+   scalar semantics via the shared helpers on the base class — the
+   bias table and wrong-path walker stay interleaved in the replay
+   loop because the walker reads the bias table as of the
    (timing-dependent) episode entry row.
 
 The pre-pass outputs of a simulator's first run depend on nothing but
@@ -49,8 +55,8 @@ checks (same zero-overhead guarantee as the scalar engine, proven by
 kernel is charged to its component: window setup/gathers → fetch,
 D-cache pre-pass → dcache, branch/control pre-passes and their memo
 lookup → branch_predict, replay loop → dataflow, warm pass → icache,
-drain → rob_retire, episode construction/walks →
-dpred_episode/wrong_path.  The stopwatch partition
+retire block scans, stall checks and the drain → rob_retire, episode
+construction/walks → dpred_episode/wrong_path.  The stopwatch partition
 still sums exactly to the instrumented run; event counts match the
 scalar engine except ``icache`` (the vectorized engine proves the
 instruction side resident once instead of probing it per fetch group)
@@ -59,6 +65,7 @@ and the per-kernel (instead of per-row) fetch/dataflow attribution.
 
 import hashlib
 import weakref
+from bisect import bisect_right
 from collections import OrderedDict
 
 import numpy as np
@@ -94,8 +101,10 @@ from repro.uarch.stats import SimStats
 
 #: Row classes in the static decode tables.  Memory rows collapse to
 #: ``_PLAIN`` in the replay-kind table (their latency is precomputed),
-#: so the replay loop only branches on control kinds.
-_PLAIN, _COND, _JMP, _CALL, _RET, _LOAD, _STORE = range(7)
+#: so the replay loop only branches on control kinds and ``_CMOV``, a
+#: replay-only kind for the one opcode with a third source (its old
+#: destination; see :func:`_decode_tables`).
+_PLAIN, _COND, _JMP, _CALL, _RET, _LOAD, _STORE, _CMOV = range(8)
 
 #: Default replay window (rows).  Large enough to amortize the numpy
 #: pre-passes, small enough that the gathered columns stay cache-warm.
@@ -161,9 +170,12 @@ def warm_prepass_memo(program, trace, config=None):
 def _decode_tables(program):
     """The static per-pc decode tables of ``program`` (cached).
 
-    ``(kind, replay_kind, latency, src1, src2, src3, dest, targets,
+    ``(kind, replay_kind, latency, src1, src2, dest, targets,
     digest)``; ``digest`` covers the kind and latency tables, everything
-    of the program the pre-passes read.
+    of the program the pre-passes read.  A third source is always the
+    instruction's own old destination (CMOV), so instead of a third
+    source table those rows get the replay kind ``_CMOV`` — unless the
+    destination is r0, which is always ready at cycle 0.
     """
     try:
         cached = _DECODE_CACHE.get(program)
@@ -177,9 +189,9 @@ def _decode_tables(program):
     lat = np.empty(n, dtype=np.int64)
     src1 = np.full(n, _NULL_REG, dtype=np.int64)
     src2 = np.full(n, _NULL_REG, dtype=np.int64)
-    src3 = np.full(n, _NULL_REG, dtype=np.int64)
     dest = np.full(n, _SCRATCH_REG, dtype=np.int64)
     targets = [-1] * n
+    cmov = np.zeros(n, dtype=bool)
     for pc, inst in enumerate(instructions):
         if inst.is_conditional_branch:
             kind[pc] = _COND
@@ -199,18 +211,21 @@ def _decode_tables(program):
             src1[pc] = reads[0]
             if len(reads) > 1:
                 src2[pc] = reads[1]
-                if len(reads) > 2:    # CMOV reads its old dest
-                    src3[pc] = reads[2]
         written = inst.written_register()
         if written:   # None and r0 both mean "no dataflow dest"
             dest[pc] = written
+            if len(reads) > 2:
+                assert reads[2] == written, "third source must be dest"
+                cmov[pc] = True
         if inst.target is not None:
             targets[pc] = inst.target
     digest = hashlib.sha256()
     digest.update(kind)
     digest.update(lat)
-    cached = (kind, np.where(kind >= _LOAD, _PLAIN, kind),
-              lat, src1, src2, src3, dest, targets, digest.digest())
+    replay_kind = np.where(kind >= _LOAD, _PLAIN, kind)
+    replay_kind[cmov] = _CMOV
+    cached = (kind, replay_kind, lat, src1, src2, dest, targets,
+              digest.digest())
     try:
         _DECODE_CACHE[program] = cached
     except TypeError:
@@ -318,7 +333,7 @@ class VectorizedTimingSimulator(TimingSimulator):
     def _build_decode_tables(self):
         n = len(self.program.instructions)
         (self._kind_table, self._replay_kind_table, self._lat_table,
-         self._src1_table, self._src2_table, self._src3_table,
+         self._src1_table, self._src2_table,
          self._dest_table, self._target_by_pc,
          self._program_digest) = _decode_tables(self.program)
         # Diverge marks by pc (same truthiness rule as the scalar row
@@ -761,31 +776,42 @@ class VectorizedTimingSimulator(TimingSimulator):
         replay_kind_table = self._replay_kind_table
         src1_table = self._src1_table
         src2_table = self._src2_table
-        src3_table = self._src3_table
         dest_table = self._dest_table
         target_by_pc = self._target_by_pc
 
-        # Front-end / dataflow / ROB state (carried across windows).
+        # Front-end / dataflow state (carried across windows).
         cycle = 0
         slots_used = 0
         cond_used = 0
+        complete = 0
         # Two extra slots for the decode-table sentinels: _NULL_REG is
         # never written (always ready at 0), _SCRATCH_REG never read.
         reg_ready = [0] * (NUM_REGISTERS + 2)
-        rob = []
+        episode = None
+
+        # ROB, block-scanned.  Entries are numbered in append order;
+        # entry e completes at c_e and retires in slot p_e = max(p_{e-1}
+        # + 1, retire_width * c_e), i.e. in cycle p_e // retire_width
+        # (the scalar engine's (last_retire_cycle, retired_in_cycle)
+        # state is p = retire_width * last_retire_cycle +
+        # retired_in_cycle - 1).  A row fetched with rob_len entries
+        # appended first retires entries up to rob_len - rob_size, and
+        # stalls until that entry's free cycle if it is later than
+        # ``cycle``.  Free cycles never decrease with e, and ``cycle``
+        # never goes back, so the row loop compares against one bound:
+        # ``stall_len`` is rob_size plus the first entry not known to be
+        # free by ``cycle`` (or not yet scanned).  A scan computes the
+        # slots of every entry appended so far, at least rob_size of
+        # them, with one cumulative maximum.
+        rob = []                 # completion cycles not yet scanned
         rob_append = rob.append
         rob_extend = rob.extend
-        rob_head = 0
-        rob_occ = 0                      # == len(rob) - rob_head
-        last_complete = 0
-        episode = None
-        # In-order retire clock, closed form: with the scalar engine's
-        # (last_retire_cycle, retired_in_cycle) state, p =
-        # retire_width * last_retire_cycle + retired_in_cycle - 1, and
-        # retiring an entry completed at cycle c advances it as
-        # p' = max(p + 1, retire_width * c).  last_retire_cycle is
-        # recovered as p // retire_width.
-        p = -1
+        rob_len = 0              # entries appended so far
+        scanned = 0              # entries whose free cycle is known
+        free = []                # free cycles of entries free_base..
+        free_base = 0
+        stall_len = rob_size
+        p = -1                   # retire slot of entry scanned - 1
 
         ledger = self.ledger
         per_branch = (
@@ -838,7 +864,7 @@ class VectorizedTimingSimulator(TimingSimulator):
                 slots_used -= fetch_width
 
         def end_episode_merged(merge_cycle):
-            nonlocal episode, cycle, rob_occ
+            nonlocal episode, cycle, rob_len
             ep = episode
             episode = None
             if merge_cycle > cycle:
@@ -863,7 +889,7 @@ class VectorizedTimingSimulator(TimingSimulator):
             stats.dpred_select_uops += ep.num_selects
             if ep.num_selects:
                 rob_extend([ep.resolve] * ep.num_selects)
-                rob_occ += ep.num_selects
+                rob_len += ep.num_selects
                 charge_fetch_slots(ep.num_selects)
             resolve = ep.resolve
             for reg in ep.select_registers:
@@ -879,14 +905,13 @@ class VectorizedTimingSimulator(TimingSimulator):
             lat_l = lat_np[window_start:window_stop].tolist()
             src1_l = src1_table[pcs_w].tolist()
             src2_l = src2_table[pcs_w].tolist()
-            src3_l = src3_table[pcs_w].tolist()
             dest_l = dest_table[pcs_w].tolist()
             if profiling:
                 charge(FETCH)
 
             # ---- lean replay over the window ------------------------
-            for k, pc, lat, src1, src2, src3, dest in zip(
-                kinds_l, pcs_l, lat_l, src1_l, src2_l, src3_l, dest_l
+            for k, pc, lat, src1, src2, dest in zip(
+                kinds_l, pcs_l, lat_l, src1_l, src2_l, dest_l
             ):
                 # ---- episode bookkeeping at the fetch boundary ------
                 if episode is not None:
@@ -911,43 +936,42 @@ class VectorizedTimingSimulator(TimingSimulator):
                         charge(DPRED_EPISODE)
 
                 # ---- ROB slot ---------------------------------------
-                if rob_occ >= rob_size:
+                if rob_len >= stall_len:
                     if profiling:
                         charge(DATAFLOW)
-                    need = rob_occ - rob_size + 1
-                    rob_occ = rob_size - 1
-                    if need == 1:
-                        ready = retire_width * rob[rob_head]
-                        rob_head += 1
-                        p += 1
-                        if ready > p:
-                            p = ready
-                    else:
-                        best = p + need
-                        base = rob_head
-                        for offset in range(need):
-                            ready = (retire_width * rob[base + offset]
-                                     + need - offset - 1)
-                            if ready > best:
-                                best = ready
-                        p = best
-                        rob_head = base + need
-                    free_at = p // retire_width
-                    if free_at > cycle:
-                        cycle = free_at
+                    oldest = rob_len - rob_size    # retires to free a slot
+                    if oldest >= scanned:
+                        completes = np.array(rob, dtype=np.int64)
+                        rob.clear()
+                        offsets = np.arange(completes.shape[0])
+                        slots = np.maximum.accumulate(
+                            completes * retire_width - offsets)
+                        np.maximum(slots, p + 1, out=slots)
+                        slots += offsets
+                        p = int(slots[-1])
+                        # Entries before ``oldest`` are never looked
+                        # up again.
+                        free = (slots[oldest - scanned:]
+                                // retire_width).tolist()
+                        free_base = oldest
+                        scanned = rob_len
+                    index = oldest - free_base
+                    if free[index] > cycle:
+                        cycle = free[index]
                         slots_used = 0
                         cond_used = 0
+                    stall_len = rob_size + free_base + bisect_right(
+                        free, cycle, index + 1)
                     if profiling:
                         charge(ROB_RETIRE)
 
                 # ---- fetch slot -------------------------------------
-                if episode is not None and episode.half_width \
-                        and cycle < episode.false_done_cycle:
-                    width = half_width
-                else:
-                    width = fetch_width
-                if slots_used >= width or (
+                if slots_used >= fetch_width or (
                     k == _COND and cond_used >= max_cond
+                ) or (
+                    episode is not None and slots_used >= half_width
+                    and episode.half_width
+                    and cycle < episode.false_done_cycle
                 ):
                     cycle += 1
                     slots_used = 0
@@ -963,17 +987,22 @@ class VectorizedTimingSimulator(TimingSimulator):
                 ready = reg_ready[src2]
                 if ready > start:
                     start = ready
-                ready = reg_ready[src3]
-                if ready > start:
-                    start = ready
                 complete = start + lat
-                reg_ready[dest] = complete
                 rob_append(complete)
-                rob_occ += 1
-                last_complete = complete
+                rob_len += 1
 
                 # ---- control flow -----------------------------------
+                # The destination is written after this block (no
+                # control path reads it), so a CMOV still sees its old
+                # value here: its third source.
                 if k:
+                    if k == _CMOV:
+                        ready = reg_ready[dest] + lat
+                        if ready > complete:
+                            complete = ready
+                            rob[-1] = complete
+                        reg_ready[dest] = complete
+                        continue
                     taken = ctl_taken[ctl_cursor]
                     extra = ctl_extra[ctl_cursor]
                     ctl_cursor += 1
@@ -1055,14 +1084,14 @@ class VectorizedTimingSimulator(TimingSimulator):
                                 if ep.false_insts:
                                     rob_extend(
                                         [ep.resolve] * ep.false_insts)
-                                    rob_occ += ep.false_insts
+                                    rob_len += ep.false_insts
                                 if ep.kind == "loop" and ep.num_selects:
                                     charge_fetch_slots(ep.num_selects)
                                     stats.dpred_select_uops += \
                                         ep.num_selects
                                     rob_extend(
                                         [ep.resolve] * ep.num_selects)
-                                    rob_occ += ep.num_selects
+                                    rob_len += ep.num_selects
                                 if profiling:
                                     charge(DPRED_EPISODE)
                                     comp_events[DPRED_EPISODE] += 1
@@ -1099,7 +1128,7 @@ class VectorizedTimingSimulator(TimingSimulator):
                                 stats.dpred_wrong_path_insts += \
                                     extra_insts
                                 rob_extend([resolve] * extra_insts)
-                                rob_occ += extra_insts
+                                rob_len += extra_insts
                                 done = fetch_cycle + max(
                                     1, -(-extra_insts // half_width)
                                 )
@@ -1205,6 +1234,7 @@ class VectorizedTimingSimulator(TimingSimulator):
                     # Taken control flow ends the fetch group.
                     if taken:
                         slots_used = fetch_width + 1
+                reg_ready[dest] = complete
 
             if profiling:
                 charge(DATAFLOW)
@@ -1213,23 +1243,20 @@ class VectorizedTimingSimulator(TimingSimulator):
                 comp_events[DATAFLOW] += rows
 
         # ---- drain -----------------------------------------------------
-        remaining = rob_occ
-        if remaining:
-            completes = np.array(rob[rob_head:], dtype=np.int64)
-            offsets = np.arange(remaining - 1, -1, -1, dtype=np.int64)
-            best = int((retire_width * completes + offsets).max())
-            bumped = p + remaining
-            p = best if best > bumped else bumped
-            rob_head = len(rob)
+        if rob:       # the block scan's closed form, last entry only
+            completes = np.array(rob, dtype=np.int64)
+            best = int((completes * retire_width
+                        - np.arange(len(rob))).max())
+            p = len(rob) - 1 + max(best, p + 1)
         last_retire_cycle = p // retire_width if p >= 0 else 0
         if profiling:
             charge(ROB_RETIRE)
-            comp_events[ROB_RETIRE] = len(rob)
+            comp_events[ROB_RETIRE] = rob_len
         stats.retired_instructions = n
         if cycle < last_retire_cycle:
             cycle = last_retire_cycle
-        if cycle < last_complete:
-            cycle = last_complete
+        if cycle < complete:     # the last trace row's completion
+            cycle = complete
         stats.cycles = cycle
         stats.dcache_misses = self.memory.dcache.misses
         stats.l2_misses = self.memory.l2.misses

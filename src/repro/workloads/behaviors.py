@@ -21,6 +21,7 @@ seed and parameter shifts.
 """
 
 import random
+from itertools import islice
 
 
 class BehaviorRNG:
@@ -144,10 +145,25 @@ class BehaviorRNG:
         forming one cycle, so a load chain walks unpredictably over the
         region (defeating locality) but never escapes it.
         """
-        rng = self._rng
+        # random.Random.shuffle, inlined: the same Fisher-Yates swaps
+        # from the same getrandbits(k) rejection draws (k = bit length
+        # of the bound, constant over a power-of-two band), so the
+        # permutation and the generator state after it are unchanged.
+        getrandbits = self._rng.getrandbits
         indices = list(range(length))
-        rng.shuffle(indices)
+        for k in range(length.bit_length(), 1, -1):
+            for bound in range(min(length, (1 << k) - 1),
+                               (1 << (k - 1)) - 1, -1):
+                j = getrandbits(k)
+                while j >= bound:
+                    j = getrandbits(k)
+                i = bound - 1
+                indices[i], indices[j] = indices[j], indices[i]
+        # chain[indices[i]] = indices[i + 1], cyclically, reusing the
+        # int objects of ``indices`` and copying no list.
         chain = [0] * length
-        for i in range(length):
-            chain[indices[i]] = indices[(i + 1) % length]
+        for here, following in zip(indices, islice(indices, 1, None)):
+            chain[here] = following
+        if length:
+            chain[indices[-1]] = indices[0]
         return chain

@@ -46,6 +46,7 @@ Region kinds
     pressure) or strided streaming loads.
 """
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -505,8 +506,7 @@ def fill_memory(spec, segments, seed, p_shift=0.0, iter_scale=1.0):
                 memory[segment.base + i] = t
         elif kind == "memory":
             chain = rng.pointer_chain(segment.words, segment.words)
-            for i, nxt in enumerate(chain):
-                memory[segment.base + i] = nxt
+            memory.update(zip(itertools.count(segment.base), chain))
         elif kind == "compute":
             pass
         else:  # pragma: no cover - region kinds are closed

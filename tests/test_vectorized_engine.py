@@ -13,7 +13,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SelectionConfig, select_diverge_branches
+from repro.core import (
+    BinaryAnnotation,
+    CFMKind,
+    CFMPoint,
+    DivergeBranch,
+    DivergeKind,
+    SelectionConfig,
+    select_diverge_branches,
+)
 from repro.emulator import execute
 from repro.errors import SimulationError
 from repro.isa import assemble
@@ -175,6 +183,131 @@ class TestWindowBoundaries:
         workload = load_benchmark("gzip", scale=0.05)
         with pytest.raises(SimulationError):
             VectorizedTimingSimulator(workload.program, window_size=0)
+
+
+#: A hammock (branch pc 8, merging at 13) and a diverge loop (latch
+#: pc 16) in one outer loop.  Each iteration loads r6 from a fresh
+#: line (a miss), so the CMOV's third source, its old destination, is
+#: its latest one; a second CMOV writes r0 right after a store that
+#: completes late.  The run ends on another miss followed by short
+#: instructions.
+HAMMOCK_AND_LOOP = """
+.func main
+    movi r1, 0
+    movi r2, 100
+    movi r11, 4096
+outer:
+    cmpge r4, r1, r2
+    bnez r4, done
+    ld r3, 0(r1)
+    ld r6, 0(r11)
+    addi r11, r11, 64
+    bnez r3, then
+    addi r8, r8, 1
+    jmp merge
+then:
+    addi r7, r7, 1
+    cmov r6, r3, r7
+merge:
+    ld r9, 256(r1)
+inner:
+    addi r5, r5, 1
+    addi r9, r9, -1
+    bnez r9, inner
+    st r6, 1024(r1)
+    cmov r0, r3, r5
+    addi r1, r1, 1
+    jmp outer
+done:
+    ld r12, 0(r11)
+    addi r13, r13, 1
+    addi r14, r14, 1
+    addi r15, r15, 1
+    halt
+.endfunc
+"""
+
+
+def _hammock_and_loop():
+    program = assemble(HAMMOCK_AND_LOOP)
+    rng = random.Random(5)
+    memory = {}
+    for i in range(100):
+        memory[i] = rng.randrange(2)
+        trips = 1                 # geometric, mean ~3: unpredictable
+        while trips < 12 and rng.random() > 1 / 3:
+            trips += 1
+        memory[256 + i] = trips
+    trace, _ = execute(program, memory=memory)
+    annotation = BinaryAnnotation("hammock+loop", [
+        DivergeBranch(
+            branch_pc=8, kind=DivergeKind.SIMPLE_HAMMOCK,
+            cfm_points=(CFMPoint(pc=13, kind=CFMKind.EXACT),),
+            select_registers=frozenset({6, 7, 8}),
+        ),
+        DivergeBranch(
+            branch_pc=16, kind=DivergeKind.LOOP,
+            cfm_points=(CFMPoint(pc=17, kind=CFMKind.LOOP_EXIT),),
+            select_registers=frozenset({5, 9}),
+            loop_direction=True, loop_body_size=3,
+        ),
+    ])
+    return program, trace, annotation
+
+
+class TestRetireGeometry:
+    """The block-scanned ROB retire against the scalar per-entry one.
+
+    Loop episodes and their late-exit extensions bulk-insert many ROB
+    entries at once, so tiny ROBs are overfilled by far more than one
+    entry; every window size cuts the replay differently.
+    """
+
+    @pytest.mark.parametrize("fetch_width", (1, 8))
+    @pytest.mark.parametrize("retire_width", (1, 3, 8))
+    @pytest.mark.parametrize("rob_size", (1, 2, 16, 512))
+    def test_matches_scalar(self, rob_size, retire_width, fetch_width):
+        program, trace, annotation = _hammock_and_loop()
+        config = ProcessorConfig(rob_size=rob_size,
+                                 retire_width=retire_width,
+                                 fetch_width=fetch_width)
+        runs = []
+        for cls, window_size in ((TimingSimulator, None),
+                                 (VectorizedTimingSimulator, 1),
+                                 (VectorizedTimingSimulator, 7),
+                                 (VectorizedTimingSimulator, None)):
+            kwargs = {} if window_size is None \
+                else {"window_size": window_size}
+            ledger = RuntimeLedger()
+            sink = ListSink()
+            stats = cls(program, config=config, annotation=annotation,
+                        collect_per_branch=True, ledger=ledger,
+                        tracer=Tracer(sink), **kwargs).run(trace)
+            runs.append((stats.as_dict(per_branch=True),
+                         ledger._branches,
+                         json.dumps(sink.records, sort_keys=True)))
+        reference = runs[0][0]
+        assert reference["dpred_episodes"] \
+            > reference["dpred_episodes_loop"] > 0
+        for got, window_size in zip(runs[1:], (1, 7, None)):
+            assert got == runs[0], f"window_size={window_size}"
+
+    def test_profiler_charges_retire(self):
+        from repro.uarch import COMPONENTS, SimProfiler
+
+        program, trace, annotation = _hammock_and_loop()
+        config = ProcessorConfig(rob_size=16, retire_width=3)
+        events = []
+        for cls in (TimingSimulator, VectorizedTimingSimulator):
+            profiler = SimProfiler()
+            cls(program, config=config, annotation=annotation,
+                profiler=profiler).run(trace)
+            events.append(dict(zip(COMPONENTS, profiler.events)))
+            run = profiler.runs[0]
+            assert sum(run["seconds"].values()) == pytest.approx(
+                run["total_seconds"])
+            assert run["seconds"]["rob_retire"] > 0
+        assert events[0]["rob_retire"] == events[1]["rob_retire"]
 
 
 REGION_KINDS = (

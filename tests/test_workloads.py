@@ -21,6 +21,8 @@ from repro.workloads import suite
 from repro.workloads.behaviors import BehaviorRNG
 from repro.workloads.generator import fill_memory
 
+from tests._legacy_workloads import legacy_fill_memory
+
 
 class TestBehaviors:
     def test_biased_rate(self):
@@ -242,13 +244,18 @@ class TestSuite:
 
     @pytest.mark.parametrize("input_set", ["reduced", "train"])
     def test_lazy_memory_equals_eager_fill(self, input_set):
-        workload = load_benchmark("mcf", input_set=input_set, scale=0.2)
-        _, segments = build_program(workload.spec)
+        """Every benchmark's lazily built memory equals the frozen
+        pre-change fill, item order included."""
         seed_offset, p_shift, iter_scale = suite.INPUT_SETS[input_set]
-        eager = fill_memory(
-            workload.spec, segments,
-            zlib.crc32(b"mcf") + seed_offset,
-            p_shift=p_shift, iter_scale=iter_scale,
-        )
-        assert workload.memory == eager
-        assert workload.memory is workload.memory
+        for name in BENCHMARK_NAMES:
+            workload = load_benchmark(name, input_set=input_set,
+                                      scale=0.2)
+            _, segments = build_program(workload.spec)
+            eager = legacy_fill_memory(
+                workload.spec, segments,
+                zlib.crc32(name.encode()) + seed_offset,
+                p_shift=p_shift, iter_scale=iter_scale,
+            )
+            assert list(workload.memory.items()) \
+                == list(eager.items()), name
+            assert workload.memory is workload.memory
