@@ -1,16 +1,21 @@
 """Observability: metrics, structured tracing, span timing, manifests.
 
-The package has five pieces:
+The package has seven pieces:
 
 - :mod:`repro.obs.metrics` — always-on counters/gauges/histograms in a
   :class:`MetricsRegistry`;
 - :mod:`repro.obs.events` + :mod:`repro.obs.tracer` — typed trace
-  events written as JSONL through a pluggable sink (default: the
-  no-op :data:`NULL_TRACER`, one attribute check in the hot loop);
+  events written through a pluggable sink (default: the no-op
+  :data:`NULL_TRACER`, one attribute check in the hot loop);
+- :mod:`repro.obs.jsonl` — the one JSON-lines appender and reader
+  behind the event log, the span spools and the serve access log;
 - :mod:`repro.obs.spans` — nested timed spans for the harness pipeline
-  (trace → profile → select → simulate) with events/sec throughput;
-- :mod:`repro.obs.manifest` — the per-run JSON manifest;
-- :mod:`repro.obs.trace_report` — offline trace summarization
+  (trace → profile → select → simulate) with events/sec throughput,
+  each written as one ``span.end`` record;
+- :mod:`repro.obs.tracectx` + :mod:`repro.obs.traceview` — one trace
+  identity across processes, merged back by ``python -m repro trace``;
+- :mod:`repro.obs.manifest` + :mod:`repro.obs.trace_report` — the
+  per-run JSON manifest and offline trace summarization
   (``python -m repro trace-report``);
 - :mod:`repro.obs.ledger` + :mod:`repro.obs.explain` — the decision
   ledger joining compile-time selection verdicts with runtime dpred
@@ -62,6 +67,7 @@ from repro.obs.spans import (
     SpanHandle,
     SpanTree,
     format_by_name,
+    read_span,
     span,
 )
 from repro.obs.trace_report import format_trace_report, summarize_trace
@@ -120,6 +126,7 @@ __all__ = [
     "SpanHandle",
     "SpanTree",
     "format_by_name",
+    "read_span",
     "span",
     "format_trace_report",
     "summarize_trace",

@@ -14,10 +14,11 @@ inside ``span("cell")`` records under the path ``("cell",
 The stack of open spans is per thread, so serve request threads share
 one tree without nesting into each other.  Closing a span mirrors
 ``span_<dotted.path>_{seconds,calls}_total`` counters into the metrics
-registry and emits a :class:`~repro.obs.events.SpanEnd` trace event
-when tracing is on, so ``trace-report`` can rebuild the hotspot view
-offline.  Snapshots (:meth:`SpanTree.as_dict`) merge across ``--jobs
-N`` workers in plan order exactly like metrics snapshots do, and
+registry and, when tracing or a trace spool is on, writes one
+``span.end`` record (:class:`~repro.obs.events.SpanEnd`) that both
+``trace-report`` and ``trace show`` read through :func:`read_span`.
+Snapshots (:meth:`SpanTree.as_dict`) merge across ``--jobs N``
+workers in plan order exactly like metrics snapshots do, and
 :meth:`SpanTree.by_name` folds them into the flat per-name table the
 run manifest calls ``phases``.
 
@@ -29,12 +30,18 @@ Usage::
         sp.events = stats.retired_instructions
 """
 
+import os
 import threading
 import time
 from contextlib import contextmanager
 
+from repro.obs.events import SpanEnd
+
 #: Separator used in snapshot keys ("simulate/fetch") and SpanEnd paths.
 PATH_SEP = "/"
+
+_SPAN_KEYS = ("name", "seconds")
+_TRACED_KEYS = _SPAN_KEYS + ("trace_id", "span_id", "start_ts")
 
 
 class SpanHandle:
@@ -223,11 +230,12 @@ def span(name, events=0, attrs=None):
     tracer.  The stack unwinds correctly when the body raises: the
     handle is popped and the elapsed time recorded either way.
 
-    When a distributed :class:`~repro.obs.tracectx.TraceContext` is
-    active on this thread, the span also gets a trace-wide span id and
-    appends a record to the per-process spool on close; ``attrs`` ride
-    along on that record only (never into metric names, which must stay
-    low-cardinality).
+    Closing the span builds one ``span.end`` record (see
+    :class:`~repro.obs.events.SpanEnd`) when the tracer is on or a
+    :class:`~repro.obs.tracectx.TraceContext` with a spool is active,
+    and hands that same dict to both.  Under a context the record also
+    carries the span's trace identity; ``attrs`` ride along there only
+    (never into metric names, which must stay low-cardinality).
     """
     from repro.obs import context, tracectx
 
@@ -257,20 +265,45 @@ def span(name, events=0, attrs=None):
         dotted = ".".join(path)
         metrics.counter(f"span_{dotted}_seconds_total").inc(elapsed)
         metrics.counter(f"span_{dotted}_calls_total").inc()
-        if tracer.enabled:
-            from repro.obs.events import SpanEnd
-
-            tracer.emit(SpanEnd(
-                name=name,
-                path=PATH_SEP.join(path),
-                depth=len(path),
-                seconds=elapsed,
-                self_seconds=self_seconds,
-                events=handle.events,
-            ))
+        spool = ctx.spool if ctx is not None else None
+        if tracer.enabled or spool is not None:
+            record = {
+                "type": SpanEnd.type, "name": name,
+                "path": PATH_SEP.join(path), "depth": len(path),
+                "seconds": elapsed, "self_seconds": self_seconds,
+                "events": handle.events,
+            }
+            if ctx is not None:
+                record.update(
+                    trace_id=ctx.trace_id, span_id=span_id,
+                    parent_id=parent_id, start_ts=start_ts,
+                    service=ctx.service, pid=os.getpid(),
+                )
+                if ctx.attrs or attrs:
+                    record["attrs"] = {**ctx.attrs, **(attrs or {})}
+            if spool is not None:
+                spool.write(record)
+            if tracer.enabled:
+                tracer.emit_record(record)
         if ctx is not None:
-            ctx.exit_span(
-                span_id, parent_id, name, PATH_SEP.join(path),
-                start_ts, elapsed, self_seconds,
-                events=handle.events, attrs=attrs,
-            )
+            ctx.exit_span(span_id)
+
+
+def read_span(record, traced=False):
+    """One finished-span record with its optional fields filled in.
+
+    The one reader of ``span.end`` records, for ``trace-report`` (the
+    event log) and ``trace show`` (the spools).  Returns None when
+    ``record`` has no ``name`` or ``seconds`` or, with
+    ``traced=True``, no ``trace_id``, ``span_id`` or ``start_ts``.
+    """
+    required = _TRACED_KEYS if traced else _SPAN_KEYS
+    if not isinstance(record, dict) or any(
+            key not in record for key in required):
+        return None
+    return {
+        "path": record["name"], "self_seconds": record["seconds"],
+        "events": 0, "trace_id": None, "span_id": None,
+        "parent_id": None, "start_ts": None, "service": "?", "pid": 0,
+        "attrs": None, **record,
+    }

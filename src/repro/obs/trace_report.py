@@ -10,7 +10,8 @@ dropped, which would make any trace-driven diagnosis untrustworthy.
 
 from collections import Counter as TallyCounter
 
-from repro.obs.tracer import iter_records
+from repro.obs.jsonl import iter_records
+from repro.obs.spans import read_span
 
 
 def summarize_trace(path, trace_id=None):
@@ -106,18 +107,19 @@ def summarize_trace(path, trace_id=None):
                     "dpred_episodes_merged", 0),
             })
         elif kind == "span.end":
-            entry = spans.setdefault(
-                record.get("path", record.get("name", "")),
-                {"seconds": 0.0, "self_seconds": 0.0,
-                 "events": 0, "calls": 0, "span_ids": []},
-            )
-            entry["seconds"] += record.get("seconds", 0.0)
-            entry["self_seconds"] += record.get(
-                "self_seconds", record.get("seconds", 0.0))
-            entry["events"] += record.get("events", 0)
+            finished = read_span(record)
+            if finished is None:
+                continue
+            entry = spans.setdefault(finished["path"], {
+                "seconds": 0.0, "self_seconds": 0.0,
+                "events": 0, "calls": 0, "span_ids": [],
+            })
+            entry["seconds"] += finished["seconds"]
+            entry["self_seconds"] += finished["self_seconds"]
+            entry["events"] += finished["events"]
             entry["calls"] += 1
-            if record.get("span_id"):
-                entry["span_ids"].append(record["span_id"])
+            if finished["span_id"]:
+                entry["span_ids"].append(finished["span_id"])
 
     # A run that started but never wrote its end dropped the events
     # its totals would reconcile.

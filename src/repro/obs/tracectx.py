@@ -28,10 +28,11 @@ and the tracing hook in :func:`~repro.obs.spans.span` costs a single
 attribute check — mirroring the ``NULL_TRACER`` hot-loop contract.
 """
 
-import json
 import os
 import threading
 from contextlib import contextmanager
+
+from repro.obs.jsonl import JsonlSink
 
 #: HTTP header carrying the traceparent value on /v1/* requests and
 #: echoed back on every traced response.
@@ -98,56 +99,23 @@ def parse_traceparent(text):
     return trace_id.lower(), span_id.lower()
 
 
-class SpanSpool:
-    """Append-only per-process span sink inside a trace directory.
+class SpanSpool(JsonlSink):
+    """The append-only span sink of one trace directory.
 
-    The file handle is opened lazily under ``spans-<pid>.jsonl`` and
-    reopened transparently after a ``fork()`` (the stored pid no longer
-    matches), so a context created in a campaign scheduler keeps
-    working inside its forked cell workers without any explicit
-    re-initialisation.  Writes are line-atomic under a lock and flushed
-    per record, matching the journal's torn-tail contract.
+    Each process writes ``spans-<pid>.jsonl`` in it: :attr:`path` is
+    read at each open, so a forked worker appends to its own file.
     """
 
     def __init__(self, directory):
         self.directory = str(directory)
-        self._lock = threading.Lock()
-        self._handle = None
-        self._pid = None
+        super().__init__(self.path, append=True)
 
     @property
     def path(self):
-        """The spool path this process would write to."""
+        """The spool path this process writes to."""
         return os.path.join(
             self.directory, f"{SPOOL_PREFIX}{os.getpid()}{SPOOL_SUFFIX}"
         )
-
-    def write(self, record):
-        """Append one span record as a JSON line (thread-safe)."""
-        with self._lock:
-            pid = os.getpid()
-            if self._handle is None or self._pid != pid:
-                if self._handle is not None:
-                    try:
-                        self._handle.close()
-                    except OSError:
-                        pass
-                os.makedirs(self.directory, exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-                self._pid = pid
-            self._handle.write(json.dumps(record, sort_keys=False))
-            self._handle.write("\n")
-            self._handle.flush()
-
-    def close(self):
-        with self._lock:
-            if self._handle is not None and self._pid == os.getpid():
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-            self._handle = None
-            self._pid = None
 
 
 class TraceContext:
@@ -261,33 +229,10 @@ class TraceContext:
         self._stack.append(span_id)
         return span_id, parent
 
-    def exit_span(self, span_id, parent_id, name, path, start_ts,
-                  seconds, self_seconds, events=0, attrs=None):
-        """Close the innermost span and append its spool record."""
+    def exit_span(self, span_id):
+        """Close the innermost span: pop it off the stack."""
         if self._stack and self._stack[-1] == span_id:
             self._stack.pop()
-        if self.spool is None:
-            return None
-        record = {
-            "trace_id": self.trace_id,
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "name": name,
-            "path": path,
-            "service": self.service,
-            "pid": os.getpid(),
-            "start_ts": start_ts,
-            "seconds": seconds,
-            "self_seconds": self_seconds,
-            "events": events,
-        }
-        merged = dict(self.attrs)
-        if attrs:
-            merged.update(attrs)
-        if merged:
-            record["attrs"] = merged
-        self.spool.write(record)
-        return record
 
 
 # -- the active (thread-local) context --------------------------------

@@ -31,11 +31,9 @@ import os
 import sys
 
 from repro.obs.explain import load_schema, validate_explain
-from repro.obs.tracer import iter_records
+from repro.obs.jsonl import iter_records
+from repro.obs.spans import read_span
 from repro.obs.tracectx import SPOOL_PREFIX, SPOOL_SUFFIX, TRACE_DIR_ENV
-
-#: Keys every usable spool record must carry.
-_REQUIRED_KEYS = ("trace_id", "span_id", "name", "start_ts", "seconds")
 
 
 def spool_paths(directory):
@@ -54,9 +52,10 @@ def spool_paths(directory):
 def read_spools(directory):
     """``(records, spool_files, corrupt)`` across every spool file.
 
-    ``corrupt`` counts both torn/malformed JSON lines and structurally
-    incomplete records (missing required keys) — the aggregator never
-    raises on a live, still-being-written trace directory.
+    Each record is a :func:`~repro.obs.spans.read_span` dict.
+    ``corrupt`` counts both torn/malformed JSON lines and records
+    without a trace identity — the aggregator never raises on a live,
+    still-being-written trace directory.
     """
     records = []
     corrupt = 0
@@ -64,13 +63,12 @@ def read_spools(directory):
     for path in paths:
         bad = []
         try:
-            for record in iter_records(path, strict=False, corrupt=bad):
-                if not isinstance(record, dict) or any(
-                    key not in record for key in _REQUIRED_KEYS
-                ):
+            for raw in iter_records(path, strict=False, corrupt=bad):
+                record = read_span(raw, traced=True)
+                if record is None:
                     corrupt += 1
-                    continue
-                records.append(record)
+                else:
+                    records.append(record)
         except OSError:
             continue
         corrupt += len(bad)
@@ -86,29 +84,17 @@ def list_traces(directory):
     records, _files, _corrupt = read_spools(directory)
     traces = {}
     for record in records:
-        entry = traces.setdefault(record["trace_id"], {
-            "trace_id": record["trace_id"],
-            "spans": 0,
-            "services": set(),
-            "start_ts": None,
-            "end_ts": None,
-        })
-        entry["spans"] += 1
-        entry["services"].add(record.get("service", "?"))
-        start = record["start_ts"]
-        end = start + record["seconds"]
-        if entry["start_ts"] is None or start < entry["start_ts"]:
-            entry["start_ts"] = start
-        if entry["end_ts"] is None or end > entry["end_ts"]:
-            entry["end_ts"] = end
+        traces.setdefault(record["trace_id"], []).append(record)
     out = []
-    for entry in traces.values():
+    for trace_id, spans in traces.items():
+        start = min(r["start_ts"] for r in spans)
+        end = max(r["start_ts"] + r["seconds"] for r in spans)
         out.append({
-            "trace_id": entry["trace_id"],
-            "spans": entry["spans"],
-            "services": sorted(entry["services"]),
-            "start_ts": entry["start_ts"],
-            "wall_seconds": entry["end_ts"] - entry["start_ts"],
+            "trace_id": trace_id,
+            "spans": len(spans),
+            "services": sorted({r["service"] for r in spans}),
+            "start_ts": start,
+            "wall_seconds": end - start,
         })
     out.sort(key=lambda e: e["start_ts"], reverse=True)
     return out
@@ -135,15 +121,15 @@ def build_timeline(directory, trace_id):
 
     children = {}
     roots = []
-    orphans = []
+    orphans = set()
     for span_id, record in by_id.items():
-        parent = record.get("parent_id")
+        parent = record["parent_id"]
         if parent is None:
             roots.append(span_id)
         elif parent in by_id:
             children.setdefault(parent, []).append(span_id)
         else:
-            orphans.append(span_id)
+            orphans.add(span_id)
 
     # Derived self time from the merged tree: a span's own seconds
     # minus its direct children's, clamped at zero (children may run
@@ -155,11 +141,11 @@ def build_timeline(directory, trace_id):
     def depth_of(span_id):
         depth = 0
         seen = set()
-        current = by_id[span_id].get("parent_id")
+        current = by_id[span_id]["parent_id"]
         while current in by_id and current not in seen:
             seen.add(current)
             depth += 1
-            current = by_id[current].get("parent_id")
+            current = by_id[current]["parent_id"]
         return depth
 
     start_ts = min(r["start_ts"] for r in matching)
@@ -172,22 +158,21 @@ def build_timeline(directory, trace_id):
             derived = 0.0
         span = {
             "span_id": span_id,
-            "parent_id": record.get("parent_id"),
+            "parent_id": record["parent_id"],
             "name": record["name"],
-            "path": record.get("path", record["name"]),
-            "service": record.get("service", "?"),
-            "pid": record.get("pid", 0),
+            "path": record["path"],
+            "service": record["service"],
+            "pid": record["pid"],
             "start_ts": record["start_ts"],
             "offset_seconds": record["start_ts"] - start_ts,
             "seconds": record["seconds"],
-            "self_seconds": record.get("self_seconds",
-                                       record["seconds"]),
+            "self_seconds": record["self_seconds"],
             "derived_self_seconds": derived,
-            "events": record.get("events", 0),
+            "events": record["events"],
             "depth": depth_of(span_id),
-            "orphan": span_id in set(orphans),
+            "orphan": span_id in orphans,
         }
-        if record.get("attrs"):
+        if record["attrs"]:
             span["attrs"] = record["attrs"]
         spans.append(span)
     spans.sort(key=lambda s: (s["start_ts"], s["depth"], s["span_id"]))

@@ -11,35 +11,23 @@ endpoints alike — produces one line::
 so a coalesced follower is attributable to the leader whose
 computation answered it (``coalesced: true`` + the leader's trace id),
 and every line joins against ``python -m repro trace show`` output via
-``trace_id``.  The sink is stderr by default or ``--access-log FILE``;
-writes are line-atomic under a lock and flushed per record, and
-:func:`read_access_log` tolerates a torn final line exactly like the
-campaign journal reader (the daemon may be killed mid-write).
+``trace_id``.  The sink is stderr by default or ``--access-log FILE``,
+written through the one JSONL appender (line-atomic under a lock,
+flushed per record), and :func:`read_access_log` tolerates a torn
+final line exactly like the campaign journal reader (the daemon may be
+killed mid-write).
 """
 
-import json
-import threading
 import time
 
-from repro.obs.tracer import iter_records
+from repro.obs.jsonl import JsonlSink, iter_records
 
 
-class AccessLog:
-    """Thread-safe JSON-lines access log over a stream or file path."""
+class AccessLog(JsonlSink):
+    """The access log: a :class:`~repro.obs.jsonl.JsonlSink` that appends."""
 
     def __init__(self, target):
-        self._lock = threading.Lock()
-        if hasattr(target, "write"):
-            self._handle = target
-            self._owns_handle = False
-            self.path = getattr(target, "name", None)
-        else:
-            from repro.ioutil import ensure_parent
-
-            ensure_parent(target)
-            self._handle = open(target, "a", encoding="utf-8")
-            self._owns_handle = True
-            self.path = target
+        super().__init__(target, append=True)
 
     def log(self, method, path, status, duration_ms, trace_id=None,
             coalesced=False, leader_trace_id=None):
@@ -54,22 +42,11 @@ class AccessLog:
             "coalesced": bool(coalesced),
             "leader_trace_id": leader_trace_id,
         }
-        line = json.dumps(record, sort_keys=False) + "\n"
         try:
-            with self._lock:
-                self._handle.write(line)
-                self._handle.flush()
+            self.write(record)
         except (OSError, ValueError):  # pragma: no cover — closed sink
             pass
         return record
-
-    def close(self):
-        with self._lock:
-            if self._owns_handle:
-                try:
-                    self._handle.close()
-                except OSError:  # pragma: no cover
-                    pass
 
 
 def read_access_log(path, corrupt=None):
@@ -77,6 +54,6 @@ def read_access_log(path, corrupt=None):
 
     ``corrupt``, when a list, collects ``(line_number, message)`` pairs
     for skipped lines — the same contract as
-    :func:`repro.obs.tracer.iter_records`.
+    :func:`repro.obs.jsonl.iter_records`.
     """
     return list(iter_records(path, strict=False, corrupt=corrupt))

@@ -31,6 +31,8 @@ _SCALARS = {
     str: st.text(max_size=40),
     bool: st.booleans(),
     float: st.floats(allow_nan=False, allow_infinity=False),
+    dict: st.dictionaries(st.text(max_size=8), st.text(max_size=8),
+                          max_size=3),
 }
 
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import sys
+import threading
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.obs import (
     ListSink,
     MetricsRegistry,
     NULL_TRACER,
+    SpanSpool,
     SpanTree,
     Tracer,
     build_manifest,
@@ -132,6 +136,123 @@ class TestJsonlSink:
             sink.close()  # does not close a borrowed handle
             assert not handle.closed
         assert json.loads(path.read_text()) == {"type": "x"}
+
+    def test_forked_child_reopens_its_own_handle(self, tmp_path):
+        log = tmp_path / "t.jsonl"
+        sink = JsonlSink(str(log))
+        spool = SpanSpool(str(tmp_path / "spool"))
+        sink.write({"who": "parent", "n": 0})
+        spool.write({"who": "parent"})
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover — runs in the child
+            code = 0
+            try:
+                sink.write({"who": "child"})
+                spool.write({"who": "child"})
+            except BaseException:
+                code = 1
+            os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        sink.write({"who": "parent", "n": 1})
+        spool.close()
+        sink.close()
+        # The child appended through its own handle; nothing tore or
+        # overwrote the parent's lines before and after it.
+        assert [r["who"] for r in iter_records(str(log))] == \
+            ["parent", "child", "parent"]
+        spools = sorted(os.listdir(tmp_path / "spool"))
+        assert spools == sorted(
+            f"spans-{p}.jsonl" for p in (os.getpid(), pid))
+        child_spool = tmp_path / "spool" / f"spans-{pid}.jsonl"
+        assert [r["who"] for r in iter_records(str(child_spool))] == \
+            ["child"]
+
+    def test_torn_tail_is_skipped_by_the_reader(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = JsonlSink(str(path))
+        sink.write({"n": 1})
+        sink.write({"n": 2})
+        sink.close()
+        with open(path, "a") as handle:
+            handle.write('{"n": 3, "tor')  # crash mid-write
+        corrupt = []
+        records = list(iter_records(str(path), strict=False,
+                                    corrupt=corrupt))
+        assert records == [{"n": 1}, {"n": 2}]
+        assert [line for line, _ in corrupt] == [3]
+        with pytest.raises(ValueError, match=":3:"):
+            list(iter_records(str(path)))
+
+    def test_threads_never_interleave_within_a_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = JsonlSink(str(path))
+        tags = [f"t{n}" for n in range(min((os.cpu_count() or 1) + 2, 34))]
+        # Lines longer than the write buffer take several writes each.
+        payload = {tag: tag * 5000 for tag in tags}
+
+        def writer(tag):
+            for n in range(50):
+                sink.write({"tag": tag, "n": n, "pad": payload[tag]})
+
+        threads = [threading.Thread(target=writer, args=(tag,))
+                   for tag in tags]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        sink.close()
+        records = list(iter_records(str(path)))  # strict: every line whole
+        for tag in tags:
+            mine = [r for r in records if r["tag"] == tag]
+            assert [r["n"] for r in mine] == list(range(50))
+            assert all(r["pad"] == payload[tag] for r in mine)
+
+    def test_trace_log_truncates_spool_and_access_log_append(
+            self, tmp_path):
+        from repro.serve.accesslog import AccessLog
+
+        old = json.dumps({"old": True}) + "\n"
+        trace_log = tmp_path / "t.jsonl"
+        access = tmp_path / "access.jsonl"
+        spool_dir = tmp_path / "spool"
+        spool_dir.mkdir()
+        spool_path = spool_dir / f"spans-{os.getpid()}.jsonl"
+        for path in (trace_log, access, spool_path):
+            path.write_text(old)
+        tracer = jsonl_tracer(str(trace_log))
+        assert trace_log.read_text() == ""  # emptied when built
+        tracer.emit(SAMPLE_EVENTS[0])
+        tracer.close()
+        log = AccessLog(str(access))
+        log.log("GET", "/healthz", 200, 0.1)
+        log.close()
+        spool = SpanSpool(str(spool_dir))
+        spool.write({"new": True})
+        spool.close()
+        assert len(read_events(str(trace_log))) == 1
+        for path in (access, spool_path):
+            lines = path.read_text().splitlines(keepends=True)
+            assert lines[0] == old and len(lines) == 2
+
+    def test_write_after_close_raises_and_access_log_ignores_it(
+            self, tmp_path):
+        from repro.serve.accesslog import AccessLog
+
+        sink = JsonlSink(str(tmp_path / "t.jsonl"))
+        sink.close()
+        with pytest.raises(ValueError):
+            sink.write({"late": True})
+        log = AccessLog(str(tmp_path / "access.jsonl"))
+        log.close()
+        assert log.log("GET", "/healthz", 200, 0.1)["status"] == 200
+        assert (tmp_path / "access.jsonl").read_text() == ""
 
 
 class TestPhaseTimers:

@@ -23,6 +23,7 @@ from repro import __main__ as repro_main
 from repro.campaign.spec import DEFAULT_CELL, content_hash, run_cell
 from repro.obs.context import telemetry
 from repro.obs.explain import load_schema, validate_explain
+from repro.obs.jsonl import JsonlSink
 from repro.serve.app import ServeApp, SingleFlight
 from repro.serve.daemon import RequestHandler, build_server
 
@@ -821,6 +822,7 @@ class TestAccessLog:
 
         stream = io.StringIO()
         log = AccessLog(stream)
+        assert isinstance(log, JsonlSink)  # the one appender
         log.log("GET", "/healthz", 200, 0.1)
         log.close()
         lines = stream.getvalue().splitlines()

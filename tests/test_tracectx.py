@@ -3,6 +3,8 @@ cross-process timeline aggregator (``python -m repro trace``)."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,8 @@ from repro.obs import (
 )
 from repro.obs import traceview
 from repro.obs.explain import load_schema, validate_explain
+from repro.obs.jsonl import JsonlSink, iter_records
+from repro.obs.trace_report import summarize_trace
 from repro.obs.tracectx import (
     SpanSpool,
     TraceContext,
@@ -38,6 +42,7 @@ from repro.obs.tracectx import (
 )
 
 SCALE = 0.1
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 # -- identifiers and the traceparent wire format -----------------------
@@ -150,6 +155,7 @@ class TestActiveContext:
 class TestSpanSpool:
     def test_path_embeds_the_pid(self, tmp_path):
         spool = SpanSpool(str(tmp_path))
+        assert isinstance(spool, JsonlSink)  # the one appender
         assert f"spans-{os.getpid()}.jsonl" in spool.path
 
     def test_write_appends_json_lines(self, tmp_path):
@@ -396,6 +402,60 @@ class TestCampaignPropagation:
         assert traceview.spool_paths(str(tmp_path)) == []
         for record in replay(journal_path).results.values():
             assert "trace_id" not in record
+
+
+# -- one record, every reader -------------------------------------------
+
+
+class TestCrossReader:
+    """The spool, the event log and the manifest describe the same spans."""
+
+    def test_spool_event_log_and_manifest_agree(self, tmp_path, capsys):
+        trace, spool_dir = tmp_path / "t.jsonl", tmp_path / "spool"
+        manifest_path = tmp_path / "m.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(ROOT, "src")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        subprocess.run(
+            [sys.executable, "-m", "repro", "fig5", "--scale", str(SCALE),
+             "--benchmarks", "gzip", "--jobs", "2",
+             "--trace", str(trace), "--trace-dir", str(spool_dir),
+             "--manifest", str(manifest_path)],
+            env=env, cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+        )
+
+        # Every spool record is, field for field, the span.end record
+        # of the event log with the same span id (less its seq).
+        logged = {
+            r["span_id"]: {k: v for k, v in r.items() if k != "seq"}
+            for r in iter_records(str(trace)) if r["type"] == "span.end"
+        }
+        spooled = [r for path in traceview.spool_paths(str(spool_dir))
+                   for r in iter_records(path)]
+        assert spooled and len(spooled) == len(logged)
+        for record in spooled:
+            assert record == logged[record["span_id"]]
+
+        # Per name, trace-report's span table counts the manifest's
+        # phase calls.
+        calls = {}
+        for path, entry in summarize_trace(str(trace))["spans"].items():
+            name = path.rsplit("/", 1)[-1]
+            calls[name] = calls.get(name, 0) + entry["calls"]
+        with open(manifest_path, encoding="utf-8") as handle:
+            phases = json.load(handle)["phases"]
+        assert calls == {name: row["calls"]
+                         for name, row in phases.items()}
+
+        # trace show --json is schema-valid and has no orphans.
+        (trace_id,) = {r["trace_id"] for r in spooled}
+        capsys.readouterr()
+        assert traceview.main(
+            ["show", trace_id, "--dir", str(spool_dir), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert validate_explain(data, load_schema("trace")) == []
+        assert data["orphans"] == []
+        assert data["span_count"] == len(spooled)
 
 
 # -- trace-report --trace-id -------------------------------------------
