@@ -20,7 +20,7 @@ from repro.exec import artifact_cache
 from repro.experiments import fig6, runner
 from repro.profiling import Profiler
 from repro.uarch import TimingSimulator, VectorizedTimingSimulator
-from repro.uarch.vectorized import clear_prepass_memo
+from repro.uarch.vectorized import clear_prepass_memo, clear_run_memo
 from repro.workloads import load_benchmark
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -191,7 +191,9 @@ def test_simulator_vectorized(benchmark, workload):
 def test_simulator_vectorized_warm(benchmark, workload):
     """The same run with its pre-passes taken from the memo, as every
     run of a trace after its first one does (a figure's baseline plus
-    one run per selection algorithm).
+    one run per selection algorithm).  The finished runs are dropped
+    before every round, so each round replays instead of returning the
+    stored run.
 
     Emits ``sim_vectorized_warm.insts_per_sec``.
     """
@@ -200,6 +202,7 @@ def test_simulator_vectorized_warm(benchmark, workload):
     cold = VectorizedTimingSimulator(workload.program).run(trace)
     stats = benchmark.pedantic(
         lambda: VectorizedTimingSimulator(workload.program).run(trace),
+        setup=clear_run_memo,
         rounds=3,
         iterations=1,
     )

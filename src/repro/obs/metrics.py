@@ -233,7 +233,7 @@ class MetricsRegistry:
                 for name in sorted(self._instruments)
             }
 
-    def merge_snapshot(self, snapshot):
+    def merge_snapshot(self, snapshot, helps=None):
         """Fold another registry's :meth:`as_dict` snapshot into this one.
 
         The parallel experiment engine runs jobs in worker processes,
@@ -242,22 +242,25 @@ class MetricsRegistry:
         whole run.  Counters add; gauges take the snapshot's value
         (last write wins, so merging in job order reproduces the serial
         result); histograms add bucket counts (creating the histogram
-        here with the snapshot's bounds when absent).  Returns ``self``
-        for chaining.
+        here with the snapshot's bounds when absent).  ``helps`` maps
+        names to the help texts of the instruments a merge creates
+        (snapshots carry none).  Returns ``self`` for chaining.
         """
+        helps = helps or {}
         with self._lock:
             for name, entry in snapshot.items():
                 kind = entry.get("kind")
+                help = helps.get(name, "")
                 if kind == "counter":
-                    self.counter(name).inc(entry.get("value", 0))
+                    self.counter(name, help).inc(entry.get("value", 0))
                 elif kind == "gauge":
-                    self.gauge(name).set(entry.get("value", 0))
+                    self.gauge(name, help).set(entry.get("value", 0))
                 elif kind == "histogram":
                     buckets = entry.get("buckets", {})
                     bounds = tuple(
                         float(b) if "." in b else int(b) for b in buckets
                     )
-                    histogram = self.histogram(name, bounds or (1,))
+                    histogram = self.histogram(name, bounds or (1,), help)
                     for index, count in enumerate(buckets.values()):
                         histogram.counts[index] += count
                     histogram.overflow += entry.get("overflow", 0)

@@ -154,17 +154,10 @@ class TimingSimulator:
         self.config = (config or ProcessorConfig()).validate()
         self.annotation = annotation
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.metrics = metrics if metrics is not None else get_metrics()
+        self._bind_metrics(
+            metrics if metrics is not None else get_metrics())
         self.ledger = ledger
         self.profiler = profiler
-        self._hist_episode_cycles = self.metrics.histogram(
-            "dpred_episode_cycles", EPISODE_CYCLE_BUCKETS,
-            help="dpred episode length in cycles",
-        )
-        self._hist_wrong_path = self.metrics.histogram(
-            "dpred_wrong_path_insts_per_episode", WRONG_PATH_INST_BUCKETS,
-            help="wrong-path instructions fetched per dpred episode",
-        )
         #: When True, SimStats.per_branch records executions,
         #: mispredictions, episodes, avoided and taken flushes per pc
         #: (used by the coverage report; small runtime overhead).
@@ -213,6 +206,18 @@ class TimingSimulator:
         # EWMA of recent continue-run lengths minus the current streak.
         self._loop_streak = {}
         self._loop_run_ewma = {}
+
+    def _bind_metrics(self, metrics):
+        """Record this simulator's metrics into ``metrics`` from now on."""
+        self.metrics = metrics
+        self._hist_episode_cycles = metrics.histogram(
+            "dpred_episode_cycles", EPISODE_CYCLE_BUCKETS,
+            help="dpred episode length in cycles",
+        )
+        self._hist_wrong_path = metrics.histogram(
+            "dpred_wrong_path_insts_per_episode", WRONG_PATH_INST_BUCKETS,
+            help="wrong-path instructions fetched per dpred episode",
+        )
 
     def _observe_loop_outcome(self, pc, continued):
         """Update per-branch trip statistics; returns expected remaining."""

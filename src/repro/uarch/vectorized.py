@@ -48,13 +48,22 @@ The pre-pass outputs of a simulator's first run depend on nothing but
 the program, the trace and the config, so they are memoized (see
 :data:`_PREPASS_MEMO`): the figure experiments simulate each trace once
 per annotation, and every run after the first runs only steps 4–5.
+The same memo entry keeps the *finished* runs of its trace, keyed by
+the program tables the replay reads and the annotation: figure 5 adds
+its heuristics cumulatively, and a step that adds no mark repeats the
+previous step's run exactly, so a simulator whose first run repeats a
+finished one returns a copy of its stats and folds in the metrics it
+recorded, replaying nothing (see
+:meth:`VectorizedTimingSimulator._run_memoized`).  Runs with a tracer,
+a ledger or per-branch collection always replay: their events and
+per-pc counters are not stored.
 
 With ``profiler=None`` the replay loop carries **no** per-row stopwatch
 checks (same zero-overhead guarantee as the scalar engine, proven by
 ``benchmarks/test_sim_profiler.py``).  With a profiler, each batched
-kernel is charged to its component: window setup/gathers → fetch,
-D-cache pre-pass → dcache, branch/control pre-passes and their memo
-lookup → branch_predict, replay loop → dataflow, warm pass → icache,
+kernel is charged to its component: memo key and lookup → other,
+window setup/gathers → fetch, D-cache pre-pass → dcache, branch/control
+pre-passes → branch_predict, replay loop → dataflow, warm pass → icache,
 retire block scans, stall checks and the drain → rob_retire, episode
 construction/walks → dpred_episode/wrong_path.  The stopwatch partition
 still sums exactly to the instrumented run; event counts match the
@@ -67,6 +76,8 @@ import hashlib
 import weakref
 from bisect import bisect_right
 from collections import OrderedDict
+from dataclasses import replace
+from time import perf_counter
 
 import numpy as np
 
@@ -83,6 +94,7 @@ from repro.isa.registers import NUM_REGISTERS
 from repro.memory.hierarchy import INSTRUCTIONS_PER_LINE
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NULL_TRACER
 from repro.uarch.config import ProcessorConfig
 from repro.uarch.profiler import (
     BRANCH_PRED,
@@ -95,9 +107,11 @@ from repro.uarch.profiler import (
     OTHER,
     ROB_RETIRE,
     WRONG_PATH,
+    SimProfiler,
 )
 from repro.uarch.simulator import TimingSimulator
 from repro.uarch.stats import SimStats
+from repro.uarch.wrongpath import _walk_tables
 
 #: Row classes in the static decode tables.  Memory rows collapse to
 #: ``_PLAIN`` in the replay-kind table (their latency is precomputed),
@@ -126,11 +140,15 @@ _DECODE_CACHE = weakref.WeakKeyDictionary()
 #: Pre-pass memo: (program digest, trace digest, config) -> _Prepasses,
 #: least recently used first.  The D-cache, branch and control
 #: pre-passes of a freshly built simulator depend only on the program's
-#: decode tables, the trace columns and the processor config, so the
-#: figure experiments' many runs of one trace (a baseline plus one run
-#: per annotation) compute them once.  Keys digest the column contents,
-#: so an entry cannot outlive the data it was computed from.  Not
-#: thread-safe, like the runner's LRUs (serve serializes computations).
+#: kind and latency tables, the trace columns and the processor config,
+#: so the figure experiments' many runs of one trace (a baseline plus
+#: one run per annotation) compute them once.  Each entry also holds
+#: the finished runs of its trace (``_Prepasses.runs``), keyed by the
+#: digest of the other tables the replay and the wrong-path walker
+#: read and by the annotation's marks; a hit on either refreshes the
+#: entry.  Keys digest the column contents, so an entry cannot outlive
+#: the data it was computed from.  Not thread-safe, like the runner's
+#: LRUs (serve serializes computations).
 _PREPASS_MEMO = OrderedDict()
 
 #: Most entries the pre-pass memo holds.  An entry keeps eight bytes
@@ -139,43 +157,70 @@ _PREPASS_MEMO = OrderedDict()
 #: times that at scale 1.0.
 PREPASS_MEMO_ENTRIES = 64
 
+#: Most finished runs one memo entry holds, least recently used dropped
+#: first.  Figure 5 runs each trace under at most 11 distinct
+#: annotations (the baseline and ten selection configs).  A run keeps
+#: its stats and a metrics snapshot, about 10 KB, so a full memo holds
+#: at most ~10 MB of runs (fig5 on all 17 benchmarks: ~2 MB).
+RUN_MEMO_RUNS = 16
+
 
 def clear_prepass_memo():
-    """Drop every pre-pass memo entry (the next run of a trace is cold)."""
+    """Drop every pre-pass memo entry and the runs it holds (the next
+    run of a trace is cold)."""
     _PREPASS_MEMO.clear()
 
 
-def warm_prepass_memo(program, trace, config=None):
-    """Fill the memo entry for ``(program, trace, config)``, replaying
-    nothing.
+def clear_run_memo():
+    """Drop the finished runs only: the next run of a trace takes its
+    pre-passes from the memo and replays."""
+    for entry in _PREPASS_MEMO.values():
+        entry.runs.clear()
 
-    Lets a parent process compute the pre-passes once before forking
-    workers that simulate the same trace.  A no-op when the entry
-    exists or the vectorized engine cannot replay the program.
+
+def warm_prepass_memo(program, trace, config=None):
+    """Fill the memo entry for ``(program, trace, config)``: its
+    pre-passes and its baseline run (no annotation).
+
+    Lets a parent process simulate a trace's baseline once before
+    forking workers that simulate the same trace: their baseline runs
+    are hits, with or without a profiler (the warm stores the event
+    counts of a throwaway one), and their other runs skip the
+    pre-passes.  Goes through no public
+    :meth:`~VectorizedTimingSimulator.run` and records into a throwaway
+    registry, so no caller's run or metric counts it.  A no-op when the
+    entry holds the baseline run already or the vectorized engine
+    cannot replay the program.
     """
     config = (config or ProcessorConfig()).validate()
     if not supports(program, config)[0]:
         return
     columns = trace_columns(trace)
-    if _memo_key(_decode_tables(program)[-1], columns, config) \
-            in _PREPASS_MEMO:
+    tables = _decode_tables(program)
+    key = _memo_key(tables[-1], columns, config)
+    entry = _PREPASS_MEMO.get(key)
+    if entry is not None and (tables[-2], None) in entry.runs:
         return
     simulator = VectorizedTimingSimulator(
         program, config=config, metrics=MetricsRegistry(),
+        tracer=NULL_TRACER, profiler=SimProfiler(),
     )
-    simulator._warm_icache()
-    simulator._prepasses(*columns)
+    simulator._fresh = False
+    simulator._run_memoized(columns, key, "", perf_counter())
 
 
 def _decode_tables(program):
     """The static per-pc decode tables of ``program`` (cached).
 
     ``(kind, replay_kind, latency, src1, src2, dest, targets,
-    digest)``; ``digest`` covers the kind and latency tables, everything
-    of the program the pre-passes read.  A third source is always the
-    instruction's own old destination (CMOV), so instead of a third
-    source table those rows get the replay kind ``_CMOV`` — unless the
-    destination is r0, which is always ready at cycle 0.
+    replay_digest, digest)``; ``digest`` covers the kind and latency
+    tables, everything of the program the pre-passes read, and
+    ``replay_digest`` the rest of what a run reads: the replay-kind,
+    source, destination and target tables and the wrong-path walker's
+    kinds.  A third source is always the instruction's own old
+    destination (CMOV), so instead of a third source table those rows
+    get the replay kind ``_CMOV`` — unless the destination is r0, which
+    is always ready at cycle 0.
     """
     try:
         cached = _DECODE_CACHE.get(program)
@@ -224,8 +269,12 @@ def _decode_tables(program):
     digest.update(lat)
     replay_kind = np.where(kind >= _LOAD, _PLAIN, kind)
     replay_kind[cmov] = _CMOV
+    replay_digest = hashlib.sha256()
+    for table in (replay_kind, src1, src2, dest, targets,
+                  _walk_tables(program)[0]):
+        replay_digest.update(np.asarray(table, dtype=np.int64))
     cached = (kind, replay_kind, lat, src1, src2, dest, targets,
-              digest.digest())
+              replay_digest.digest(), digest.digest())
     try:
         _DECODE_CACHE[program] = cached
     except TypeError:
@@ -250,13 +299,40 @@ class _Prepasses:
     and RAS outcome of every control row (see ``_control_prepass``).
     ``counters`` are the component counters the run exposes, as left
     by the pre-passes (see :meth:`VectorizedTimingSimulator.
-    _component_counters`).
+    _component_counters`).  ``runs`` holds the finished runs of the
+    trace, least recently used first: ``(replay digest, annotation
+    key)`` -> :class:`_FinishedRun`.
     """
 
     __slots__ = ("load_lat", "cond_pred", "cond_low", "cond_mis",
                  "ctl_taken", "ctl_extra", "mispredictions",
                  "low_confidence", "low_confidence_mispredicted",
-                 "mem_rows", "counters")
+                 "mem_rows", "counters", "runs")
+
+
+class _FinishedRun:
+    """A run of a memoized trace: its stats (label aside), the metrics
+    it recorded (a registry snapshot and the help texts of its
+    instruments) and, when it ran with a profiler, its per-component
+    event counts."""
+
+    __slots__ = ("stats", "metrics", "helps", "events")
+
+    def __init__(self, stats, registry, timing):
+        self.stats = replace(stats, label="", per_branch={})
+        self.metrics = registry.as_dict()
+        self.helps = {name: registry.get(name).help
+                      for name in self.metrics}
+        self.events = None if timing is None else tuple(timing[1])
+
+    def stats_for(self, label):
+        return replace(self.stats, label=label, per_branch={})
+
+
+def _annotation_key(annotation):
+    """The run-memo key of an annotation: its marks, ``None`` for none
+    (an empty annotation simulates exactly the baseline)."""
+    return tuple(annotation) if annotation else None
 
 
 def supports(program, config):
@@ -318,12 +394,16 @@ class VectorizedTimingSimulator(TimingSimulator):
                 f"window_size must be >= 1, got {self.window_size}"
             )
         self._build_decode_tables()
-        # The pre-pass memo applies to a simulator's first run only: its
+        # The memo applies to a simulator's first run only: its
         # components start from the state every fresh simulator has.
         self._fresh = True
-        # After a memo hit: the trace columns whose pre-passes the
-        # components still have to go through, and the counters to go
-        # through them from (see _settle_deferred).
+        # After a run-memo hit: the trace columns and memo key of the
+        # run this simulator has still to go through (see
+        # _settle_deferred).
+        self._skipped = None
+        # After a pre-pass memo hit: the trace columns whose pre-passes
+        # the components still have to go through, and the counters to
+        # go through them from.
         self._deferred = None
 
     # ------------------------------------------------------------------
@@ -334,7 +414,7 @@ class VectorizedTimingSimulator(TimingSimulator):
         n = len(self.program.instructions)
         (self._kind_table, self._replay_kind_table, self._lat_table,
          self._src1_table, self._src2_table,
-         self._dest_table, self._target_by_pc,
+         self._dest_table, self._target_by_pc, self._replay_digest,
          self._program_digest) = _decode_tables(self.program)
         # Diverge marks by pc (same truthiness rule as the scalar row
         # loop: an empty annotation never yields a diverge branch).
@@ -386,44 +466,60 @@ class VectorizedTimingSimulator(TimingSimulator):
          btb.hits, btb.misses,
          ras.predictions, ras.mispredictions, ras.overflows) = counters
 
-    def _settle_deferred(self):
-        """Run the pre-passes a memo hit skipped, before the next run.
+    def _swap_metrics(self, registry):
+        """Record into ``registry`` from now on; returns the registry
+        this simulator recorded into before."""
+        previous = self.metrics
+        self._bind_metrics(registry)
+        return previous
 
-        A hit restores the counters but leaves the caches, predictor,
-        BTB and RAS as they were; a second run on this simulator must
-        start from the state the first run's pre-passes leave.
+    def _settle_deferred(self):
+        """Go through what a memo hit skipped, before the next run.
+
+        A run-memo hit skipped the whole run: it is replayed here
+        without tracer or profiler and into a throwaway registry, so
+        nothing it does is emitted or counted twice.  A pre-pass hit
+        restores the counters but leaves the caches, predictor, BTB
+        and RAS as they were.  Either way, a second run on this
+        simulator starts from the state the first run leaves.
         """
+        if self._skipped is not None:
+            columns, key = self._skipped
+            self._skipped = None
+            live = self._swap_metrics(MetricsRegistry())
+            tracer, profiler = self.tracer, self.profiler
+            self.tracer, self.profiler = NULL_TRACER, None
+            try:
+                self._replay(columns, key, "", None)
+            finally:
+                self._swap_metrics(live)
+                self.tracer, self.profiler = tracer, profiler
         if self._deferred is not None:
             columns, counters = self._deferred
             self._deferred = None
             self._set_component_counters(counters)
             self._compute_prepasses(*columns)
 
-    def _prepasses(self, pcs, next_pcs, addresses, charge=None):
+    def _prepasses(self, columns, key, charge=None):
         """The :class:`_Prepasses` of these trace columns.
 
-        A simulator's first run looks them up in the memo (a hit
-        restores the component counters they leave); a miss, or any
-        later run, computes them on the components.  ``charge`` is the
-        run's stopwatch, ``None`` when profiling is off.
+        A simulator's first run passes its memo ``key`` and looks them
+        up in the memo (a hit restores the component counters they
+        leave); a miss, or any later run (``key`` None), computes them
+        on the components.  ``charge`` is the run's stopwatch, ``None``
+        when profiling is off.
         """
-        if not self._fresh:
-            return self._compute_prepasses(pcs, next_pcs, addresses,
-                                           charge)
-        self._fresh = False
-        key = _memo_key(self._program_digest, (pcs, next_pcs, addresses),
-                        self.config)
+        if key is None:
+            return self._compute_prepasses(*columns, charge)
         entry = _PREPASS_MEMO.get(key)
         if entry is None:
-            entry = self._compute_prepasses(pcs, next_pcs, addresses,
-                                            charge)
+            entry = self._compute_prepasses(*columns, charge)
             _PREPASS_MEMO[key] = entry
             while len(_PREPASS_MEMO) > PREPASS_MEMO_ENTRIES:
                 _PREPASS_MEMO.popitem(last=False)
         else:
             _PREPASS_MEMO.move_to_end(key)
-            self._deferred = ((pcs, next_pcs, addresses),
-                              self._component_counters())
+            self._deferred = (columns, self._component_counters())
             self._set_component_counters(entry.counters)
         return entry
 
@@ -491,6 +587,7 @@ class VectorizedTimingSimulator(TimingSimulator):
         entry.low_confidence_mispredicted = n_low_mis
         entry.mem_rows = mem_count
         entry.counters = self._component_counters()
+        entry.runs = OrderedDict()
         return entry
 
     # ------------------------------------------------------------------
@@ -687,17 +784,97 @@ class VectorizedTimingSimulator(TimingSimulator):
     # ------------------------------------------------------------------
 
     def run(self, trace, label=""):
-        """Simulate ``trace`` and return :class:`SimStats`."""
+        """Simulate ``trace`` and return :class:`SimStats`.
+
+        A simulator's first run goes through the run memo (see
+        :meth:`_run_memoized`) unless a tracer, a ledger or per-branch
+        collection wants what only a replay produces.
+        """
         if not trace:
             raise SimulationError("empty trace")
+        profiler = self.profiler
+        started = perf_counter() if profiler is not None else None
+        # Columnar view of the trace (zero-copy for compact traces).
+        columns = trace_columns(trace)
+        key = None
+        if self._fresh:
+            self._fresh = False
+            key = _memo_key(self._program_digest, columns, self.config)
+            if not (self.tracer.enabled or self.ledger is not None
+                    or self.collect_per_branch):
+                return self._run_memoized(columns, key, label, started)
+        stats, timing = self._replay(columns, key, label, started)
+        if timing is not None:
+            profiler.record_run(label, *timing, stats,
+                                metrics=self.metrics)
+        return stats
+
+    def _run_memoized(self, columns, key, label, started):
+        """A first run through the run memo.
+
+        A hit — a finished run of the same trace, config, program
+        tables and annotation — returns a copy of the stored stats and
+        folds the stored metrics snapshot into this simulator's
+        registry, replaying nothing until a second run needs the state
+        it leaves (see :meth:`_settle_deferred`).  With a profiler, a
+        hit charges its own seconds to ``other`` and reports the stored
+        event counts; a stored run without them counts as a miss.  A
+        miss replays into a private registry and stores the run, and
+        folds the same snapshot in, so a hit leaves every counter,
+        gauge and histogram as the replay would.  ``started`` is the
+        run's start on the profiler's clock.
+        """
+        profiler = self.profiler
+        run_key = (self._replay_digest, _annotation_key(self.annotation))
+        entry = _PREPASS_MEMO.get(key)
+        done = None if entry is None else entry.runs.get(run_key)
+        hit = done is not None and (profiler is None
+                                    or done.events is not None)
+        if hit:
+            _PREPASS_MEMO.move_to_end(key)
+            entry.runs.move_to_end(run_key)
+            self._skipped = (columns, key)
+            stats = done.stats_for(label)
+        else:
+            live = self._swap_metrics(MetricsRegistry())
+            try:
+                stats, timing = self._replay(columns, key, label, started)
+            finally:
+                private = self._swap_metrics(live)
+            done = _FinishedRun(stats, private, timing)
+            entry = _PREPASS_MEMO.get(key)     # the replay's pre-passes
+            if entry is not None:
+                entry.runs[run_key] = done
+                entry.runs.move_to_end(run_key)
+                while len(entry.runs) > RUN_MEMO_RUNS:
+                    entry.runs.popitem(last=False)
+        self.metrics.merge_snapshot(done.metrics, done.helps)
+        if profiler is not None:
+            if hit:
+                seconds = [0.0] * NUM_COMPONENTS
+                seconds[OTHER] = perf_counter() - started
+                timing = (seconds, list(done.events))
+            profiler.record_run(label, *timing, stats,
+                                metrics=self.metrics)
+        return stats
+
+    def _replay(self, columns, key, label, started):
+        """Replay the trace ``columns``: ``(stats, timing)``.
+
+        ``key`` is the memo key of a first run (see :meth:`_prepasses`);
+        ``timing`` is ``(seconds, events)`` per component, stopwatched
+        from ``started``, with a profiler and ``None`` without one.
+        """
         cfg = self.config
         stats = SimStats(label=label)
+        pcs_np, next_np, addr_np = columns
+        n = pcs_np.shape[0]
         tracer = self.tracer
         traced = tracer.enabled
         if traced:
             tracer.emit(obs_events.SimRunStart(
                 label=label,
-                trace_length=len(trace),
+                trace_length=n,
                 dmp_enabled=self.annotation is not None,
             ))
         hist_episode_cycles = self._hist_episode_cycles
@@ -707,26 +884,20 @@ class VectorizedTimingSimulator(TimingSimulator):
         # loop itself carries no per-row charge sites (its residual
         # bills to dataflow at the window boundary), so profiler=None
         # stays allocation- and check-free on the hot path.
-        profiler = self.profiler
-        profiling = profiler is not None
+        profiling = self.profiler is not None
         if profiling:
-            from time import perf_counter as _perf
-
             comp_sec = [0.0] * NUM_COMPONENTS
             comp_events = [0] * NUM_COMPONENTS
-            mark = _perf()
+            mark = started
 
             def charge(index):
                 nonlocal mark
-                now = _perf()
+                now = perf_counter()
                 comp_sec[index] += now - mark
                 mark = now
         else:
             charge = None
 
-        # Columnar view of the trace (zero-copy for compact traces).
-        pcs_np, next_np, addr_np = trace_columns(trace)
-        n = pcs_np.shape[0]
         self._settle_deferred()
         if profiling:
             charge(OTHER)
@@ -739,7 +910,7 @@ class VectorizedTimingSimulator(TimingSimulator):
         # D-cache, branch and control pre-passes over the whole trace
         # (memoized per trace and config), as flat lists the replay
         # walks with cursors.
-        prepass = self._prepasses(pcs_np, next_np, addr_np, charge)
+        prepass = self._prepasses(columns, key, charge)
         lat_np = self._lat_table[pcs_np]
         if prepass.load_lat.size:
             lat_np[self._kind_table[pcs_np] == _LOAD] = \
@@ -1291,6 +1462,5 @@ class VectorizedTimingSimulator(TimingSimulator):
         if profiling:
             charge(OTHER)
             comp_events[OTHER] += 1
-            profiler.record_run(label, comp_sec, comp_events, stats,
-                                metrics=self.metrics)
-        return stats
+            return stats, (comp_sec, comp_events)
+        return stats, None

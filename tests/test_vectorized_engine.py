@@ -618,3 +618,305 @@ class TestPrepassMemo:
             ProcessorConfig(),
         )
         assert list(vectorized._PREPASS_MEMO) == [key]
+
+
+#: One loop whose two multiplies either chain through their own
+#: destinations or read registers nothing writes: equal kind, latency
+#: and control flow (so equal traces and pre-passes), different timing.
+REGISTER_LOOP = """
+.func main
+    movi r1, 0
+    movi r2, 200
+loop:
+    mul r3, {0}, r2
+    mul r4, {1}, r2
+    addi r1, r1, 1
+    cmplt r5, r1, r2
+    bnez r5, loop
+    halt
+.endfunc
+"""
+
+
+#: A hammock whose branch is never taken (r0 is always 0): marked
+#: always-predicate, every instance walks the taken side on the wrong
+#: path, where a ``nop`` lets the walk reach the merge and a ``halt``
+#: ends it.  The two programs have equal decode tables and traces.
+WALKER_HAMMOCK = """
+.func main
+    movi r1, 0
+    movi r2, 50
+loop:
+    cmpge r4, r1, r2
+    bnez r4, done
+    bnez r0, side
+    addi r8, r8, 1
+merge:
+    addi r1, r1, 1
+    jmp loop
+side:
+    {0}
+    addi r7, r7, 1
+    jmp merge
+done:
+    halt
+.endfunc
+"""
+
+
+def _metrics(registry):
+    """Every instrument but the timings, with its help text."""
+    return {name: (value, registry.get(name).help)
+            for name, value in registry.as_dict().items()
+            if "seconds" not in name}
+
+
+class TestRunMemo:
+    """A simulator's first run may be a finished run of the memo: it
+    must leave exactly what a replay leaves — stats, every metric the
+    run records, profiler event counts and, for a second run, the
+    simulator state."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        vectorized.clear_prepass_memo()
+        yield
+        vectorized.clear_prepass_memo()
+
+    @staticmethod
+    def _run(program, trace, annotation=None, config=None, profile=False,
+             **kwargs):
+        """``(stats dict, metrics snapshot, events, simulator)``."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.uarch import SimProfiler
+
+        registry = MetricsRegistry()
+        profiler = SimProfiler() if profile else None
+        simulator = VectorizedTimingSimulator(
+            program, config=config, annotation=annotation,
+            metrics=registry, profiler=profiler, **kwargs,
+        )
+        stats = simulator.run(trace, label="run")
+        return (stats.as_dict(), _metrics(registry),
+                profiler and profiler.events, simulator)
+
+    @staticmethod
+    def _runs(entry):
+        return list(entry.runs) if entry is not None else []
+
+    def _entry(self):
+        (entry,) = vectorized._PREPASS_MEMO.values()
+        return entry
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SPECS))
+    def test_hit_equals_cold_on_every_fig5_config(self, name):
+        from repro.experiments.configs import (
+            COST_CONFIGS,
+            CUMULATIVE_HEURISTICS,
+        )
+
+        workload = load_benchmark(name, scale=0.02)
+        trace, profile = _profiled_trace(
+            workload.program, workload.memory,
+            workload.max_instructions,
+        )
+        program = workload.program
+        annotations = [None] + [
+            select_diverge_branches(program, profile, config)
+            for _, config in CUMULATIVE_HEURISTICS + COST_CONFIGS
+        ]
+        hits = episodes = 0
+        for annotation in annotations:
+            # A tracer keeps the references off the memo: plain replays
+            # recording straight into their registries.
+            references = {
+                profile_run: list(self._run(
+                    program, trace, annotation, profile=profile_run,
+                    tracer=Tracer(ListSink()))[:3])
+                for profile_run in (True, False)
+            }
+            episodes += references[True][0]["dpred_episodes"]
+            for profile_run in (True, False, True):
+                *got, simulator = self._run(program, trace, annotation,
+                                            profile=profile_run)
+                assert got == references[profile_run]
+                hits += simulator._skipped is not None
+        assert hits >= 2 * len(annotations)
+        assert episodes > 0
+
+    def test_key_separates_registers(self):
+        programs = [assemble(REGISTER_LOOP.format("r3", "r4")),
+                    assemble(REGISTER_LOOP.format("r6", "r7"))]
+        traces = [execute(program)[0] for program in programs]
+        assert [dyn.pc for dyn in traces[0]] \
+            == [dyn.pc for dyn in traces[1]]
+        results = []
+        for program, trace in zip(programs, traces):
+            cold = TimingSimulator(program).run(trace, label="run")
+            for _ in range(2):
+                stats, _, _, simulator = self._run(program, trace)
+                assert stats == cold.as_dict()
+            assert simulator._skipped is not None
+            results.append(stats)
+        assert results[0]["cycles"] != results[1]["cycles"]
+        assert len(self._entry().runs) == 2
+
+    def test_key_separates_wrong_path_kinds(self):
+        programs = [assemble(WALKER_HAMMOCK.format(op))
+                    for op in ("nop", "halt")]
+        branch_pc = next(pc for pc, inst
+                         in enumerate(programs[0].instructions)
+                         if inst.is_conditional_branch and inst.src1 == 0)
+        merge_pc = branch_pc + 2
+        annotation = BinaryAnnotation("walk", [DivergeBranch(
+            branch_pc=branch_pc, kind=DivergeKind.SIMPLE_HAMMOCK,
+            cfm_points=(CFMPoint(pc=merge_pc, kind=CFMKind.EXACT),),
+            always_predicate=True,
+        )])
+        results = []
+        for program in programs:
+            trace = execute(program)[0]
+            cold = TimingSimulator(program, annotation=annotation).run(
+                trace, label="run")
+            assert self._run(program, trace, annotation)[0] \
+                == cold.as_dict()
+            results.append(cold.dpred_episodes_merged)
+        assert results[0] > 0 == results[1]
+        assert len(self._entry().runs) == 2
+
+    def test_key_separates_configs(self):
+        program, trace = hammock_setup()
+        for rob_size in (512, 8, 512, 8):
+            config = ProcessorConfig(rob_size=rob_size)
+            cold = TimingSimulator(program, config=config).run(
+                trace, label="run")
+            assert self._run(program, trace, config=config)[0] \
+                == cold.as_dict()
+        assert len(vectorized._PREPASS_MEMO) == 2
+        assert [len(entry.runs)
+                for entry in vectorized._PREPASS_MEMO.values()] == [1, 1]
+
+    def test_key_separates_annotations_but_not_empty_ones(self):
+        program, trace = hammock_setup()
+        empty = BinaryAnnotation("empty", [])
+        hits = []
+        for annotation in (None, hammock_annotation(),
+                           hammock_annotation(always=True), empty,
+                           hammock_annotation()):
+            cold = TimingSimulator(program, annotation=annotation).run(
+                trace, label="run")
+            stats, _, _, simulator = self._run(program, trace, annotation)
+            assert stats == cold.as_dict()
+            hits.append(simulator._skipped is not None)
+        assert hits == [False, False, False, True, True]
+        assert len(self._entry().runs) == 3
+
+    @pytest.mark.parametrize("runs", [2, 3])
+    def test_runs_after_a_hit_match_the_scalar_engine(self, runs):
+        from repro.obs.metrics import MetricsRegistry
+
+        program, trace, annotation = _hammock_and_loop()
+        self._run(program, trace, annotation)        # fills the memo
+        outputs = []
+        for cls in (TimingSimulator, VectorizedTimingSimulator):
+            registry = MetricsRegistry()
+            simulator = cls(program, annotation=annotation,
+                            metrics=registry)
+            stats = [simulator.run(trace, label=f"run{i}").as_dict()
+                     for i in range(runs)]
+            outputs.append((stats, _metrics(registry),
+                            _component_state(simulator),
+                            dict(simulator.bias._counters)))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("bypass", ["tracer", "ledger", "per_branch"])
+    def test_bypass_stores_nothing(self, bypass):
+        program, trace = hammock_setup()
+        annotation = hammock_annotation()
+        kwargs = {
+            "tracer": {"tracer": Tracer(ListSink())},
+            "ledger": {"ledger": RuntimeLedger()},
+            "per_branch": {"collect_per_branch": True},
+        }[bypass]
+        for _ in range(2):
+            stats = VectorizedTimingSimulator(
+                program, annotation=annotation, **kwargs).run(trace)
+            assert stats.as_dict() == TimingSimulator(
+                program, annotation=annotation).run(trace).as_dict()
+        assert self._entry().runs == {}
+
+    def test_runs_per_entry_are_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "RUN_MEMO_RUNS", 2)
+        program, trace = hammock_setup()
+        annotations = [None, hammock_annotation(),
+                       hammock_annotation(always=True)]
+        for index in (0, 1, 0, 2):
+            self._run(program, trace, annotations[index])
+        assert [key[1] for key in self._runs(self._entry())] \
+            == [None, vectorized._annotation_key(annotations[2])]
+
+    def test_clear_run_memo_keeps_the_prepasses(self):
+        program, trace = hammock_setup()
+        self._run(program, trace)
+        entry = self._entry()
+        vectorized.clear_run_memo()
+        assert self._entry() is entry and entry.runs == {}
+        _, _, _, simulator = self._run(program, trace)
+        assert simulator._skipped is None
+        assert simulator._deferred is not None     # a pre-pass hit
+
+    def test_profiled_hit_charges_other(self):
+        from repro.uarch import COMPONENTS, SimProfiler
+
+        program, trace, annotation = _hammock_and_loop()
+        events = []
+        for _ in range(2):                          # a miss, then a hit
+            profiler = SimProfiler()
+            VectorizedTimingSimulator(program, annotation=annotation,
+                                      profiler=profiler).run(trace)
+            run = profiler.runs[0]
+            assert sum(run["seconds"].values()) == pytest.approx(
+                run["total_seconds"])
+            events.append(run["events"])
+        assert events[0] == events[1]
+        assert [name for name in COMPONENTS if run["seconds"][name]] \
+            == ["other"]
+
+    def test_profiled_run_misses_a_run_stored_without_events(self):
+        from repro.uarch import SimProfiler
+
+        program, trace = hammock_setup()
+        self._run(program, trace)                   # no profiler
+        (stored,) = self._entry().runs.values()
+        assert stored.events is None
+        *_, simulator = self._run(program, trace, profile=True)
+        assert simulator._skipped is None
+        (stored,) = self._entry().runs.values()
+        assert stored.events is not None
+        profiler = SimProfiler()
+        VectorizedTimingSimulator(program, profiler=profiler).run(trace)
+        assert list(profiler.events) == list(stored.events)
+
+    def test_campaign_prepare_warms_the_baseline_without_a_run(
+            self, monkeypatch):
+        from repro.campaign.spec import prepare_cell
+        from repro.experiments import runner
+
+        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
+        runner.clear_cache()
+        params = {"benchmark": "gzip", "scale": 0.05,
+                  "selection": "all-best-heur"}
+        with monkeypatch.context() as patched:
+            for cls in (TimingSimulator, VectorizedTimingSimulator):
+                patched.setattr(cls, "run", None)
+            prepare_cell(params)
+            prepare_cell(params)                    # a no-op repeat
+        artifacts = runner.get_artifacts("gzip", scale=0.05)
+        replay_digest = vectorized._decode_tables(artifacts.program)[-2]
+        assert self._runs(self._entry()) == [(replay_digest, None)]
+        program, trace = artifacts.program, artifacts.trace
+        stats, metrics, _, simulator = self._run(program, trace)
+        assert simulator._skipped is not None
+        assert (stats, metrics) == self._run(
+            program, trace, tracer=Tracer(ListSink()))[:2]
+        runner.clear_cache()
