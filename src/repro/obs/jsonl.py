@@ -1,8 +1,9 @@
 """JSON-lines files: the one appender and the one reader.
 
-The ``--trace`` event log, the span spools and the serve access log
-are written by :class:`JsonlSink` and read by :func:`iter_records`;
-only the campaign journal, which fsyncs, has its own.
+The ``--trace`` event log, the span spools, the serve access log and
+the ``profile --log`` history are written by :class:`JsonlSink` and
+read by :func:`iter_records`.  Only the campaign journal, which
+fsyncs every record, has its own appender.
 """
 
 import json

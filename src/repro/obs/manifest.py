@@ -3,9 +3,9 @@
 A manifest answers "what exactly produced this result?": the command
 and arguments, benchmark set and scale, the git revision and python
 version, per-span-name wall-clock timings, and a snapshot of the metrics
-registry.  ``python -m repro all`` writes one combined manifest for
-the whole run, and the benchmark suite writes its timings in the same
-format under ``benchmarks/results/``.
+registry.  ``python -m repro <artifact> --manifest PATH`` writes one,
+and ``python -m repro all`` writes one combined manifest for the whole
+run.
 """
 
 import datetime
@@ -38,14 +38,13 @@ def git_revision(cwd=None):
 
 
 def build_manifest(command, *, args=None, benchmarks=None, scale=None,
-                   phases=None, metrics=None, stats=None, extra=None):
+                   phases=None, metrics=None):
     """Assemble a manifest dict.
 
     ``phases`` is a :class:`~repro.obs.spans.SpanTree`, written as its
-    :meth:`~repro.obs.spans.SpanTree.by_name` table (or a plain dict
-    already in that shape); ``metrics`` a
-    :class:`~repro.obs.metrics.MetricsRegistry` (or dict); ``stats`` a
-    mapping of label -> ``SimStats.as_dict()`` snapshots.
+    :meth:`~repro.obs.spans.SpanTree.by_name` table; ``metrics`` a
+    :class:`~repro.obs.metrics.MetricsRegistry`, written as its
+    :meth:`~repro.obs.metrics.MetricsRegistry.as_dict` snapshot.
     """
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -62,18 +61,9 @@ def build_manifest(command, *, args=None, benchmarks=None, scale=None,
     if scale is not None:
         manifest["scale"] = scale
     if phases is not None:
-        manifest["phases"] = (
-            phases.by_name() if hasattr(phases, "by_name") else dict(phases)
-        )
+        manifest["phases"] = phases.by_name()
     if metrics is not None:
-        manifest["metrics"] = (
-            metrics.as_dict() if hasattr(metrics, "as_dict")
-            else dict(metrics)
-        )
-    if stats is not None:
-        manifest["stats"] = dict(stats)
-    if extra:
-        manifest.update(extra)
+        manifest["metrics"] = metrics.as_dict()
     return manifest
 
 

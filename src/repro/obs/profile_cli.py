@@ -19,13 +19,14 @@ attribution three ways:
 The per-component buckets are a stopwatch partition of the simulate
 region, so they sum (within scheduler noise at the phase boundary) to
 the ``simulate`` span's self-time; the report prints that coverage
-explicitly.  ``sim.insts_per_sec`` — retired instructions over the
-simulate span's self-time — is the same throughput number the
-benchmark trajectory gate tracks.
+explicitly.  ``sim.insts_per_sec`` is retired instructions over the
+simulate span's self-time.
 
-``--log`` appends the JSON record as one line to a JSONL history file;
-:func:`read_profile_log` reads it back tolerating a torn trailing line
-(a crash mid-append must not poison the history).
+``--log`` appends the JSON record as one line to a JSONL history file
+through :class:`~repro.obs.jsonl.JsonlSink`;
+:func:`~repro.obs.jsonl.iter_records` with ``strict=False`` reads it
+back, skipping a torn trailing line (a crash mid-append must not
+poison the history).
 """
 
 import argparse
@@ -34,6 +35,7 @@ import sys
 
 from repro.errors import WorkloadError
 from repro.obs.explain import load_schema, validate_explain
+from repro.obs.jsonl import JsonlSink
 from repro.obs.spans import SpanTree, format_tree
 from repro.uarch.profiler import COMPONENTS, EVENT_MEANING
 
@@ -185,34 +187,6 @@ def folded_profile(data):
 
 
 # ---------------------------------------------------------------------------
-# Schema + profile log
-# ---------------------------------------------------------------------------
-
-
-def append_profile_log(path, data):
-    """Append one profile record as a single JSONL line (durable history)."""
-    from repro.ioutil import ensure_parent
-
-    line = json.dumps(data, sort_keys=True)
-    with open(ensure_parent(path), "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
-
-
-def read_profile_log(path):
-    """All durable records from a profile log; torn-tail tolerant.
-
-    Returns ``(records, corrupt_lines)`` — a crash mid-append leaves at
-    most one truncated trailing line, which is skipped and counted, not
-    raised.
-    """
-    from repro.obs.tracer import iter_records
-
-    corrupt = []
-    records = list(iter_records(path, strict=False, corrupt=corrupt))
-    return records, len(corrupt)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -308,7 +282,11 @@ def main(argv=None):
         text = format_profile(data) + "\n"
 
     if args.log:
-        append_profile_log(args.log, data)
+        sink = JsonlSink(args.log, append=True)
+        try:
+            sink.write(data)
+        finally:
+            sink.close()
         print(f"[obs] profile record appended to {args.log}",
               file=sys.stderr)
 

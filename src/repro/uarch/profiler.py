@@ -19,8 +19,8 @@ across repeated runs and across machines, unlike the seconds.
 Following the decision-ledger pattern (PR 5), the profiler is opt-in:
 ``TimingSimulator(..., profiler=None)`` — the default — keeps the hot
 loop on the counter-free path (a single hoisted ``profiling`` bool
-guards every charge site), which the zero-overhead benchmark in
-``benchmarks/test_sim_profiler.py`` pins down.
+guards every charge site) and reads no clock, which
+``tests/test_spans_profiler.py`` pins down.
 """
 
 #: Component bucket names, in charge-index order.

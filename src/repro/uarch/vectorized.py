@@ -59,17 +59,18 @@ a ledger or per-branch collection always replay: their events and
 per-pc counters are not stored.
 
 With ``profiler=None`` the replay loop carries **no** per-row stopwatch
-checks (same zero-overhead guarantee as the scalar engine, proven by
-``benchmarks/test_sim_profiler.py``).  With a profiler, each batched
-kernel is charged to its component: memo key and lookup → other,
-window setup/gathers → fetch, D-cache pre-pass → dcache, branch/control
-pre-passes → branch_predict, replay loop → dataflow, warm pass → icache,
-retire block scans, stall checks and the drain → rob_retire, episode
-construction/walks → dpred_episode/wrong_path.  The stopwatch partition
-still sums exactly to the instrumented run; event counts match the
-scalar engine except ``icache`` (the vectorized engine proves the
-instruction side resident once instead of probing it per fetch group)
-and the per-kernel (instead of per-row) fetch/dataflow attribution.
+checks and reads no clock (same zero-overhead guarantee as the scalar
+engine, pinned by ``tests/test_spans_profiler.py``).  With a profiler,
+each batched kernel is charged to its component: memo key and lookup →
+other, window setup/gathers → fetch, D-cache pre-pass → dcache,
+branch/control pre-passes → branch_predict, replay loop → dataflow,
+warm pass → icache, retire block scans, stall checks and the drain →
+rob_retire, episode construction/walks → dpred_episode/wrong_path.
+The stopwatch partition still sums exactly to the instrumented run;
+event counts match the scalar engine except ``icache`` (the vectorized
+engine proves the instruction side resident once instead of probing it
+per fetch group) and the per-kernel (instead of per-row) fetch/dataflow
+attribution.
 """
 
 import hashlib

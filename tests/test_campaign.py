@@ -234,6 +234,15 @@ class TestScheduler:
         # Worker-side telemetry snapshots folded into the parent.
         assert registry.counter("fake_cells_total").value == 4
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_drained_journal_leaves_nothing_pending(self, tmp_path, jobs):
+        spec = _spec(axes=(Axis("max_instr", (10, 50, 100)),))
+        out = _run(spec, tmp_path, jobs=jobs)
+        assert len(out["results"]) == len(spec.cells()) == 6
+        state = replay(tmp_path / "journal.jsonl")
+        assert not state.pending_cells(spec)
+        assert len(state.results) == len(spec.cells())
+
     def test_exception_cells_retry_then_quarantine(self, tmp_path):
         spec = _spec(cell="tests.test_campaign:crashy_cell")
         registry = MetricsRegistry()

@@ -337,6 +337,17 @@ def test_melded_program_architecturally_identical(name):
     assert_equivalent(name, original.state, melded.state)
 
 
+def test_suite_has_meldable_hammocks():
+    """The battery above checks real rewrites: the matcher finds, and
+    the rewrite melds, hammocks in the suite."""
+    melded = 0
+    for name in BENCHMARK_NAMES:
+        program = load_benchmark(name, scale=0.2).program
+        candidates = find_meld_candidates(program, MELD_MAX_SIDE_INSTS)
+        melded += len(apply_meld(program, candidates).melded)
+    assert melded > 0
+
+
 # -- comparison driver, CLI --diff, campaign cell -----------------------------
 
 

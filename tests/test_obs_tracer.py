@@ -332,13 +332,13 @@ class TestManifest:
             scale=0.5,
             phases=tree,
             metrics=registry,
-            stats={"gzip/dmp": {"ipc": 1.5}},
         )
         assert manifest["schema"].startswith("dmp-repro/")
         assert manifest["args"] == {"scale": 0.5}
+        assert manifest["phases"] == tree.by_name()
         assert manifest["phases"]["simulate"]["events"] == 100
+        assert manifest["metrics"] == registry.as_dict()
         assert manifest["metrics"]["runs"]["value"] == 1
-        assert manifest["stats"]["gzip/dmp"]["ipc"] == 1.5
         path = str(tmp_path / "sub" / "manifest.json")
         write_manifest(path, manifest)
         assert read_manifest(path) == manifest

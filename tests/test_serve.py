@@ -350,6 +350,30 @@ class TestHTTP:
         assert excinfo.value.code == 404
 
 
+class TestWarmState:
+    """What the daemon's process state buys: a repeated request
+    recomputes nothing (the per-test disk cache starts empty)."""
+
+    def test_repeat_compile_runs_no_emulation_or_analysis(self, server,
+                                                          app):
+        counters = ("emulator_runs_total", "analysis_cache_misses_total")
+
+        def snapshot():
+            return {name: app.registry.counter(name).value
+                    for name in counters}
+
+        conn = _connect(server)
+        body = json.dumps({"benchmark": BENCH, "scale": SCALE})
+        cold = _fetch(conn, "POST", "/v1/compile", body)
+        after_cold = snapshot()
+        warm = _fetch(conn, "POST", "/v1/compile", body)
+        conn.close()
+        assert cold[0] == 200 and warm == cold
+        assert after_cold["emulator_runs_total"] == 1
+        assert after_cold["analysis_cache_misses_total"] > 0
+        assert snapshot() == after_cold
+
+
 class TestKeepAlive:
     """Responses on a reused connection do not wait on delayed ACKs."""
 

@@ -15,13 +15,19 @@ import time
 
 import pytest
 
+from repro.core import SelectionConfig, select_diverge_branches
 from repro.exec import Job, artifact_cache, execute
 from repro.experiments import fig6, runner
 from repro.obs import MetricsRegistry, SpanTree, span
 from repro.obs.context import telemetry
 from repro.obs.explain import load_schema, validate_explain
 from repro.obs.spans import PATH_SEP
-from repro.uarch import SimProfiler, TimingSimulator
+from repro.uarch import (
+    SimProfiler,
+    TimingSimulator,
+    VectorizedTimingSimulator,
+    vectorized,
+)
 from repro.uarch.profiler import COMPONENTS, NUM_COMPONENTS
 
 
@@ -302,6 +308,49 @@ class TestSimProfiler:
             assert stack.startswith("repro;simulate;")
             assert int(weight) > 0
 
+    @pytest.mark.parametrize(
+        "engine", [TimingSimulator, VectorizedTimingSimulator])
+    def test_unprofiled_run_reads_no_clock(self, engine, monkeypatch):
+        """``profiler=None`` stays free: no run of either engine reads
+        the clock (a cold replay, a memo hit, a second run).  A
+        profiled run reads it, and both give the scalar engine's
+        stats."""
+        art = runner.get_artifacts("gzip", scale=0.2)
+        program, trace = art.program, art.trace
+        annotation = select_diverge_branches(
+            program, art.profile, SelectionConfig.all_best_heur()
+        )
+        reference = TimingSimulator(program, annotation=annotation).run(
+            trace, label="x")
+        assert reference.retired_instructions > 0
+        reads = []
+        here = threading.get_ident()
+
+        def clock():  # counts this thread's reads only
+            if threading.get_ident() == here:
+                reads.append(None)
+            return float(len(reads))
+
+        monkeypatch.setattr(time, "perf_counter", clock)
+        monkeypatch.setattr(vectorized, "perf_counter", clock)
+        vectorized.clear_prepass_memo()
+        unprofiled = engine(program, annotation=annotation).run(
+            trace, label="x")
+        assert unprofiled == reference
+        again = engine(program, annotation=annotation)
+        assert again.run(trace, label="x") == reference
+        again.run(trace, label="y")
+        assert reads == []
+
+        vectorized.clear_prepass_memo()
+        profiler = SimProfiler()
+        profiled = engine(program, annotation=annotation,
+                          profiler=profiler).run(trace, label="x")
+        assert reads
+        assert profiler.total_seconds() > 0
+        assert profiled == reference
+        vectorized.clear_prepass_memo()
+
     def test_metrics_mirroring(self):
         program, trace = self._artifacts()
         registry = MetricsRegistry()
@@ -357,6 +406,7 @@ class TestProfileCli:
         assert any("coverage" in e for e in errors)
 
     def test_cli_text_and_folded_and_json(self, tmp_path, capsys):
+        from repro.obs.jsonl import iter_records
         from repro.obs.profile_cli import main
 
         assert main(["gzip", "--scale", "0.2"]) == 0
@@ -373,25 +423,28 @@ class TestProfileCli:
                    for line in folded)
 
         json_path = tmp_path / "deep" / "p.json"
+        log_path = tmp_path / "logs" / "history.jsonl"
         assert main(["gzip", "--scale", "0.2", "--json",
-                     "-o", str(json_path)]) == 0
+                     "-o", str(json_path), "--log", str(log_path)]) == 0
         data = json.loads(json_path.read_text())
         assert data["workload"] == "gzip"
+        assert list(iter_records(str(log_path))) == [data]
 
     def test_profile_log_torn_tail(self, tmp_path):
-        from repro.obs.profile_cli import (
-            append_profile_log,
-            read_profile_log,
-        )
+        from repro.obs.jsonl import JsonlSink, iter_records
 
         path = tmp_path / "deep" / "history.jsonl"
-        append_profile_log(str(path), {"workload": "gzip", "n": 1})
-        append_profile_log(str(path), {"workload": "gzip", "n": 2})
+        for n in (1, 2):  # one sink per ``profile --log`` run
+            sink = JsonlSink(str(path), append=True)
+            sink.write({"workload": "gzip", "n": n})
+            sink.close()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"workload": "torn')
-        records, corrupt = read_profile_log(str(path))
+        corrupt = []
+        records = list(iter_records(str(path), strict=False,
+                                    corrupt=corrupt))
         assert [r["n"] for r in records] == [1, 2]
-        assert corrupt == 1
+        assert len(corrupt) == 1
 
     def test_unknown_workload_fails_cleanly(self, capsys):
         from repro.obs.profile_cli import main
