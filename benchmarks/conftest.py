@@ -1,8 +1,8 @@
 """Shared configuration for the reproduction benchmarks.
 
 Each ``test_*`` module regenerates one table/figure of the paper and
-asserts its shape: running ``pytest benchmarks/ --benchmark-only -s``
-prints every reproduced table.  ``python -m repro <artifact>`` (or
+asserts its shape: running ``pytest benchmarks/ -s`` prints every
+reproduced table.  ``python -m repro <artifact>`` (or
 ``all``) writes the tables to files.
 
 Environment knobs:

@@ -16,12 +16,9 @@ in footnotes and future work:
 from repro.experiments import ablations
 
 
-def test_acc_conf_stability(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        ablations.run_acc_conf,
-        kwargs={"scale": scale, "benchmarks": suite,
-                "values": (0.20, 0.40, 0.50)},
-        rounds=1, iterations=1,
+def test_acc_conf_stability(save_result, scale, suite):
+    result = ablations.run_acc_conf(
+        scale=scale, benchmarks=suite, values=(0.20, 0.40, 0.50),
     )
     save_result("ablation_acc_conf", ablations.format_result(result))
     means = result["means"]
@@ -30,11 +27,9 @@ def test_acc_conf_stability(benchmark, save_result, scale, suite):
     assert spread < 0.10
 
 
-def test_max_cfm(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        ablations.run_max_cfm,
-        kwargs={"scale": scale, "benchmarks": suite, "values": (1, 3)},
-        rounds=1, iterations=1,
+def test_max_cfm(save_result, scale, suite):
+    result = ablations.run_max_cfm(
+        scale=scale, benchmarks=suite, values=(1, 3),
     )
     save_result("ablation_max_cfm", ablations.format_result(result))
     means = result["means"]
@@ -43,11 +38,9 @@ def test_max_cfm(benchmark, save_result, scale, suite):
     assert means["max_cfm=1"] > 0.5 * means["max_cfm=3"]
 
 
-def test_confidence_threshold(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        ablations.run_confidence_threshold,
-        kwargs={"scale": scale, "benchmarks": suite, "values": (6, 14)},
-        rounds=1, iterations=1,
+def test_confidence_threshold(save_result, scale, suite):
+    result = ablations.run_confidence_threshold(
+        scale=scale, benchmarks=suite, values=(6, 14),
     )
     save_result(
         "ablation_confidence", ablations.format_result(result)
@@ -57,12 +50,9 @@ def test_confidence_threshold(benchmark, save_result, scale, suite):
     assert means["threshold=14"] >= means["threshold=6"] - 0.02
 
 
-def test_easy_branch_filter(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        ablations.run_easy_branch_filter,
-        kwargs={"scale": scale, "benchmarks": suite,
-                "floors": (0.0, 0.03)},
-        rounds=1, iterations=1,
+def test_easy_branch_filter(save_result, scale, suite):
+    result = ablations.run_easy_branch_filter(
+        scale=scale, benchmarks=suite, floors=(0.0, 0.03),
     )
     save_result(
         "ablation_easy_filter", ablations.format_result(result)
@@ -72,12 +62,9 @@ def test_easy_branch_filter(benchmark, save_result, scale, suite):
     assert means["min_misp=0.03"] >= means["min_misp=0.00"] - 0.02
 
 
-def test_predictor_sensitivity(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        ablations.run_predictor_sensitivity,
-        kwargs={"scale": scale, "benchmarks": suite,
-                "kinds": ("bimodal", "perceptron")},
-        rounds=1, iterations=1,
+def test_predictor_sensitivity(save_result, scale, suite):
+    result = ablations.run_predictor_sensitivity(
+        scale=scale, benchmarks=suite, kinds=("bimodal", "perceptron"),
     )
     save_result(
         "ablation_predictor", ablations.format_result(result)

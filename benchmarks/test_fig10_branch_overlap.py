@@ -8,11 +8,8 @@ majority of diverge branches are selected with either profiling input
 from repro.experiments import fig10
 
 
-def test_fig10_selection_overlap(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        fig10.run, kwargs={"scale": scale, "benchmarks": suite},
-        rounds=1, iterations=1,
-    )
+def test_fig10_selection_overlap(save_result, scale, suite):
+    result = fig10.run(scale=scale, benchmarks=suite)
     save_result("fig10", fig10.format_result(result))
 
     eithers = [row["either"] for row in result["rows"]]

@@ -13,11 +13,8 @@ The headline result.  Shape checks (paper §7.1):
 from repro.experiments import fig5
 
 
-def test_fig5_selection_algorithms(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        fig5.run, kwargs={"scale": scale, "benchmarks": suite},
-        rounds=1, iterations=1,
-    )
+def test_fig5_selection_algorithms(save_result, scale, suite):
+    result = fig5.run(scale=scale, benchmarks=suite)
     save_result("fig5", fig5.format_result(result))
     means = result["means"]
 

@@ -8,11 +8,8 @@ baseline's.
 from repro.experiments import fig6
 
 
-def test_fig6_pipeline_flushes(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        fig6.run, kwargs={"scale": scale, "benchmarks": suite},
-        rounds=1, iterations=1,
-    )
+def test_fig6_pipeline_flushes(save_result, scale, suite):
+    result = fig6.run(scale=scale, benchmarks=suite)
     save_result("fig6", fig6.format_result(result))
     means = result["means"]
 

@@ -9,17 +9,11 @@ the benefit (the high-merge candidates carry it).
 from repro.experiments import fig7
 
 
-def test_fig7_threshold_sweep(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        fig7.run,
-        kwargs={
-            "scale": scale,
-            "benchmarks": suite,
-            "max_instr_values": (10, 50, 100, 200),
-            "min_merge_prob_values": (0.01, 0.30, 0.90),
-        },
-        rounds=1,
-        iterations=1,
+def test_fig7_threshold_sweep(save_result, scale, suite):
+    result = fig7.run(
+        scale=scale, benchmarks=suite,
+        max_instr_values=(10, 50, 100, 200),
+        min_merge_prob_values=(0.01, 0.30, 0.90),
     )
     save_result("fig7", fig7.format_result(result))
     grid = result["grid"]

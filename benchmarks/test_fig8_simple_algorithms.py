@@ -9,11 +9,8 @@ benefit on non-hammock-dominated codes.
 from repro.experiments import fig8
 
 
-def test_fig8_simple_algorithms(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        fig8.run, kwargs={"scale": scale, "benchmarks": suite},
-        rounds=1, iterations=1,
-    )
+def test_fig8_simple_algorithms(save_result, scale, suite):
+    result = fig8.run(scale=scale, benchmarks=suite)
     save_result("fig8", fig8.format_result(result))
     means = result["means"]
 

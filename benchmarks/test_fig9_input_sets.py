@@ -8,11 +8,8 @@ points of 20.4), for both the heuristic and the cost-model compilers.
 from repro.experiments import fig9
 
 
-def test_fig9_input_set_sensitivity(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        fig9.run, kwargs={"scale": scale, "benchmarks": suite},
-        rounds=1, iterations=1,
-    )
+def test_fig9_input_set_sensitivity(save_result, scale, suite):
+    result = fig9.run(scale=scale, benchmarks=suite)
     save_result("fig9", fig9.format_result(result))
     means = result["means"]
 

@@ -9,11 +9,8 @@ compiler-identified CFM points on complex control flow.
 from repro.experiments import priorwork
 
 
-def test_priorwork_progression(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        priorwork.run, kwargs={"scale": scale, "benchmarks": suite},
-        rounds=1, iterations=1,
-    )
+def test_priorwork_progression(save_result, scale, suite):
+    result = priorwork.run(scale=scale, benchmarks=suite)
     save_result("priorwork", priorwork.format_result(result))
     means = result["means"]
     assert means["dual-path"] < means["dynamic-hammock"]

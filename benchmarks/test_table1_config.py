@@ -3,8 +3,8 @@
 from repro.experiments import table1
 
 
-def test_table1_configuration(benchmark, save_result):
-    result = benchmark.pedantic(table1.run, rounds=1, iterations=1)
+def test_table1_configuration(save_result):
+    result = table1.run()
     text = table1.format_result(result)
     save_result("table1", text)
     cfg = result["config"]

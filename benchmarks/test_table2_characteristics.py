@@ -9,11 +9,8 @@ average.
 from repro.experiments import table2
 
 
-def test_table2_characteristics(benchmark, save_result, scale, suite):
-    result = benchmark.pedantic(
-        table2.run, kwargs={"scale": scale, "benchmarks": suite},
-        rounds=1, iterations=1,
-    )
+def test_table2_characteristics(save_result, scale, suite):
+    result = table2.run(scale=scale, benchmarks=suite)
     save_result("table2", table2.format_result(result))
     rows = {r["benchmark"]: r for r in result["rows"]}
 

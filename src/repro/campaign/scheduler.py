@@ -25,7 +25,10 @@ which replay as pending.  Successful workers ship their telemetry
 snapshots back over the result pipe and the parent folds them into the
 active registry/span tree (completion order), alongside the campaign's
 own ``campaign_cells_{completed,retried,quarantined}_total`` counters
-and ``campaign.cell.*`` trace events.
+and ``campaign.cell.*`` trace events.  A cell function's ``adopt`` hook
+receives the ``finished_runs`` a successful cell ships back, so cells
+forked later inherit them; a crashed, failed or timed-out attempt
+hands over nothing.
 """
 
 import heapq
@@ -93,6 +96,10 @@ class Scheduler:
         #: cells of one (benchmark, input set) inherit one
         #: AnalysisManager entry via copy-on-write.
         self._prepare = getattr(self._fn, "prepare", None)
+        #: Optional parent-side hook (``fn.adopt``) for the simulator
+        #: runs a finished cell ships back under ``finished_runs``:
+        #: later forks inherit them.
+        self._adopt = getattr(self._fn, "adopt", None)
 
     def run(self, state, max_cells=None):
         """Drain pending cells; returns a summary dict.
@@ -247,17 +254,20 @@ class Scheduler:
             # The ledger summary is a journal *annotation* (like the
             # cache counters), not part of the deterministic report
             # payload — pop it so resumed and fresh runs journal
-            # byte-identical results.
-            ledger_summary = (
-                result.pop("ledger", None)
-                if isinstance(result, dict) else None
-            )
+            # byte-identical results.  The finished simulator runs are
+            # no result at all: the adopt hook takes them, the journal
+            # never sees them.
+            extras = result if isinstance(result, dict) else {}
+            ledger_summary = extras.pop("ledger", None)
+            finished_runs = extras.pop("finished_runs", None)
             self.journal.cell_finish(
                 cell_id, task.attempt, elapsed, result,
                 cache=_analysis_cache_stats(payload["metrics"]),
                 ledger=ledger_summary,
                 resources=payload.get("resources"),
             )
+            if finished_runs and self._adopt is not None:
+                self._adopt(finished_runs)
             get_metrics().counter("campaign_cells_completed_total").inc()
             tracer = get_tracer()
             if tracer.enabled:

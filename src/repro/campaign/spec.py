@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, fields
 from repro.compiler import registry
 from repro.core import SelectionThresholds
 from repro.uarch import ProcessorConfig
+from repro.uarch.vectorized import adopt_runs, recording_runs
 
 #: Dotted path of the default cell function (module:attribute).
 DEFAULT_CELL = "repro.campaign.spec:run_cell"
@@ -314,13 +315,20 @@ def build_processor(overrides):
 def run_cell(params):
     """The default cell: baseline → selection → DMP simulation → speedup.
 
-    Returns a JSON-ready dict (the journal stores it verbatim); all
-    numbers are exact reproductions of what the monolithic figure
-    drivers compute for the same (benchmark, config) pair.  The
-    ``ledger`` key is the compact decision-ledger summary — the
-    scheduler pops it off the result and journals it as a cell
-    annotation (like the cache counters), so the deterministic report
-    payload stays byte-identical with or without it.
+    Returns a dict; the journal stores all of it verbatim but two keys,
+    and all numbers are exact reproductions of what the monolithic
+    figure drivers compute for the same (benchmark, config) pair.  The
+    scheduler pops the two keys off the result before journaling, so
+    the deterministic report payload stays byte-identical with or
+    without them:
+
+    - ``ledger``, the compact decision-ledger summary, is journaled as
+      a cell annotation (like the cache counters);
+    - ``finished_runs`` holds the simulator runs the cell stored in the
+      run memo (see :func:`repro.uarch.vectorized.recording_runs`);
+      the scheduler hands them to :func:`~repro.uarch.vectorized.
+      adopt_runs` (``run_cell.adopt``), so later cells forked from it
+      inherit them, and never journals them.
     """
     from repro.experiments.runner import run_baseline, run_selection
     from repro.obs.explain import cell_ledger_summary
@@ -333,17 +341,18 @@ def run_cell(params):
     benchmark = params["benchmark"]
     input_set = params.get("input_set", "reduced")
     scale = params.get("scale", 1.0)
-    baseline = run_baseline(
-        benchmark, input_set=input_set, scale=scale, config=processor
-    )
     selection_ledger = SelectionLedger()
     runtime_ledger = RuntimeLedger()
-    stats, annotation = run_selection(
-        benchmark, selection, input_set=input_set, scale=scale,
-        config=processor,
-        selection_ledger=selection_ledger,
-        runtime_ledger=runtime_ledger,
-    )
+    with recording_runs() as finished_runs:
+        baseline = run_baseline(
+            benchmark, input_set=input_set, scale=scale, config=processor
+        )
+        stats, annotation = run_selection(
+            benchmark, selection, input_set=input_set, scale=scale,
+            config=processor,
+            selection_ledger=selection_ledger,
+            runtime_ledger=runtime_ledger,
+        )
     return {
         "speedup": stats.speedup_over(baseline),
         "baseline": baseline.as_dict(),
@@ -352,6 +361,7 @@ def run_cell(params):
         "ledger": cell_ledger_summary(
             selection_ledger, runtime_ledger, selection.cost_params
         ),
+        "finished_runs": finished_runs,
     }
 
 
@@ -385,6 +395,10 @@ def prepare_cell(params):
         warm_prepass_memo(artifacts.program, artifacts.trace, processor)
 
 
-#: The scheduler looks for this attribute on a cell function and, when
-#: present, calls it in the parent before each launch (see Scheduler).
+#: The scheduler looks for these attributes on a cell function and,
+#: when present, calls ``prepare`` in the parent before each launch and
+#: ``adopt`` with the ``finished_runs`` of each cell that finishes (see
+#: Scheduler): the runs join the parent's run memo, under the pre-pass
+#: entries ``prepare`` warmed, and later forks inherit them.
 run_cell.prepare = prepare_cell
+run_cell.adopt = adopt_runs

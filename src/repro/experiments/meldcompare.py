@@ -39,6 +39,7 @@ from repro.experiments.runner import (
 )
 from repro.obs.ledger import SelectionLedger
 from repro.uarch import make_simulator
+from repro.uarch.vectorized import adopt_runs
 
 SERIES = ("static-meld", "dpred", "meld+dpred")
 
@@ -372,6 +373,7 @@ def _prepare_meld_cell(params):
 
 
 meld_cell.prepare = _prepare_meld_cell
+meld_cell.adopt = adopt_runs
 
 
 def campaign_spec(scale=1.0, benchmarks=None):

@@ -504,15 +504,17 @@ def _compile_bytes(benchmark, input_set, scale, config, pipeline):
 def _simulate_bytes(params, cell_id):
     """One campaign cell's deterministic result as canonical JSON.
 
-    The ``ledger`` key is popped exactly as the campaign scheduler pops
-    it before journaling, so the ``result`` object is byte-identical to
-    the matching ``cell.finish`` journal record's ``result`` field.
+    The ``ledger`` and ``finished_runs`` keys are popped exactly as the
+    campaign scheduler pops them before journaling, so the ``result``
+    object is byte-identical to the matching ``cell.finish`` journal
+    record's ``result`` field.
     """
     from repro.campaign.spec import run_cell
 
     result = run_cell(dict(params))
     if isinstance(result, dict):
         result.pop("ledger", None)
+        result.pop("finished_runs", None)
     data = {"cell_id": cell_id, "params": params, "result": result}
     return (canonical_json(data) + "\n").encode("utf-8")
 

@@ -54,9 +54,13 @@ its heuristics cumulatively, and a step that adds no mark repeats the
 previous step's run exactly, so a simulator whose first run repeats a
 finished one returns a copy of its stats and folds in the metrics it
 recorded, replaying nothing (see
-:meth:`VectorizedTimingSimulator._run_memoized`).  Runs with a tracer,
-a ledger or per-branch collection always replay: their events and
-per-pc counters are not stored.
+:meth:`VectorizedTimingSimulator._run_memoized`).  A finished run
+keeps its per-pc counters when its replay tracked them, so a ledger or
+per-branch run is a hit too; only runs with a tracer always replay:
+their events are not stored.  A campaign cell ships the runs it stored
+back to the scheduler (see :func:`recording_runs` and
+:func:`adopt_runs`), so later cells forked from the scheduler inherit
+them.
 
 With ``profiler=None`` the replay loop carries **no** per-row stopwatch
 checks and reads no clock (same zero-overhead guarantee as the scalar
@@ -77,6 +81,7 @@ import hashlib
 import weakref
 from bisect import bisect_right
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import replace
 from time import perf_counter
 
@@ -160,9 +165,11 @@ PREPASS_MEMO_ENTRIES = 64
 
 #: Most finished runs one memo entry holds, least recently used dropped
 #: first.  Figure 5 runs each trace under at most 11 distinct
-#: annotations (the baseline and ten selection configs).  A run keeps
-#: its stats and a metrics snapshot, about 10 KB, so a full memo holds
-#: at most ~10 MB of runs (fig5 on all 17 benchmarks: ~2 MB).
+#: annotations (the baseline and ten selection configs), a fig7
+#: campaign at most 8 at the perfbench scale.  A run keeps its stats, a
+#: metrics snapshot and, when tracked, its per-pc counters: 6-9 KB, so
+#: a full memo holds at most ~9 MB of runs (fig5 on all 17 benchmarks:
+#: ~2 MB).
 RUN_MEMO_RUNS = 16
 
 
@@ -177,6 +184,55 @@ def clear_run_memo():
     pre-passes from the memo and replays."""
     for entry in _PREPASS_MEMO.values():
         entry.runs.clear()
+
+
+def _store_run(entry, run_key, done):
+    """Keep ``done`` in a memo entry, most recently used, dropping the
+    least recently used runs past :data:`RUN_MEMO_RUNS`.  ``done``
+    takes the event counts and per-pc counters of a run it replaces
+    when it lacks them: every run of one key is the same run."""
+    stored = entry.runs.get(run_key)
+    if stored is not None:
+        if done.events is None:
+            done.events = stored.events
+        if done.per_branch is None:
+            done.per_branch = stored.per_branch
+    entry.runs[run_key] = done
+    entry.runs.move_to_end(run_key)
+    while len(entry.runs) > RUN_MEMO_RUNS:
+        entry.runs.popitem(last=False)
+
+
+#: The list :func:`recording_runs` collects into, ``None`` outside it
+#: (process-wide and not thread-safe, like the memo it records).
+_recorded = None
+
+
+@contextmanager
+def recording_runs():
+    """Collect the finished runs the memo stores inside the block.
+
+    Yields a list that receives one ``(memo key, run key, run)`` triple
+    per stored run.  The triples pickle, so a forked campaign cell can
+    ship them back for :func:`adopt_runs` in the scheduler.  Blocks
+    nest: an inner block collects into its own list only.
+    """
+    global _recorded
+    outer, _recorded = _recorded, []
+    try:
+        yield _recorded
+    finally:
+        _recorded = outer
+
+
+def adopt_runs(runs):
+    """Store finished runs from :func:`recording_runs` in this process's
+    memo, under entries it holds already (a run of a trace whose
+    pre-passes this process has not computed is dropped)."""
+    for key, run_key, done in runs:
+        entry = _PREPASS_MEMO.get(key)
+        if entry is not None:
+            _store_run(entry, run_key, done)
 
 
 def warm_prepass_memo(program, trace, config=None):
@@ -314,20 +370,46 @@ class _Prepasses:
 class _FinishedRun:
     """A run of a memoized trace: its stats (label aside), the metrics
     it recorded (a registry snapshot and the help texts of its
-    instruments) and, when it ran with a profiler, its per-component
-    event counts."""
+    instruments), its per-component event counts when it ran with a
+    profiler and its per-pc counter lists (slots as in
+    :data:`repro.obs.ledger.RUNTIME_COUNTERS`) when its replay tracked
+    them."""
 
-    __slots__ = ("stats", "metrics", "helps", "events")
+    __slots__ = ("stats", "metrics", "helps", "events", "per_branch")
 
-    def __init__(self, stats, registry, timing):
+    def __init__(self, stats, registry, timing, per_branch):
         self.stats = replace(stats, label="", per_branch={})
         self.metrics = registry.as_dict()
         self.helps = {name: registry.get(name).help
                       for name in self.metrics}
         self.events = None if timing is None else tuple(timing[1])
+        self.per_branch = per_branch
 
-    def stats_for(self, label):
-        return replace(self.stats, label=label, per_branch={})
+    def serves(self, profiled, tracked):
+        """Does this run hold what a run with(out) a profiler and
+        per-pc tracking needs?"""
+        return ((not profiled or self.events is not None)
+                and (not tracked or self.per_branch is not None))
+
+    def stats_for(self, label, collect_per_branch):
+        per_branch = (_per_branch_stats(self.per_branch)
+                      if collect_per_branch else {})
+        return replace(self.stats, label=label, per_branch=per_branch)
+
+
+def _per_branch_stats(per_branch):
+    """:attr:`SimStats.per_branch` from per-pc counter lists."""
+    return {
+        pc: {
+            "executions": c[0],
+            "mispredictions": c[1],
+            "episodes": c[2],
+            "flushes_avoided": c[3],
+            "flushes": c[4],
+        }
+        for pc, c in per_branch.items()
+        if c[0]
+    }
 
 
 def _annotation_key(annotation):
@@ -477,24 +559,29 @@ class VectorizedTimingSimulator(TimingSimulator):
     def _settle_deferred(self):
         """Go through what a memo hit skipped, before the next run.
 
-        A run-memo hit skipped the whole run: it is replayed here
-        without tracer or profiler and into a throwaway registry, so
+        A run-memo hit skipped the whole run: it is replayed here from
+        the counters it started with, without tracer, profiler, ledger
+        or per-branch collection and into a throwaway registry, so
         nothing it does is emitted or counted twice.  A pre-pass hit
         restores the counters but leaves the caches, predictor, BTB
         and RAS as they were.  Either way, a second run on this
         simulator starts from the state the first run leaves.
         """
         if self._skipped is not None:
-            columns, key = self._skipped
+            columns, key, counters = self._skipped
             self._skipped = None
+            self._set_component_counters(counters)
             live = self._swap_metrics(MetricsRegistry())
-            tracer, profiler = self.tracer, self.profiler
+            saved = (self.tracer, self.profiler, self.ledger,
+                     self.collect_per_branch)
             self.tracer, self.profiler = NULL_TRACER, None
+            self.ledger, self.collect_per_branch = None, False
             try:
                 self._replay(columns, key, "", None)
             finally:
                 self._swap_metrics(live)
-                self.tracer, self.profiler = tracer, profiler
+                (self.tracer, self.profiler, self.ledger,
+                 self.collect_per_branch) = saved
         if self._deferred is not None:
             columns, counters = self._deferred
             self._deferred = None
@@ -788,8 +875,8 @@ class VectorizedTimingSimulator(TimingSimulator):
         """Simulate ``trace`` and return :class:`SimStats`.
 
         A simulator's first run goes through the run memo (see
-        :meth:`_run_memoized`) unless a tracer, a ledger or per-branch
-        collection wants what only a replay produces.
+        :meth:`_run_memoized`) unless a tracer wants the events only a
+        replay emits.
         """
         if not trace:
             raise SimulationError("empty trace")
@@ -801,10 +888,9 @@ class VectorizedTimingSimulator(TimingSimulator):
         if self._fresh:
             self._fresh = False
             key = _memo_key(self._program_digest, columns, self.config)
-            if not (self.tracer.enabled or self.ledger is not None
-                    or self.collect_per_branch):
+            if not self.tracer.enabled:
                 return self._run_memoized(columns, key, label, started)
-        stats, timing = self._replay(columns, key, label, started)
+        stats, timing, _ = self._replay(columns, key, label, started)
         if timing is not None:
             profiler.record_run(label, *timing, stats,
                                 metrics=self.metrics)
@@ -814,41 +900,53 @@ class VectorizedTimingSimulator(TimingSimulator):
         """A first run through the run memo.
 
         A hit — a finished run of the same trace, config, program
-        tables and annotation — returns a copy of the stored stats and
+        tables and annotation — returns a copy of the stored stats,
+        leaves the component counters as its replay left them and
         folds the stored metrics snapshot into this simulator's
         registry, replaying nothing until a second run needs the state
-        it leaves (see :meth:`_settle_deferred`).  With a profiler, a
-        hit charges its own seconds to ``other`` and reports the stored
-        event counts; a stored run without them counts as a miss.  A
-        miss replays into a private registry and stores the run, and
-        folds the same snapshot in, so a hit leaves every counter,
-        gauge and histogram as the replay would.  ``started`` is the
-        run's start on the profiler's clock.
+        it leaves (see :meth:`_settle_deferred`).  With a ledger, a hit
+        records a copy of the stored per-pc counters into it; with
+        per-branch collection, it rebuilds ``stats.per_branch`` from
+        them; a stored run without them counts as a miss.  With a
+        profiler, a hit charges its own seconds to ``other`` and
+        reports the stored event counts; a stored run without them
+        counts as a miss.  A miss replays into a private registry and
+        stores the run, and folds the same snapshot in, so a hit leaves
+        every counter, gauge and histogram as the replay would.
+        ``started`` is the run's start on the profiler's clock.
         """
         profiler = self.profiler
+        ledger = self.ledger
         run_key = (self._replay_digest, _annotation_key(self.annotation))
         entry = _PREPASS_MEMO.get(key)
         done = None if entry is None else entry.runs.get(run_key)
-        hit = done is not None and (profiler is None
-                                    or done.events is not None)
+        hit = done is not None and done.serves(
+            profiler is not None,
+            ledger is not None or self.collect_per_branch)
         if hit:
             _PREPASS_MEMO.move_to_end(key)
             entry.runs.move_to_end(run_key)
-            self._skipped = (columns, key)
-            stats = done.stats_for(label)
+            self._skipped = (columns, key, self._component_counters())
+            self._set_component_counters(entry.counters)
+            stats = done.stats_for(label, self.collect_per_branch)
+            if ledger is not None:
+                ledger.record_run(
+                    label,
+                    {pc: list(c) for pc, c in done.per_branch.items()},
+                    stats)
         else:
             live = self._swap_metrics(MetricsRegistry())
             try:
-                stats, timing = self._replay(columns, key, label, started)
+                stats, timing, per_branch = self._replay(
+                    columns, key, label, started)
             finally:
                 private = self._swap_metrics(live)
-            done = _FinishedRun(stats, private, timing)
+            done = _FinishedRun(stats, private, timing, per_branch)
             entry = _PREPASS_MEMO.get(key)     # the replay's pre-passes
             if entry is not None:
-                entry.runs[run_key] = done
-                entry.runs.move_to_end(run_key)
-                while len(entry.runs) > RUN_MEMO_RUNS:
-                    entry.runs.popitem(last=False)
+                _store_run(entry, run_key, done)
+                if _recorded is not None:
+                    _recorded.append((key, run_key, done))
         self.metrics.merge_snapshot(done.metrics, done.helps)
         if profiler is not None:
             if hit:
@@ -860,11 +958,13 @@ class VectorizedTimingSimulator(TimingSimulator):
         return stats
 
     def _replay(self, columns, key, label, started):
-        """Replay the trace ``columns``: ``(stats, timing)``.
+        """Replay the trace ``columns``: ``(stats, timing, per_branch)``.
 
         ``key`` is the memo key of a first run (see :meth:`_prepasses`);
         ``timing`` is ``(seconds, events)`` per component, stopwatched
-        from ``started``, with a profiler and ``None`` without one.
+        from ``started``, with a profiler and ``None`` without one;
+        ``per_branch`` the per-pc counter lists with a ledger or
+        per-branch collection and ``None`` without either.
         """
         cfg = self.config
         stats = SimStats(label=label)
@@ -1433,17 +1533,7 @@ class VectorizedTimingSimulator(TimingSimulator):
         stats.dcache_misses = self.memory.dcache.misses
         stats.l2_misses = self.memory.l2.misses
         if self.collect_per_branch:
-            stats.per_branch = {
-                pc: {
-                    "executions": c[0],
-                    "mispredictions": c[1],
-                    "episodes": c[2],
-                    "flushes_avoided": c[3],
-                    "flushes": c[4],
-                }
-                for pc, c in per_branch.items()
-                if c[0]
-            }
+            stats.per_branch = _per_branch_stats(per_branch)
         if ledger is not None:
             ledger.record_run(label, per_branch, stats)
         self._record_run_metrics(stats)
@@ -1463,5 +1553,5 @@ class VectorizedTimingSimulator(TimingSimulator):
         if profiling:
             charge(OTHER)
             comp_events[OTHER] += 1
-            return stats, (comp_sec, comp_events)
-        return stats, None
+            return stats, (comp_sec, comp_events), per_branch
+        return stats, None, per_branch

@@ -19,7 +19,7 @@ from repro.campaign import (
     render_status,
     replay,
 )
-from repro.campaign.spec import content_hash, resolve_cell_fn
+from repro.campaign.spec import content_hash, resolve_cell_fn, run_cell
 from repro.obs import MetricsRegistry, SpanTree, telemetry
 
 SCALE = 0.1
@@ -523,3 +523,152 @@ class TestFig7AsCampaign:
         assert "Sensitivity: mean speedup vs max_instr" \
             " × min_merge_prob" in report
         assert "Best point:" in report
+
+
+# -- finished simulator runs handed back to the scheduler -------------
+
+
+def _cell_then(params, finish):
+    """Simulate the default cell, then end the attempt via ``finish``."""
+    run_cell(params)
+    finish()
+
+
+def crash_after_cell(params):
+    _cell_then(params, lambda: os._exit(9))
+
+
+def sleep_after_cell(params):
+    import time
+
+    _cell_then(params, lambda: time.sleep(60))
+
+
+def raise_after_cell(params):
+    def fail():
+        raise RuntimeError("synthetic failure after the simulation")
+
+    _cell_then(params, fail)
+
+
+for _fn in (crash_after_cell, sleep_after_cell, raise_after_cell):
+    _fn.prepare = run_cell.prepare
+    _fn.adopt = run_cell.adopt
+
+
+class TestRunSharing:
+    """A finished fig7 cell hands its simulator runs back to the
+    scheduler, whose run memo then serves later forks: the journal and
+    the report are those of a campaign without the hand-off, a failed
+    attempt hands over nothing, and the memo stays bounded."""
+
+    @staticmethod
+    def _memo_annotations(names=BENCH):
+        """benchmark -> the annotation keys of the runs the scheduler's
+        memo holds for its trace at the default config."""
+        from repro.experiments import runner
+        from repro.uarch import ProcessorConfig, vectorized
+
+        held = {}
+        for name in names:
+            artifacts = runner.get_artifacts(name, scale=SCALE)
+            key = vectorized._memo_key(
+                vectorized._decode_tables(artifacts.program)[-1],
+                vectorized.trace_columns(artifacts.trace),
+                ProcessorConfig(),
+            )
+            entry = vectorized._PREPASS_MEMO.get(key)
+            held[name] = (set() if entry is None
+                          else {run_key[1] for run_key in entry.runs})
+        return held
+
+    @staticmethod
+    def _campaign(tmp_path, capsys, jobs):
+        """``campaign run fig7`` and its report: ``(journal state,
+        report text)``."""
+        results = str(tmp_path / f"fig7-jobs{jobs}")
+        common = ["--results-dir", results]
+        assert repro_main.main(
+            ["campaign", "run", "fig7", "--scale", str(SCALE),
+             "--benchmarks", ",".join(BENCH), "--jobs", str(jobs)]
+            + common) == 0
+        capsys.readouterr()
+        assert repro_main.main(["campaign", "report", "fig7"] + common) \
+            == 0
+        report = capsys.readouterr().out
+        state = replay(os.path.join(results, "fig7", "journal.jsonl"))
+        return state, report
+
+    @staticmethod
+    def _distinct_annotations(spec):
+        """benchmark -> the run-memo keys of its cells' annotations."""
+        from repro.campaign.spec import build_selection
+        from repro.core import DivergeSelector
+        from repro.experiments import runner
+        from repro.uarch.vectorized import _annotation_key
+
+        keys = {name: {None} for name in BENCH}
+        for cell in spec.cells():
+            artifacts = runner.get_artifacts(cell.benchmark, scale=SCALE)
+            selection = build_selection(
+                cell.params["selection"], cell.params["thresholds"])
+            annotation = DivergeSelector(
+                artifacts.program, artifacts.profile, selection).select()
+            keys[cell.benchmark].add(_annotation_key(annotation))
+        return keys
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fig7_journal_and_report_equal_a_run_without_adoption(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        from repro.experiments import fig7, runner
+        from repro.uarch import vectorized
+
+        with monkeypatch.context() as patched:
+            patched.delattr(run_cell, "adopt")
+            reference = self._campaign(tmp_path / "reference", capsys, 1)
+        assert all(held == {None}
+                   for held in self._memo_annotations().values())
+
+        runner.clear_cache()
+        # A bound below the distinct runs per benchmark (the baseline
+        # and four annotations at this scale) evicts while adopting.
+        bound = 3 if jobs == 2 else vectorized.RUN_MEMO_RUNS
+        monkeypatch.setattr(vectorized, "RUN_MEMO_RUNS", bound)
+        state, report = self._campaign(tmp_path, capsys, jobs)
+        assert len(state.results) == 40
+        assert state.results == reference[0].results
+        assert state.ledger == reference[0].ledger
+        assert report == reference[1]
+
+        held = self._memo_annotations()
+        distinct = self._distinct_annotations(
+            fig7.campaign_spec(scale=SCALE, benchmarks=BENCH))
+        for name in BENCH:
+            assert len(distinct[name]) > 3
+            assert held[name] <= distinct[name]
+            assert len(held[name]) == min(len(distinct[name]), bound)
+        # No run reached the journal.
+        journal = (tmp_path / f"fig7-jobs{jobs}" / "fig7"
+                   / "journal.jsonl").read_text()
+        assert "finished_runs" not in journal
+
+    @pytest.mark.parametrize("cell, kind", [
+        ("crash_after_cell", "crash"),
+        ("sleep_after_cell", "timeout"),
+        ("raise_after_cell", "exception"),
+    ])
+    def test_failed_attempt_adopts_nothing(self, tmp_path, cell, kind):
+        spec = CampaignSpec(
+            name="fail-after-run", benchmarks=("gzip",), scale=SCALE,
+            selection="exact-freq",
+            axes=(Axis("max_instr", (50,)),),
+            cell=f"tests.test_campaign:{cell}",
+        )
+        out = _run(spec, tmp_path, max_attempts=1, cell_timeout=2.0)
+        assert len(out["quarantined"]) == 1
+        state = replay(tmp_path / "journal.jsonl")
+        (failure,) = state.last_failure.values()
+        assert failure["kind"] == kind
+        # The parent warmed gzip's entry (its baseline run) and adopted
+        # no DMP run.
+        assert self._memo_annotations(["gzip"]) == {"gzip": {None}}

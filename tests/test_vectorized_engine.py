@@ -830,21 +830,89 @@ class TestRunMemo:
                             dict(simulator.bias._counters)))
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("bypass", ["tracer", "ledger", "per_branch"])
+    @pytest.mark.parametrize("bypass", ["tracer"])
     def test_bypass_stores_nothing(self, bypass):
         program, trace = hammock_setup()
         annotation = hammock_annotation()
-        kwargs = {
-            "tracer": {"tracer": Tracer(ListSink())},
-            "ledger": {"ledger": RuntimeLedger()},
-            "per_branch": {"collect_per_branch": True},
-        }[bypass]
+        kwargs = {"tracer": Tracer(ListSink())}
         for _ in range(2):
             stats = VectorizedTimingSimulator(
                 program, annotation=annotation, **kwargs).run(trace)
             assert stats.as_dict() == TimingSimulator(
                 program, annotation=annotation).run(trace).as_dict()
         assert self._entry().runs == {}
+
+    @staticmethod
+    def _tracked(cls, program, trace, annotation, tracking):
+        """Two runs on one simulator with a ledger and/or per-branch
+        collection: ``(per-run outputs, whether the first run hit the
+        run memo)``.  Each output holds the stats with ``per_branch``,
+        the ledger's counters and ``runs`` so far, every metric and the
+        component counters."""
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        ledger = RuntimeLedger() if "ledger" in tracking else None
+        simulator = cls(program, annotation=annotation, metrics=registry,
+                        ledger=ledger,
+                        collect_per_branch="per_branch" in tracking)
+        outputs = []
+        for label in ("run0", "run1"):
+            stats = simulator.run(trace, label=label)
+            if label == "run0":
+                hit = getattr(simulator, "_skipped", None) is not None
+            outputs.append((
+                stats.as_dict(per_branch=True),
+                None if ledger is None else (
+                    {pc: list(c) for pc, c in ledger._branches.items()},
+                    [dict(run) for run in ledger.runs]),
+                _metrics(registry), _component_state(simulator),
+            ))
+        return outputs, hit
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SPECS))
+    def test_tracked_hit_matches_the_scalar_engine(self, name):
+        """A ledger or per-branch run misses a run stored without
+        per-pc counters, stores them, and a later one hits: its stats,
+        ``per_branch``, ledger counters and ``runs``, metrics and
+        component counters, and those of a second run on the same
+        simulator, equal the scalar engine's.  A profiled run then
+        misses (no event counts stored) and the run it stores keeps
+        the counters."""
+        workload = load_benchmark(name, scale=0.02)
+        trace, profile = _profiled_trace(
+            workload.program, workload.memory,
+            workload.max_instructions,
+        )
+        program = workload.program
+        annotations = [None, select_diverge_branches(
+            program, profile, SelectionConfig.all_best_heur())]
+        episodes = 0
+        for annotation in annotations:
+            vectorized.clear_prepass_memo()
+            self._run(program, trace, annotation)  # stored, no counters
+            for tracking in (("ledger",), ("per_branch",),
+                             ("ledger", "per_branch")):
+                reference, _ = self._tracked(
+                    TimingSimulator, program, trace, annotation, tracking)
+                outputs = [self._tracked(VectorizedTimingSimulator,
+                                         program, trace, annotation,
+                                         tracking)
+                           for _ in range(2)]
+                assert [output for output, _ in outputs] \
+                    == [reference, reference]
+                # Only the first tracked run replays: it stores the
+                # counters every later tracked run hits on.
+                first = tracking == ("ledger",)
+                assert [hit for _, hit in outputs] == [not first, True]
+                episodes += reference[0][0]["dpred_episodes"]
+            *_, simulator = self._run(program, trace, annotation,
+                                      profile=True)
+            assert simulator._skipped is None
+            (stored,) = self._entry().runs.values()
+            assert stored.events is not None
+            assert stored.per_branch is not None
+        assert episodes > 0
 
     def test_runs_per_entry_are_bounded_lru(self, monkeypatch):
         monkeypatch.setattr(vectorized, "RUN_MEMO_RUNS", 2)
