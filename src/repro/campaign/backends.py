@@ -49,8 +49,9 @@ import time
 from multiprocessing.connection import wait as connection_wait
 
 from repro.campaign.journal import JOURNAL_NAME
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanTree, span
+from repro.obs import tracectx
+from repro.obs.context import run_fresh
+from repro.obs.spans import span
 
 #: Registered backend names (see :func:`make_backend`).
 BACKENDS = ("local", "sharded")
@@ -76,12 +77,18 @@ def cell_usage():
     }
 
 
+def _cell(fn, params):
+    with span("cell"):
+        return fn(params)
+
+
 def cell_worker(conn, fn, params, trace=None):
     """Run one cell under fresh telemetry; ship outcome over the pipe.
 
     The cell runs inside a ``cell`` span, so its stages nest under it
-    exactly as in an engine worker.  ``trace`` is an optional
-    distributed-trace propagation payload
+    exactly as in an engine worker, and its telemetry snapshot
+    (:func:`~repro.obs.context.run_fresh`) rides in the payload.
+    ``trace`` is an optional distributed-trace propagation payload
     (:meth:`~repro.obs.tracectx.TraceContext.propagation`); when
     present that span is parented to the scheduler's campaign span and
     spooled to the shared trace directory — so a 2-shard run merges
@@ -90,9 +97,6 @@ def cell_worker(conn, fn, params, trace=None):
     """
     import signal
 
-    from repro.obs import tracectx
-    from repro.obs.context import telemetry
-
     # Forked workers inherit the CLI's graceful-exit SIGTERM handler;
     # restore the default so a post-collect terminate() kills the
     # worker silently instead of raising through conn.send.
@@ -100,17 +104,13 @@ def cell_worker(conn, fn, params, trace=None):
     ctx = tracectx.TraceContext.from_propagation(
         trace, service="campaign-worker"
     )
-    registry = MetricsRegistry()
-    tree = SpanTree()
     try:
-        with telemetry(metrics=registry, spans=tree):
-            with tracectx.activate(ctx), span("cell"):
-                result = fn(params)
+        with tracectx.activate(ctx):
+            result, snapshot = run_fresh(_cell, fn, params)
         payload = {
             "ok": True,
             "result": result,
-            "metrics": registry.as_dict(),
-            "spans": tree.as_dict(),
+            "telemetry": snapshot,
             "resources": cell_usage(),
         }
     except BaseException as exc:  # noqa: BLE001 — must reach the parent

@@ -22,8 +22,8 @@ cannot offer:
 Every transition is journaled *before* the next action is taken, so a
 ``kill -9`` of the scheduler itself loses at most the in-flight cells,
 which replay as pending.  Successful workers ship their telemetry
-snapshots back over the result pipe and the parent folds them into the
-active registry/span tree (completion order), alongside the campaign's
+snapshot back over the result pipe and the parent merges it into the
+active bundle (completion order), alongside the campaign's
 own ``campaign_cells_{completed,retried,quarantined}_total`` counters
 and ``campaign.cell.*`` trace events.  A cell function's ``adopt`` hook
 receives the ``finished_runs`` a successful cell ships back, so cells
@@ -37,7 +37,7 @@ import time
 from repro.campaign.backends import LocalPoolBackend, cell_usage
 from repro.campaign.spec import resolve_cell_fn
 from repro.obs import events, tracectx
-from repro.obs.context import get_metrics, get_spans, get_tracer
+from repro.obs.context import active, get_metrics, get_tracer
 
 #: Total attempts (first try + retries) before a cell is quarantined.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -248,8 +248,8 @@ class Scheduler:
 
         cell_id = task.cell.cell_id
         if payload is not None and payload.get("ok"):
-            get_metrics().merge_snapshot(payload["metrics"])
-            get_spans().merge_snapshot(payload["spans"])
+            snapshot = payload["telemetry"]
+            active().merge(snapshot)
             result = payload["result"]
             # The ledger summary is a journal *annotation* (like the
             # cache counters), not part of the deterministic report
@@ -262,7 +262,7 @@ class Scheduler:
             finished_runs = extras.pop("finished_runs", None)
             self.journal.cell_finish(
                 cell_id, task.attempt, elapsed, result,
-                cache=_analysis_cache_stats(payload["metrics"]),
+                cache=_analysis_cache_stats(snapshot["metrics"]),
                 ledger=ledger_summary,
                 resources=payload.get("resources"),
             )

@@ -11,10 +11,9 @@ by construction.
 ``jobs=1`` (the library default) runs the cells inline in the calling
 process: no pool, no pickling, identical to the historical serial
 path.  ``jobs>1`` fans out over a :class:`ProcessPoolExecutor`.  Each
-worker job runs under a *fresh* telemetry bundle
-(:class:`~repro.obs.metrics.MetricsRegistry` +
-:class:`~repro.obs.spans.SpanTree`); the snapshots travel back
-with the result and are folded into the parent's active bundle in plan
+worker job runs under fresh telemetry
+(:func:`~repro.obs.context.run_fresh`); its snapshot travels back
+with the result and is merged into the parent's active bundle in plan
 order, so ``--metrics`` output and run manifests account for work done
 in workers exactly as if it had run inline.
 
@@ -37,9 +36,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.obs import tracectx
-from repro.obs.context import get_metrics, get_spans, telemetry
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanTree, span
+from repro.obs.context import active, run_fresh
+from repro.obs.spans import span
 
 
 class JobError(RuntimeError):
@@ -89,11 +87,13 @@ def resolve_jobs(jobs):
     return jobs
 
 
-def _run_job(fn, args, trace=None, label=None):
-    """Worker-side wrapper: isolate telemetry and ship snapshots back.
+def _cell(fn, args, attrs):
+    with span("cell", attrs=attrs):
+        return fn(*args)
 
-    The metrics and span-tree snapshots travel back; merging the tree
-    carries nested spans across the process boundary.
+
+def _run_job(fn, args, trace=None, label=None):
+    """Worker-side wrapper: ``(result, telemetry snapshot)`` of one job.
 
     ``trace`` is an optional distributed-trace propagation payload
     (:meth:`~repro.obs.tracectx.TraceContext.propagation`): when
@@ -101,16 +101,11 @@ def _run_job(fn, args, trace=None, label=None):
     lands in the shared trace spool, parented to the span that was
     active in the parent when the plan was submitted.
     """
-    registry = MetricsRegistry()
-    tree = SpanTree()
     ctx = tracectx.TraceContext.from_propagation(
         trace, service="exec-worker"
     )
-    with telemetry(metrics=registry, spans=tree):
-        with tracectx.activate(ctx):
-            with span("cell", attrs={"job": label} if label else None):
-                result = fn(*args)
-    return result, registry.as_dict(), tree.as_dict()
+    with tracectx.activate(ctx):
+        return run_fresh(_cell, fn, args, {"job": label} if label else None)
 
 
 def execute(jobs_list, jobs=None):
@@ -142,8 +137,7 @@ def execute(jobs_list, jobs=None):
                 results.append(job.run())
         return results
 
-    metrics = get_metrics()
-    tree = get_spans()
+    bundle = active()
     ctx = tracectx.current()
     trace = ctx.propagation() if ctx is not None else None
     payloads = []
@@ -164,9 +158,8 @@ def execute(jobs_list, jobs=None):
                 future.cancel()
             raise
     results = []
-    for result, metrics_snapshot, spans_snapshot in payloads:
-        metrics.merge_snapshot(metrics_snapshot)
-        tree.merge_snapshot(spans_snapshot)
+    for result, snapshot in payloads:
+        bundle.merge(snapshot)
         results.append(result)
     return results
 

@@ -12,6 +12,8 @@ one attribute check per guarded site) and a process-wide
 cheap), plus a process-wide :class:`~repro.obs.spans.SpanTree`.
 Explicit ``tracer=``/``metrics=`` constructor arguments win over the
 context; :func:`~repro.obs.spans.span` always records into it.
+Worker jobs, campaign cells and ``profile`` runs count apart through
+:func:`run_fresh`; :meth:`Telemetry.merge` folds their snapshots back.
 """
 
 from contextlib import contextmanager
@@ -30,6 +32,16 @@ class Telemetry:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans = spans if spans is not None else SpanTree()
+
+    def snapshot(self):
+        """JSON-ready ``{"metrics": ..., "spans": ...}`` of the bundle."""
+        return {"metrics": self.metrics.as_dict(),
+                "spans": self.spans.as_dict()}
+
+    def merge(self, snapshot):
+        """Fold a :meth:`snapshot` (a worker's, say) into this bundle."""
+        self.metrics.merge_snapshot(snapshot["metrics"])
+        self.spans.merge_snapshot(snapshot["spans"])
 
 
 _ACTIVE = Telemetry()
@@ -70,3 +82,15 @@ def telemetry(tracer=None, metrics=None, spans=None):
         yield _ACTIVE
     finally:
         _ACTIVE = previous
+
+
+def run_fresh(fn, *args):
+    """``(fn(*args), snapshot)`` under a fresh registry and span tree.
+
+    The active tracer stays.  The snapshot is the fresh bundle's
+    :meth:`Telemetry.snapshot`: nothing the call counted reaches the
+    surrounding bundle unless the caller merges it.
+    """
+    with telemetry(metrics=MetricsRegistry(), spans=SpanTree()) as bundle:
+        result = fn(*args)
+    return result, bundle.snapshot()

@@ -36,7 +36,7 @@ import sys
 from repro.errors import WorkloadError
 from repro.obs.explain import load_schema, validate_explain
 from repro.obs.jsonl import JsonlSink
-from repro.obs.spans import SpanTree, format_tree
+from repro.obs.spans import format_tree
 from repro.uarch.profiler import COMPONENTS, EVENT_MEANING
 
 
@@ -47,35 +47,38 @@ from repro.uarch.profiler import COMPONENTS, EVENT_MEANING
 
 def build_profile(workload, selection_config, input_set="reduced",
                   scale=1.0, processor_config=None):
-    """Run profile → select → simulate under a fresh telemetry context.
+    """Run profile → select → simulate under fresh telemetry.
 
-    The run happens in its own metrics registry and span tree so the
-    returned snapshot is self-contained (an ambient telemetry context,
-    e.g. a figure driver's, is not disturbed and does not leak in).
+    The run happens in its own metrics registry and span tree
+    (:func:`~repro.obs.context.run_fresh`), so the returned spans are
+    self-contained (an ambient telemetry context, e.g. a figure
+    driver's, is not disturbed and does not leak in).
     :envvar:`REPRO_SIM_ENGINE` selects the simulation engine; the
     record carries the engine that actually ran under its ``"engine"``
     key.
     """
     from repro.experiments.runner import get_artifacts, run_selection
-    from repro.obs.context import telemetry
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.context import run_fresh
     from repro.uarch.engine import resolve_engine
     from repro.uarch.profiler import SimProfiler
 
-    registry = MetricsRegistry()
-    tree = SpanTree()
     profiler = SimProfiler()
-    with telemetry(metrics=registry, spans=tree):
+
+    def run():
         stats, annotation = run_selection(
             workload, selection_config,
             input_set=input_set, scale=scale,
             config=processor_config, profiler=profiler,
         )
-        resolved_engine = resolve_engine(
+        engine = resolve_engine(
             get_artifacts(workload, input_set, scale).program,
             processor_config,
         )
-    simulate_self = tree.self_seconds(("simulate",))
+        return stats, annotation, engine
+
+    (stats, annotation, resolved_engine), snapshot = run_fresh(run)
+    spans = snapshot["spans"]
+    simulate_self = spans.get("simulate", {}).get("self_seconds", 0.0)
     attributed = profiler.total_seconds()
     return {
         "workload": workload,
@@ -89,7 +92,7 @@ def build_profile(workload, selection_config, input_set="reduced",
             "retired_instructions": stats.retired_instructions,
             "ipc": stats.ipc,
         },
-        "spans": tree.as_dict(),
+        "spans": spans,
         "simulate": {
             "self_seconds": simulate_self,
             "attributed_seconds": attributed,

@@ -1,26 +1,22 @@
 """Hierarchical timed spans: where does the wall-clock go, by region?
 
 A *span* is a nestable timed region and the one timing primitive of
-the reproduction.  Spans form a tree: entering ``span("simulate")``
-inside ``span("cell")`` records under the path ``("cell",
-"simulate")``.  Each path accumulates
+the reproduction: ``span("simulate")`` inside ``span("cell")`` records
+under the path ``cell/simulate``.  Closing a span builds one
+``span.end`` record (:class:`~repro.obs.events.SpanEnd`), and every
+view folds that record: :meth:`SpanTree.add` accumulates ``seconds``,
+``self_seconds`` (minus the children), ``events`` and ``calls`` per
+path; the registry mirrors ``span_<dotted.path>_{seconds,calls}_total``
+counters; the ``--trace`` log and an active trace context's spool
+write it as is, and ``trace-report`` folds a log back through
+:meth:`SpanTree.add`.  Snapshots (:meth:`SpanTree.as_dict`) merge
+across ``--jobs N`` workers in plan order, and :meth:`SpanTree.by_name`
+is the run manifest's ``phases`` table.
 
-- ``seconds`` — cumulative wall-clock (the span and everything below);
-- ``self_seconds`` — cumulative minus the children's cumulative, i.e.
-  the time spent *in this region itself*;
-- ``events`` — an optional throughput count (instructions, rows, ...);
-- ``calls`` — how many times the path was entered.
-
-The stack of open spans is per thread, so serve request threads share
-one tree without nesting into each other.  Closing a span mirrors
-``span_<dotted.path>_{seconds,calls}_total`` counters into the metrics
-registry and, when tracing or a trace spool is on, writes one
-``span.end`` record (:class:`~repro.obs.events.SpanEnd`) that both
-``trace-report`` and ``trace show`` read through :func:`read_span`.
-Snapshots (:meth:`SpanTree.as_dict`) merge across ``--jobs N``
-workers in plan order exactly like metrics snapshots do, and
-:meth:`SpanTree.by_name` folds them into the flat per-name table the
-run manifest calls ``phases``.
+Each thread keeps one stack of open spans (:func:`open_spans`).  A
+span's path extends the innermost open span of the same tree, and its
+``parent_id`` is the innermost open span of the same trace context, so
+serve request threads share one tree without nesting into each other.
 
 Usage::
 
@@ -35,6 +31,7 @@ import threading
 import time
 from contextlib import contextmanager
 
+from repro.obs import tracectx
 from repro.obs.events import SpanEnd
 
 #: Separator used in snapshot keys ("simulate/fetch") and SpanEnd paths.
@@ -43,95 +40,77 @@ PATH_SEP = "/"
 _SPAN_KEYS = ("name", "seconds")
 _TRACED_KEYS = _SPAN_KEYS + ("trace_id", "span_id", "start_ts")
 
+_LOCAL = threading.local()
+
 
 class SpanHandle:
-    """Mutable box the ``with span(...)`` body fills in."""
+    """One open span; the body of ``with span(...)`` may set ``events``.
 
-    __slots__ = ("name", "events", "child_seconds")
+    ``tree`` and ``path`` place the span in its :class:`SpanTree`;
+    ``ctx`` is its trace context, and ``span_id``, ``parent_id`` and
+    ``start_ts`` its identity there (``None`` without a context).
+    """
 
-    def __init__(self, name, events=0):
-        self.name = name
+    __slots__ = ("path", "events", "child_seconds", "tree", "ctx",
+                 "span_id", "parent_id", "start_ts")
+
+    def __init__(self, path, events, tree, ctx):
+        self.path = path
         self.events = events
         self.child_seconds = 0.0
+        self.tree = tree
+        self.ctx = ctx
+        self.span_id = self.parent_id = self.start_ts = None
+
+
+def open_spans():
+    """This thread's stack of open :class:`SpanHandle` objects."""
+    try:
+        return _LOCAL.stack
+    except AttributeError:
+        stack = _LOCAL.stack = []
+        return stack
 
 
 class SpanTree:
-    """Accumulated wall-clock per span path (tuple of names from root).
+    """Accumulated wall-clock per ``"/"``-joined span path.
 
-    Safe to share between threads: each thread nests on its own stack
-    and :meth:`record` folds under a lock.
+    Safe to share between threads: :meth:`add` folds under a lock.
     """
 
-    __slots__ = ("_entries", "_local", "_lock")
+    __slots__ = ("_entries", "_lock")
 
     def __init__(self):
         self._entries = {}
-        self._local = threading.local()
         self._lock = threading.Lock()
 
-    def stack(self):
-        """This thread's stack of open :class:`SpanHandle` objects."""
-        try:
-            return self._local.stack
-        except AttributeError:
-            stack = self._local.stack = []
-            return stack
+    def add(self, record):
+        """Fold one ``span.end`` record into its ``path``.
 
-    def record(self, path, seconds, self_seconds=None, events=0, calls=1):
-        """Fold one completed span (or a merged aggregate) into ``path``.
-
-        ``self_seconds`` defaults to ``seconds``, which is right for a
-        span without children.
+        A record counts as one call unless it carries ``calls`` (a
+        snapshot entry, see :meth:`merge_snapshot`); ``self_seconds``
+        defaults to ``seconds`` and ``events`` to 0.
         """
-        path = tuple(path)
+        seconds = record["seconds"]
         with self._lock:
-            entry = self._entries.get(path)
+            entry = self._entries.get(record["path"])
             if entry is None:
-                entry = self._entries[path] = {
+                entry = self._entries[record["path"]] = {
                     "seconds": 0.0, "self_seconds": 0.0,
                     "events": 0, "calls": 0,
                 }
             entry["seconds"] += seconds
-            entry["self_seconds"] += (
-                seconds if self_seconds is None else self_seconds
-            )
-            entry["events"] += events
-            entry["calls"] += calls
-        return entry
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, path):
-        return tuple(path) in self._entries
-
-    def get(self, path):
-        """The mutable entry dict for ``path``, or None."""
-        return self._entries.get(tuple(path))
-
-    def seconds(self, path):
-        entry = self._entries.get(tuple(path))
-        return entry["seconds"] if entry else 0.0
-
-    def self_seconds(self, path):
-        entry = self._entries.get(tuple(path))
-        return entry["self_seconds"] if entry else 0.0
-
-    def paths(self):
-        """All recorded paths, sorted (parents before children)."""
-        return sorted(self._entries)
-
-    def current_path(self, name=None):
-        """This thread's open span path, optionally extended by ``name``."""
-        path = tuple(handle.name for handle in self.stack())
-        return path + (name,) if name is not None else path
+            entry["self_seconds"] += record.get("self_seconds", seconds)
+            entry["events"] += record.get("events", 0)
+            entry["calls"] += record.get("calls", 1)
 
     def as_dict(self):
-        """JSON-ready snapshot keyed by ``"/"``-joined path."""
+        """JSON-ready snapshot keyed by path, parents before children."""
         with self._lock:
             return {
-                PATH_SEP.join(path): dict(self._entries[path])
-                for path in sorted(self._entries)
+                path: dict(self._entries[path])
+                for path in sorted(
+                    self._entries, key=lambda path: path.split(PATH_SEP))
             }
 
     def merge_snapshot(self, snapshot):
@@ -142,14 +121,8 @@ class SpanTree:
         order, so parallel runs aggregate deterministically (sums per
         path; ``seconds`` are total CPU-seconds across workers).
         """
-        for key, entry in snapshot.items():
-            self.record(
-                tuple(key.split(PATH_SEP)),
-                entry.get("seconds", 0.0),
-                entry.get("self_seconds", entry.get("seconds", 0.0)),
-                entry.get("events", 0),
-                entry.get("calls", 0),
-            )
+        for path, entry in snapshot.items():
+            self.add({**entry, "path": path})
         return self
 
     def by_name(self):
@@ -226,30 +199,29 @@ def span(name, events=0, attrs=None):
     """Time one nested region; see the module docstring for the contract.
 
     The span lands in the active telemetry context
-    (:mod:`repro.obs.context`): its span tree, metrics registry and
-    tracer.  The stack unwinds correctly when the body raises: the
-    handle is popped and the elapsed time recorded either way.
-
-    Closing the span builds one ``span.end`` record (see
-    :class:`~repro.obs.events.SpanEnd`) when the tracer is on or a
-    :class:`~repro.obs.tracectx.TraceContext` with a spool is active,
-    and hands that same dict to both.  Under a context the record also
-    carries the span's trace identity; ``attrs`` ride along there only
-    (never into metric names, which must stay low-cardinality).
+    (:mod:`repro.obs.context`).  A raising body still pops the handle
+    and builds the record.  Under an active trace context the record
+    carries the span's trace identity, and ``attrs`` ride along there
+    only (never into metric names, which must stay low-cardinality).
     """
-    from repro.obs import context, tracectx
+    from repro.obs import context
 
     bundle = context.active()
-    tree, metrics, tracer = bundle.spans, bundle.metrics, bundle.tracer
-
-    handle = SpanHandle(name, events)
-    stack = tree.stack()
-    path = tuple(h.name for h in stack) + (name,)
-    stack.append(handle)
+    tree = bundle.spans
+    stack = open_spans()
+    parent = None
+    for handle in reversed(stack):
+        if handle.tree is tree:
+            parent = handle
+            break
+    path = name if parent is None else parent.path + PATH_SEP + name
     ctx = tracectx.current()
+    handle = SpanHandle(path, events, tree, ctx)
     if ctx is not None:
-        span_id, parent_id = ctx.enter_span()
-        start_ts = time.time()
+        handle.parent_id = ctx.current_span_id()
+        handle.span_id = tracectx.new_span_id()
+        handle.start_ts = time.time()
+    stack.append(handle)
     start = time.perf_counter()
     try:
         yield handle
@@ -259,34 +231,30 @@ def span(name, events=0, attrs=None):
         self_seconds = elapsed - handle.child_seconds
         if self_seconds < 0.0:
             self_seconds = 0.0
-        if stack:
-            stack[-1].child_seconds += elapsed
-        tree.record(path, elapsed, self_seconds, handle.events)
-        dotted = ".".join(path)
-        metrics.counter(f"span_{dotted}_seconds_total").inc(elapsed)
-        metrics.counter(f"span_{dotted}_calls_total").inc()
-        spool = ctx.spool if ctx is not None else None
-        if tracer.enabled or spool is not None:
-            record = {
-                "type": SpanEnd.type, "name": name,
-                "path": PATH_SEP.join(path), "depth": len(path),
-                "seconds": elapsed, "self_seconds": self_seconds,
-                "events": handle.events,
-            }
-            if ctx is not None:
-                record.update(
-                    trace_id=ctx.trace_id, span_id=span_id,
-                    parent_id=parent_id, start_ts=start_ts,
-                    service=ctx.service, pid=os.getpid(),
-                )
-                if ctx.attrs or attrs:
-                    record["attrs"] = {**ctx.attrs, **(attrs or {})}
-            if spool is not None:
-                spool.write(record)
-            if tracer.enabled:
-                tracer.emit_record(record)
+        if parent is not None:
+            parent.child_seconds += elapsed
+        record = {
+            "type": SpanEnd.type, "name": name, "path": path,
+            "depth": path.count(PATH_SEP) + 1,
+            "seconds": elapsed, "self_seconds": self_seconds,
+            "events": handle.events,
+        }
         if ctx is not None:
-            ctx.exit_span(span_id)
+            record.update(
+                trace_id=ctx.trace_id, span_id=handle.span_id,
+                parent_id=handle.parent_id, start_ts=handle.start_ts,
+                service=ctx.service, pid=os.getpid(),
+            )
+            if ctx.attrs or attrs:
+                record["attrs"] = {**ctx.attrs, **(attrs or {})}
+        tree.add(record)
+        dotted = path.replace(PATH_SEP, ".")
+        bundle.metrics.counter(f"span_{dotted}_seconds_total").inc(elapsed)
+        bundle.metrics.counter(f"span_{dotted}_calls_total").inc()
+        if ctx is not None and ctx.spool is not None:
+            ctx.spool.write(record)
+        if bundle.tracer.enabled:
+            bundle.tracer.emit_record(record)
 
 
 def read_span(record, traced=False):

@@ -11,7 +11,7 @@ dropped, which would make any trace-driven diagnosis untrustworthy.
 from collections import Counter as TallyCounter
 
 from repro.obs.jsonl import iter_records
-from repro.obs.spans import read_span
+from repro.obs.spans import SpanTree, read_span
 
 
 def summarize_trace(path, trace_id=None):
@@ -37,7 +37,8 @@ def summarize_trace(path, trace_id=None):
     }
     runs = []
     run_starts = TallyCounter()
-    spans = {}
+    spans = SpanTree()
+    span_ids = {}
     total = 0
     corrupt = []
 
@@ -110,16 +111,10 @@ def summarize_trace(path, trace_id=None):
             finished = read_span(record)
             if finished is None:
                 continue
-            entry = spans.setdefault(finished["path"], {
-                "seconds": 0.0, "self_seconds": 0.0,
-                "events": 0, "calls": 0, "span_ids": [],
-            })
-            entry["seconds"] += finished["seconds"]
-            entry["self_seconds"] += finished["self_seconds"]
-            entry["events"] += finished["events"]
-            entry["calls"] += 1
+            spans.add(finished)
+            ids = span_ids.setdefault(finished["path"], [])
             if finished["span_id"]:
-                entry["span_ids"].append(finished["span_id"])
+                ids.append(finished["span_id"])
 
     # A run that started but never wrote its end dropped the events
     # its totals would reconcile.
@@ -161,7 +156,10 @@ def summarize_trace(path, trace_id=None):
         "flush_sources": flush_sources,
         "selection": selection,
         "runs": runs,
-        "spans": spans,
+        "spans": {
+            path: {**entry, "span_ids": span_ids[path]}
+            for path, entry in spans.as_dict().items()
+        },
         "reconciliation": reconciliation,
     }
 

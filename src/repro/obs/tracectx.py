@@ -8,9 +8,10 @@ W3C-traceparent-style string::
     00-<32 hex trace_id>-<16 hex span_id>-01
 
 carried on the ``X-Repro-Trace-Id`` HTTP header between serve clients
-and the daemon, and injected into child processes either as explicit
-arguments (campaign backends, the exec process pool) or via the
-``REPRO_TRACEPARENT`` / ``REPRO_TRACE_DIR`` environment variables.
+and the daemon, passed to forked workers as explicit arguments
+(campaign backends, the exec process pool), and read from the
+``REPRO_TRACEPARENT`` / ``REPRO_TRACE_DIR`` environment variables an
+orchestrator sets for several campaign shards.
 
 Each participating process appends its finished spans to a
 *per-process spool* — ``spans-<pid>.jsonl`` inside the shared trace
@@ -29,6 +30,7 @@ attribute check — mirroring the ``NULL_TRACER`` hot-loop contract.
 """
 
 import os
+import re
 import threading
 from contextlib import contextmanager
 
@@ -49,6 +51,8 @@ SPOOL_SUFFIX = ".jsonl"
 
 _TRACEPARENT_VERSION = "00"
 _TRACEPARENT_FLAGS = "01"
+_TRACE_ID = re.compile("[0-9a-fA-F]{32}")
+_SPAN_ID = re.compile("[0-9a-fA-F]{16}")
 
 _LOCAL = threading.local()
 
@@ -73,22 +77,20 @@ def format_traceparent(trace_id, span_id):
 def parse_traceparent(text):
     """``(trace_id, span_id)`` from a traceparent string.
 
-    Raises :class:`ValueError` on anything malformed — wrong field
-    count, wrong widths, or non-hex digits.  The version and flags
-    fields are accepted but otherwise ignored (forward compatibility,
-    like the W3C spec requires of receivers).
+    Raises :class:`ValueError` on anything malformed: wrong field
+    count, a trace id that is not exactly 32 hex digits or is all
+    zeros (invalid in W3C Trace Context), or a span id that is not
+    exactly 16 hex digits.  The version and flags fields are accepted
+    but otherwise ignored (forward compatibility, like the W3C spec
+    requires of receivers).
     """
     parts = str(text).strip().split("-")
     if len(parts) != 4:
         raise ValueError(f"malformed traceparent {text!r}")
     _version, trace_id, span_id, _flags = parts
-    if len(trace_id) != 32 or len(span_id) != 16:
+    if not (_TRACE_ID.fullmatch(trace_id) and _SPAN_ID.fullmatch(span_id)
+            and trace_id.strip("0")):
         raise ValueError(f"malformed traceparent {text!r}")
-    try:
-        int(trace_id, 16)
-        int(span_id, 16)
-    except ValueError:
-        raise ValueError(f"malformed traceparent {text!r}") from None
     # An all-zero parent span id means "join the trace at the root":
     # the sender had a trace identity but no active span (e.g. an
     # orchestrator that exported REPRO_TRACEPARENT before any work).
@@ -119,19 +121,20 @@ class SpanSpool(JsonlSink):
 
 
 class TraceContext:
-    """One process's view of a distributed trace.
+    """One process's view of a distributed trace: its identity only.
 
     Holds the shared ``trace_id``, the *remote parent* span id (the
     caller's active span at the propagation point, or ``None`` at the
-    trace root), a process-local stack of open span ids maintained by
-    :func:`~repro.obs.spans.span`, and the spool finished spans are
-    appended to.  ``service`` labels which process/role produced each
-    span in the merged timeline (``serve``, ``campaign``,
-    ``campaign-worker``, ``exec-worker``, ...).
+    trace root), the spool finished spans are appended to, and
+    ``attrs`` stamped onto every span.  ``service`` labels which
+    process/role produced each span in the merged timeline (``serve``,
+    ``campaign``, ``campaign-worker``, ``exec-worker``, ...).  Its
+    open spans are on the thread's span stack
+    (:func:`repro.obs.spans.open_spans`).
     """
 
     __slots__ = ("trace_id", "parent_span_id", "service", "spool",
-                 "attrs", "_stack")
+                 "attrs")
 
     def __init__(self, trace_id, parent_span_id=None, service="repro",
                  spool=None, attrs=None):
@@ -140,7 +143,6 @@ class TraceContext:
         self.service = service
         self.spool = spool
         self.attrs = dict(attrs) if attrs else {}
-        self._stack = []
 
     # -- construction ------------------------------------------------
 
@@ -187,9 +189,13 @@ class TraceContext:
     # -- propagation -------------------------------------------------
 
     def current_span_id(self):
-        """The innermost open span id, or the remote parent, or None."""
-        if self._stack:
-            return self._stack[-1]
+        """This context's innermost open span id in this thread, else
+        the remote parent (``None`` at a trace root)."""
+        from repro.obs.spans import open_spans
+
+        for handle in reversed(open_spans()):
+            if handle.ctx is self:
+                return handle.span_id
         return self.parent_span_id
 
     def traceparent(self):
@@ -211,28 +217,6 @@ class TraceContext:
         if attrs:
             payload["attrs"] = dict(attrs)
         return payload
-
-    def to_env(self, environ=None):
-        """Set the propagation environment variables (for subprocesses)."""
-        environ = os.environ if environ is None else environ
-        environ[TRACEPARENT_ENV] = self.traceparent()
-        if self.spool is not None:
-            environ[TRACE_DIR_ENV] = self.spool.directory
-        return environ
-
-    # -- span lifecycle (driven by repro.obs.spans.span) -------------
-
-    def enter_span(self):
-        """Open a span: returns ``(span_id, parent_id)`` and pushes it."""
-        parent = self.current_span_id()
-        span_id = new_span_id()
-        self._stack.append(span_id)
-        return span_id, parent
-
-    def exit_span(self, span_id):
-        """Close the innermost span: pop it off the stack."""
-        if self._stack and self._stack[-1] == span_id:
-            self._stack.pop()
 
 
 # -- the active (thread-local) context --------------------------------

@@ -38,7 +38,7 @@ def _count_one(tag):
 
     get_metrics().counter("probe_cells_total").inc()
     get_metrics().gauge("probe_last_tag").set(tag)
-    get_spans().record(("probe",), 0.25, events=10)
+    get_spans().add({"path": "probe", "seconds": 0.25, "events": 10})
     return tag
 
 
@@ -95,7 +95,7 @@ class TestTelemetryMerging:
         with telemetry(metrics=registry, spans=tree):
             execute([Job(_count_one, i) for i in range(5)], jobs=3)
         assert registry.counter("probe_cells_total").value == 5
-        assert tree.seconds(("probe",)) == pytest.approx(5 * 0.25)
+        assert tree.as_dict()["probe"]["seconds"] == pytest.approx(5 * 0.25)
         snapshot = tree.by_name()["probe"]
         assert snapshot["calls"] == 5
         assert snapshot["events"] == 50
@@ -120,7 +120,7 @@ class TestTelemetryMerging:
                     jobs=2,
                 )
         assert registry.get("probe_cells_total") is None
-        assert ("probe",) not in tree
+        assert "probe" not in tree.as_dict()
 
     def test_parallel_metrics_match_serial(self):
         from repro.exec import artifact_cache

@@ -266,8 +266,7 @@ class TestPhaseTimers:
         with telemetry(tracer=tracer, metrics=registry, spans=tree):
             with span("simulate") as handle:
                 handle.events = 500
-        assert ("simulate",) in tree
-        assert tree.seconds(("simulate",)) > 0
+        assert tree.as_dict()["simulate"]["seconds"] > 0
         snapshot = tree.by_name()["simulate"]
         assert snapshot["events"] == 500
         assert snapshot["calls"] == 1
@@ -289,8 +288,8 @@ class TestPhaseTimers:
 
     def test_report_mentions_phases(self):
         tree = SpanTree()
-        tree.record(("cell", "trace"), 0.5, events=1000)
-        tree.record(("trace",), 0.5, events=1000)
+        tree.add({"path": "cell/trace", "seconds": 0.5, "events": 1000})
+        tree.add({"path": "trace", "seconds": 0.5, "events": 1000})
         text = format_by_name(tree.by_name())
         assert "trace" in text
         assert "x2" in text
@@ -322,7 +321,7 @@ class TestTelemetryContext:
 class TestManifest:
     def test_build_and_round_trip(self, tmp_path):
         tree = SpanTree()
-        tree.record(("cell", "simulate"), 1.0, events=100)
+        tree.add({"path": "cell/simulate", "seconds": 1.0, "events": 100})
         registry = MetricsRegistry()
         registry.counter("runs").inc()
         manifest = build_manifest(

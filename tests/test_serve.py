@@ -786,6 +786,47 @@ class TestServeTracing:
             srv.server_close()
             thread.join(timeout=5)
 
+    def test_non_hex_or_zero_trace_header_gets_a_fresh_trace(
+            self, tmp_path):
+        """A sign, a space or an all-zero trace id is no traceparent."""
+        import re
+
+        from repro.obs.tracectx import TRACE_HEADER, parse_traceparent
+
+        sent = [
+            "00-+" + "a" * 31 + "-" + "1" * 16 + "-01",
+            "00-" + "a" * 32 + "- " + "1" * 15 + "-01",
+            "00-" + "0" * 32 + "-" + "1" * 16 + "-01",
+        ]
+        application = ServeApp(trace_dir=str(tmp_path / "trace"))
+        srv = build_server(("127.0.0.1", 0), application)
+        thread = threading.Thread(target=srv.serve_forever,
+                                  daemon=True)
+        thread.start()
+        try:
+            host, port = srv.server_address[:2]
+            for traceparent in sent:
+                request = urllib.request.Request(
+                    f"http://{host}:{port}/v1/compile",
+                    data=json.dumps({"benchmark": BENCH,
+                                     "scale": SCALE}).encode("utf-8"),
+                    headers={"Content-Type": "application/json",
+                             TRACE_HEADER: traceparent},
+                    method="POST",
+                )
+                with telemetry(metrics=application.registry):
+                    with urllib.request.urlopen(request) as response:
+                        assert response.status == 200
+                        header = response.headers.get(TRACE_HEADER)
+                trace_id, _span_id = parse_traceparent(header)
+                assert re.fullmatch("[0-9a-f]{32}", trace_id)
+                assert trace_id.strip("0")
+                assert trace_id not in traceparent
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)
+
 
 class TestAccessLog:
     """Satellite: one structured line per request."""

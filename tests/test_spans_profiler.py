@@ -21,7 +21,7 @@ from repro.experiments import fig6, runner
 from repro.obs import MetricsRegistry, SpanTree, span
 from repro.obs.context import telemetry
 from repro.obs.explain import load_schema, validate_explain
-from repro.obs.spans import PATH_SEP
+from repro.obs.spans import PATH_SEP, open_spans
 from repro.uarch import (
     SimProfiler,
     TimingSimulator,
@@ -40,10 +40,10 @@ class TestSpanTree:
                 time.sleep(0.01)
                 with span("inner"):
                     time.sleep(0.01)
-        assert ("outer",) in tree
-        assert ("outer", "inner") in tree
-        outer = tree.get(("outer",))
-        inner = tree.get(("outer", "inner"))
+        snapshot = tree.as_dict()
+        assert list(snapshot) == ["outer", "outer/inner"]
+        outer = snapshot["outer"]
+        inner = snapshot["outer/inner"]
         # Cumulative covers the child; self-time excludes it exactly.
         assert outer["seconds"] >= inner["seconds"]
         assert outer["self_seconds"] == pytest.approx(
@@ -64,26 +64,30 @@ class TestSpanTree:
                     with span("inner"):
                         raise RuntimeError("boom")
             # Both spans recorded despite the raise; stack is empty.
-            assert tree.current_path() == ()
-            assert tree.get(("outer",))["calls"] == 1
-            assert tree.get(("outer", "inner"))["calls"] == 1
+            assert open_spans() == []
+            assert tree.as_dict()["outer"]["calls"] == 1
+            assert tree.as_dict()["outer/inner"]["calls"] == 1
             # A subsequent span is a root again, not a child of outer.
             with span("after"):
                 pass
-            assert ("after",) in tree
+            assert "after" in tree.as_dict()
 
     def test_snapshot_merge_is_per_path_addition(self):
         a, b = SpanTree(), SpanTree()
-        a.record(("x",), 1.0, 0.5, events=2)
-        a.record(("x", "y"), 0.5, 0.5, events=1)
-        b.record(("x",), 2.0, 1.0, events=3)
-        b.record(("z",), 1.0)
+        a.add({"path": "x", "seconds": 1.0, "self_seconds": 0.5,
+               "events": 2})
+        a.add({"path": "x/y", "seconds": 0.5, "self_seconds": 0.5,
+               "events": 1})
+        b.add({"path": "x", "seconds": 2.0, "self_seconds": 1.0,
+               "events": 3})
+        b.add({"path": "z", "seconds": 1.0})
         a.merge_snapshot(b.as_dict())
-        assert a.seconds(("x",)) == pytest.approx(3.0)
-        assert a.self_seconds(("x",)) == pytest.approx(1.5)
-        assert a.get(("x",))["events"] == 5
-        assert a.seconds(("z",)) == pytest.approx(1.0)
-        assert a.seconds(("x", "y")) == pytest.approx(0.5)
+        merged = a.as_dict()
+        assert merged["x"]["seconds"] == pytest.approx(3.0)
+        assert merged["x"]["self_seconds"] == pytest.approx(1.5)
+        assert merged["x"]["events"] == 5
+        assert merged["z"]["seconds"] == pytest.approx(1.0)
+        assert merged["x/y"]["seconds"] == pytest.approx(0.5)
 
     def test_by_name_view_folds_paths_by_last_component(self):
         tree = SpanTree()
@@ -93,8 +97,9 @@ class TestSpanTree:
                     sp.events = 100
             with span("simulate"):
                 pass
-        assert tree.get(("cell", "simulate"))["calls"] == 1
-        assert tree.get(("simulate",))["calls"] == 1
+        paths = tree.as_dict()
+        assert paths["cell/simulate"]["calls"] == 1
+        assert paths["simulate"]["calls"] == 1
         table = tree.by_name()
         assert list(table) == ["cell", "simulate"]
         snapshot = table["simulate"]
@@ -105,7 +110,7 @@ class TestSpanTree:
         assert snapshot["calls"] == 2
         assert snapshot["events"] == 100
         assert snapshot["seconds"] == pytest.approx(
-            tree.seconds(("cell", "simulate")) + tree.seconds(("simulate",))
+            paths["cell/simulate"]["seconds"] + paths["simulate"]["seconds"]
         )
 
     def test_threads_nest_on_their_own_stacks(self):
@@ -129,11 +134,10 @@ class TestSpanTree:
             for thread in threads:
                 thread.join(timeout=10)
                 assert not thread.is_alive()
-        assert tree.paths() == [
-            ("outer_a",), ("outer_a", "inner"),
-            ("outer_b",), ("outer_b", "inner"),
+        assert list(tree.as_dict()) == [
+            "outer_a", "outer_a/inner", "outer_b", "outer_b/inner",
         ]
-        assert tree.current_path() == ()
+        assert open_spans() == []
 
     def test_span_end_event_in_trace(self, tmp_path):
         from repro.obs import jsonl_tracer

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -29,8 +30,11 @@ from repro.obs import (
 from repro.obs import traceview
 from repro.obs.explain import load_schema, validate_explain
 from repro.obs.jsonl import JsonlSink, iter_records
+from repro.obs.spans import open_spans
 from repro.obs.trace_report import summarize_trace
 from repro.obs.tracectx import (
+    TRACE_DIR_ENV,
+    TRACEPARENT_ENV,
     SpanSpool,
     TraceContext,
     activate,
@@ -71,6 +75,9 @@ class TestTraceparent:
         "00-" + "a" * 31 + "-" + "1" * 16 + "-01",
         "00-" + "a" * 32 + "-" + "1" * 15 + "-01",
         "00-" + "a" * 32 + "-" + "1" * 16,
+        "00-+" + "a" * 31 + "-" + "1" * 16 + "-01",
+        "00-" + "a" * 32 + "- " + "1" * 15 + "-01",
+        "00-" + "0" * 32 + "-" + "1" * 16 + "-01",
     ])
     def test_malformed_raises(self, bad):
         with pytest.raises(ValueError):
@@ -78,7 +85,8 @@ class TestTraceparent:
 
     def test_from_env_round_trip(self, tmp_path):
         ctx = TraceContext.root(service="a", trace_dir=str(tmp_path))
-        env = ctx.to_env({})
+        env = {TRACEPARENT_ENV: ctx.traceparent(),
+               TRACE_DIR_ENV: ctx.spool.directory}
         rebuilt = TraceContext.from_env(env, service="b")
         assert rebuilt.trace_id == ctx.trace_id
         assert rebuilt.service == "b"
@@ -147,6 +155,103 @@ class TestActiveContext:
             with span("untraced"):
                 pass
         assert traceview.spool_paths(str(tmp_path)) == []
+
+
+# -- one stack of open spans -------------------------------------------
+
+
+class TestOneSpanStack:
+    def test_threads_and_a_raise_keep_every_parent(self, tmp_path):
+        """Two threads, each with its own context, nest on one tree.
+
+        Every spooled span's parent is its enclosing span in the same
+        thread, else the context's remote parent; a span whose body
+        raised is still written, and the next span after it parents
+        to the raising span's parent, not to the raising span.
+        """
+        spool = SpanSpool(str(tmp_path))
+        remote = {name: new_span_id() for name in ("a", "b")}
+        ctxs = {name: TraceContext(new_trace_id(), remote[name],
+                                   service=name, spool=spool)
+                for name in remote}
+        tree = SpanTree()
+        barrier = threading.Barrier(2, timeout=10)
+        errors = []
+
+        def work(name):
+            ctx = ctxs[name]
+            try:
+                with activate(ctx), span("outer"):
+                    barrier.wait()
+                    with span("mid") as mid:
+                        try:
+                            with span("boom"):
+                                with span("leaf"):
+                                    barrier.wait()
+                                raise RuntimeError(name)
+                        except RuntimeError:
+                            pass
+                        barrier.wait()
+                        assert ctx.current_span_id() == mid.span_id
+                        with span("after") as after:
+                            assert ctx.current_span_id() \
+                                == after.span_id
+                        barrier.wait()
+                    assert open_spans()[-1].path == "outer"
+                assert ctx.current_span_id() == remote[name]
+                assert open_spans() == []
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        with telemetry(metrics=MetricsRegistry(), spans=tree):
+            threads = [threading.Thread(target=work, args=(name,))
+                       for name in ctxs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        assert errors == []
+        spool.close()
+
+        expected_parent = {"outer": None, "mid": "outer", "boom": "mid",
+                           "leaf": "boom", "after": "mid"}
+        records, _files, corrupt = traceview.read_spools(str(tmp_path))
+        assert corrupt == 0
+        for name, ctx in ctxs.items():
+            mine = {r["name"]: r for r in records
+                    if r["trace_id"] == ctx.trace_id}
+            assert sorted(mine) == sorted(expected_parent)
+            for span_name, parent_name in expected_parent.items():
+                record = mine[span_name]
+                assert record["service"] == name
+                assert record["parent_id"] == (
+                    remote[name] if parent_name is None
+                    else mine[parent_name]["span_id"])
+            assert mine["after"]["path"] == "outer/mid/after"
+        assert tree.as_dict()["outer/mid/boom"]["calls"] == 2
+        assert tree.as_dict()["outer/mid/after"]["calls"] == 2
+
+    def test_a_nested_context_parents_to_its_own_remote_parent(
+            self, tmp_path):
+        """An open span of another context is nobody's parent here."""
+        spool = SpanSpool(str(tmp_path))
+        outer = TraceContext(new_trace_id(), None, spool=spool)
+        inner = TraceContext(new_trace_id(), new_span_id(), spool=spool)
+        with telemetry(metrics=MetricsRegistry(), spans=SpanTree()):
+            with activate(outer), span("a"):
+                with activate(inner), span("b"):
+                    pass
+                with span("c"):
+                    pass
+        spool.close()
+        records = {r["name"]: r
+                   for r in traceview.read_spools(str(tmp_path))[0]}
+        assert records["a"]["parent_id"] is None
+        assert records["b"]["parent_id"] == inner.parent_span_id
+        assert records["c"]["parent_id"] == records["a"]["span_id"]
+        # The path still nests: both contexts share the one tree.
+        assert records["b"]["path"] == "a/b"
 
 
 # -- the per-process spool ---------------------------------------------
@@ -315,12 +420,15 @@ class TestExecPropagation:
                                 trace_dir=str(tmp_path))
         jobs = [Job(_traced_cell, n, label=f"job{n}")
                 for n in range(2)]
-        with telemetry(metrics=MetricsRegistry(),
-                       spans=SpanTree()):
+        tree = SpanTree()
+        with telemetry(metrics=MetricsRegistry(), spans=tree):
             with activate(ctx):
                 with span("driver.run"):
                     results = execute(jobs, jobs=2)
         assert results == [0, 2]
+        # A forked worker inherits the open driver.run span, but its
+        # fresh tree roots the cell: paths match any other worker's.
+        assert list(tree.as_dict()) == ["cell", "cell/inner", "driver.run"]
         data = traceview.build_timeline(str(tmp_path), ctx.trace_id)
         assert data["orphans"] == []
         services = {p["service"] for p in data["processes"]}
