@@ -13,8 +13,8 @@ restartable unit of work instead of one monolithic in-memory pass:
   bounded retry with exponential backoff, and quarantine;
 - :mod:`repro.campaign.backends` — execution *mechanics* behind a
   pluggable :class:`LocalPoolBackend` / :class:`ShardedBackend`
-  interface (fork-per-cell locally, or one shard of the cell space
-  per machine with ``campaign merge`` recombining the journals);
+  interface (reused forked workers locally, or one shard of the cell
+  space per machine with ``campaign merge`` recombining the journals);
 - :mod:`repro.campaign.report` — status and deterministic reporting
   (per-cell stats, mean speedups, Fig. 7-style sensitivity grids);
 - :mod:`repro.campaign.cli` — ``python -m repro campaign

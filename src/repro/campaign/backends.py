@@ -5,14 +5,19 @@ The scheduler (:mod:`repro.campaign.scheduler`) owns campaign *policy*
 :class:`Backend` owns the *mechanics* of running one cell attempt
 somewhere and shipping its payload back.  The split follows the
 ``Pool``/``PrunPool`` shape of vusec's instrumentation-infra: the same
-job stream runs locally or across machines behind one interface.
+job stream runs locally or across machines behind one interface, on
+workers that live across jobs.
 
 Two backends ship here:
 
-- :class:`LocalPoolBackend` — the default; one forked worker process
-  per cell attempt with a result pipe, exactly the mechanics the
-  scheduler used inline before the extraction (journals are
-  bit-identical to pre-backend runs);
+- :class:`LocalPoolBackend` — the default; up to ``jobs`` forked
+  worker processes, each running many cells over a duplex pipe.  A
+  worker is forked on first need and goes back to an idle list after
+  each successful cell; a crash, a timeout or a failed attempt stops
+  it, and the next launch forks a fresh one.  A worker's caches (the
+  artifact LRU, the shared AnalysisManager, the simulator's run memo)
+  warm up over the cells it runs, so a later cell of the same trace
+  finds its baseline run in the memo;
 - :class:`ShardedBackend` — a :class:`LocalPoolBackend` that *owns*
   only the cells whose content-hashed ID lands in its shard
   (``int(cell_id, 16) % shards == shard_index``).  N machines each run
@@ -31,17 +36,23 @@ A backend implements:
     cells it does not own (they are some other shard's work, not gaps).
 ``launch(fn, cell, attempt, trace=None)``
     Start one attempt (``trace`` is the optional distributed-trace
-    propagation payload); returns a :class:`WorkerHandle`.  Workers
-    inherit the environment, :envvar:`REPRO_SIM_ENGINE` included, so
-    cells simulate with the engine the campaign process selected.
+    propagation payload) on an idle worker, or a freshly forked one;
+    returns a :class:`WorkerHandle`.  Workers inherit the environment,
+    :envvar:`REPRO_SIM_ENGINE` included, so cells simulate with the
+    engine the campaign process selected.
 ``wait(handles, timeout)``
     Block up to ``timeout`` seconds; return the handles with a result
     ready (liveness/timeout sweeps stay in the scheduler).
-``collect(handle)``
-    Reap one finished/killed attempt: terminate if needed, join, close,
-    and return the worker payload dict (or ``None`` for a crash).
+``collect(handle, retire=False)``
+    Reap one finished/killed attempt and return the worker payload
+    dict (or ``None`` for a crash, or when ``retire`` drops it).  The
+    worker goes back to the idle list after a successful payload;
+    otherwise (or with ``retire``) it is terminated and joined.
 ``alive(handle)`` / ``terminate(handles)``
-    Liveness probe and end-of-run cleanup.
+    Liveness probe and end-of-run cleanup: ``terminate`` kills the
+    given in-flight attempts, stops every idle worker and joins them
+    all, so no worker outlives :meth:`Scheduler.run
+    <repro.campaign.scheduler.Scheduler.run>`.
 """
 
 import multiprocessing
@@ -57,22 +68,27 @@ from repro.obs.spans import span
 BACKENDS = ("local", "sharded")
 
 
-def cell_usage():
+def cell_usage(since=None):
     """CPU time and peak RSS of this worker process, for the journal.
 
-    Meaningful per cell because every attempt runs in its own forked
-    process (``RUSAGE_SELF`` covers exactly this cell's work plus the
-    negligible fork preamble).  Returns None on platforms without
-    :mod:`resource`.
+    ``since`` is an earlier ``cell_usage()`` of the same process: the
+    CPU seconds are then the difference across the cell, not the
+    worker's running total.  ``max_rss_kb`` is always the worker's
+    high-water mark, which covers every cell the worker ran so far.
+    Returns None on platforms without :mod:`resource`.
     """
     try:
         import resource
     except ImportError:  # pragma: no cover — POSIX-only module
         return None
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    user, system = usage.ru_utime, usage.ru_stime
+    if since is not None:
+        user -= since["user_seconds"]
+        system -= since["system_seconds"]
     return {
-        "user_seconds": round(usage.ru_utime, 6),
-        "system_seconds": round(usage.ru_stime, 6),
+        "user_seconds": round(user, 6),
+        "system_seconds": round(system, 6),
         "max_rss_kb": int(usage.ru_maxrss),
     }
 
@@ -82,10 +98,31 @@ def _cell(fn, params):
         return fn(params)
 
 
-def cell_worker(conn, fn, params, trace=None):
-    """Run one cell under fresh telemetry; ship outcome over the pipe.
+def _attempt(fn, params, trace):
+    """Run one cell under fresh telemetry; returns its payload dict."""
+    ctx = tracectx.TraceContext.from_propagation(
+        trace, service="campaign-worker"
+    )
+    start = cell_usage()
+    try:
+        with tracectx.activate(ctx):
+            result, snapshot = run_fresh(_cell, fn, params)
+    except BaseException as exc:  # noqa: BLE001 — must reach the parent
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    return {
+        "ok": True,
+        "result": result,
+        "telemetry": snapshot,
+        "resources": cell_usage(since=start),
+    }
 
-    The cell runs inside a ``cell`` span, so its stages nest under it
+
+def cell_worker(conn, fn, params, trace=None):
+    """Run cells under fresh telemetry; ship each outcome over the pipe.
+
+    The first cell comes from the fork arguments; every later one is a
+    ``(params, trace)`` message on ``conn``, until EOF or ``None``.
+    Each cell runs inside a ``cell`` span, so its stages nest under it
     exactly as in an engine worker, and its telemetry snapshot
     (:func:`~repro.obs.context.run_fresh`) rides in the payload.
     ``trace`` is an optional distributed-trace propagation payload
@@ -93,36 +130,33 @@ def cell_worker(conn, fn, params, trace=None):
     present that span is parented to the scheduler's campaign span and
     spooled to the shared trace directory — so a 2-shard run merges
     into one cross-process timeline.  When absent (tracing off) nothing
-    is spooled and the journal stays byte-identical.
+    is spooled and the journal stays byte-identical.  A failed attempt
+    ends the worker: the parent retires it.
     """
     import signal
 
     # Forked workers inherit the CLI's graceful-exit SIGTERM handler;
-    # restore the default so a post-collect terminate() kills the
-    # worker silently instead of raising through conn.send.
+    # restore the default so a terminate() kills the worker silently
+    # instead of raising through conn.send.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    ctx = tracectx.TraceContext.from_propagation(
-        trace, service="campaign-worker"
-    )
     try:
-        with tracectx.activate(ctx):
-            result, snapshot = run_fresh(_cell, fn, params)
-        payload = {
-            "ok": True,
-            "result": result,
-            "telemetry": snapshot,
-            "resources": cell_usage(),
-        }
-    except BaseException as exc:  # noqa: BLE001 — must reach the parent
-        payload = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-    try:
-        conn.send(payload)
+        while True:
+            payload = _attempt(fn, params, trace)
+            conn.send(payload)
+            if not payload["ok"]:
+                break
+            message = conn.recv()
+            if message is None:
+                break
+            params, trace = message
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass  # the parent went away or was interrupted; it reaps us
     finally:
         conn.close()
 
 
 class WorkerHandle:
-    """One live worker process for one cell attempt."""
+    """One cell attempt on one live worker process."""
 
     __slots__ = ("cell", "attempt", "process", "conn", "started")
 
@@ -134,18 +168,29 @@ class WorkerHandle:
         self.started = time.monotonic()
 
 
+def _stop(process, conn):
+    """Terminate (if still running) and join one worker."""
+    if process.is_alive():
+        process.terminate()
+    process.join()
+    conn.close()
+
+
 class LocalPoolBackend:
-    """Fork-per-attempt execution on this machine (the default).
+    """Reused forked workers on this machine (the default).
 
     The fork context buys crash isolation and hard timeout enforcement
-    (a stuck worker is terminated, not abandoned) and lets workers
-    inherit the parent's warmed AnalysisManager via copy-on-write.
+    (a stuck worker is terminated, not abandoned); keeping a worker
+    across cells saves the fork, and lets its caches serve the cells
+    after its first.
     """
 
     name = "local"
 
     def __init__(self):
         self._ctx = multiprocessing.get_context("fork")
+        #: ``(process, conn)`` of the workers waiting for a cell.
+        self._idle = []
 
     def owns(self, cell):
         return True
@@ -155,7 +200,16 @@ class LocalPoolBackend:
         return JOURNAL_NAME
 
     def launch(self, fn, cell, attempt, trace=None):
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        while self._idle:
+            process, conn = self._idle.pop()
+            try:
+                if process.is_alive():
+                    conn.send((cell.params, trace))
+                    return WorkerHandle(cell, attempt, process, conn)
+            except OSError:
+                pass  # died while idle: fall through to a fresh fork
+            _stop(process, conn)
+        parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=cell_worker,
             args=(child_conn, fn, cell.params, trace),
@@ -174,38 +228,53 @@ class LocalPoolBackend:
     def alive(self, handle):
         return handle.process.is_alive()
 
-    def collect(self, handle):
+    def collect(self, handle, retire=False):
         """Reap one attempt; returns its payload dict or ``None``.
 
         ``None`` means the worker died without shipping a payload (hard
-        crash) — the scheduler classifies that via the exit code.
+        crash) — the scheduler classifies that via the exit code — or
+        that ``retire`` (a blown timeout) dropped it.  A worker that
+        shipped a successful payload goes back to the idle list; any
+        other is stopped.
         """
         payload = None
-        if handle.conn.poll():
-            try:
+        try:
+            if not retire and handle.conn.poll():
                 payload = handle.conn.recv()
-            except (EOFError, OSError):
-                payload = None
-        if handle.process.is_alive():
-            handle.process.terminate()
-        handle.process.join()
-        handle.conn.close()
+        except (EOFError, OSError):
+            pass  # died mid-send: a crash
+        finally:
+            if payload is not None and payload.get("ok") \
+                    and handle.process.is_alive():
+                self._idle.append((handle.process, handle.conn))
+            else:
+                _stop(handle.process, handle.conn)
         return payload
 
     def exitcode(self, handle):
         return handle.process.exitcode
 
     def terminate(self, handles):
-        handles = list(handles)
-        for handle in handles:
-            if handle.process.is_alive():
-                handle.process.terminate()
-        for handle in handles:
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join()
-            handle.conn.close()
+        """Kill ``handles``' in-flight attempts, stop every idle worker,
+        and join them all."""
+        workers = [(handle.process, handle.conn) for handle in handles]
+        for process, _ in workers:
+            if process.is_alive():
+                process.terminate()
+        for _, conn in self._idle:
+            # A clean exit, unlike SIGTERM, flushes the worker's stdio.
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # already gone
+        workers += self._idle
+        self._idle = []
+        for process, conn in workers:
+            process.join(timeout=2.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            conn.close()
 
 
 def shard_of(cell_id, shards):

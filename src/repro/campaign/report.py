@@ -238,7 +238,11 @@ def _render_explain(spec, cells, ledgers):
 
 
 def _render_resources(spec, cells, resources):
-    """Per-cell worker CPU time and peak RSS (``report --resources``)."""
+    """Per-cell CPU time and worker peak RSS (``report --resources``).
+
+    A worker serves many cells, so a cell's max RSS is its worker's
+    high-water mark up to that cell, not the cell's own footprint.
+    """
     headers = ["cell", "benchmark", "user s", "sys s", "cpu s",
                "max RSS MB"]
     rows = []
@@ -265,7 +269,8 @@ def _render_resources(spec, cells, resources):
         ])
     table = render_table(
         headers, rows,
-        title="Worker resources (getrusage, per successful attempt)",
+        title=("Worker resources (getrusage: CPU per successful "
+               "attempt, RSS the worker's high-water mark)"),
     )
     journaled = sum(1 for cell in cells if cell.cell_id in resources)
     table += (

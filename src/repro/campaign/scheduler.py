@@ -4,37 +4,39 @@ The scheduler owns campaign *policy* — launch order, retry budgets,
 backoff, quarantine, journaling — and delegates the *mechanics* of
 running a cell attempt to a pluggable execution backend
 (:mod:`repro.campaign.backends`).  Under the default
-:class:`~repro.campaign.backends.LocalPoolBackend`, each cell attempt
-runs in its *own* forked worker process, which buys three properties
-the plain :class:`~concurrent.futures.ProcessPoolExecutor`
-cannot offer:
+:class:`~repro.campaign.backends.LocalPoolBackend`, cells run in up to
+``jobs`` forked worker processes that each serve many cells, which
+buys three properties the plain
+:class:`~concurrent.futures.ProcessPoolExecutor` cannot offer:
 
-- **timeout enforcement** — a cell that exceeds its budget is
-  terminated, not merely abandoned;
+- **timeout enforcement** — a cell that exceeds its budget has its
+  worker terminated, not merely abandoned;
 - **crash isolation** — a worker that dies (segfault, ``os._exit``,
   OOM-kill) fails only its own cell; the scheduler keeps draining the
-  rest of the sweep;
+  rest of the sweep on freshly forked workers;
 - **bounded retry + quarantine** — a failed cell is retried with
   exponential backoff up to ``max_attempts`` total attempts, then
   quarantined: journaled as an explicit gap that the report renders as
   such instead of the whole sweep dying at cell 400/500.
 
-Every transition is journaled *before* the next action is taken, so a
-``kill -9`` of the scheduler itself loses at most the in-flight cells,
-which replay as pending.  Successful workers ship their telemetry
-snapshot back over the result pipe and the parent merges it into the
-active bundle (completion order), alongside the campaign's
-own ``campaign_cells_{completed,retried,quarantined}_total`` counters
-and ``campaign.cell.*`` trace events.  A cell function's ``adopt`` hook
-receives the ``finished_runs`` a successful cell ships back, so cells
-forked later inherit them; a crashed, failed or timed-out attempt
-hands over nothing.
+A crashed, timed-out or failed attempt retires its worker, so a retry
+always starts in a fresh process.  Every transition is journaled
+*before* the next action is taken, so a ``kill -9`` of the scheduler
+itself loses at most the in-flight cells, which replay as pending.
+Successful workers ship their telemetry snapshot back over the pipe
+and the parent merges it into the active bundle (completion order),
+alongside the campaign's own
+``campaign_cells_{completed,retried,quarantined}_total`` counters and
+``campaign.cell.*`` trace events.  :meth:`Scheduler.run` stops and
+joins every worker before it returns, on every path, so their CPU time
+lands in the parent's reaped-children usage and no process outlives
+the run.
 """
 
 import heapq
 import time
 
-from repro.campaign.backends import LocalPoolBackend, cell_usage
+from repro.campaign.backends import LocalPoolBackend
 from repro.campaign.spec import resolve_cell_fn
 from repro.obs import events, tracectx
 from repro.obs.context import active, get_metrics, get_tracer
@@ -47,10 +49,6 @@ DEFAULT_BACKOFF = 0.5
 
 #: How long the scheduler sleeps waiting for worker events.
 _POLL_SECONDS = 0.05
-
-#: Backwards-compatible alias (the worker helpers moved to
-#: :mod:`repro.campaign.backends` with the backend extraction).
-_cell_usage = cell_usage
 
 
 def _analysis_cache_stats(metrics_snapshot):
@@ -86,20 +84,10 @@ class Scheduler:
         self.backoff = backoff
         self.cell_timeout = cell_timeout
         #: Execution backend (see :mod:`repro.campaign.backends`);
-        #: the default local fork-per-cell pool is journal-identical
-        #: to the pre-backend scheduler.
+        #: the default is the local pool of reused forked workers.
         self.backend = backend if backend is not None \
             else LocalPoolBackend()
         self._fn = resolve_cell_fn(spec.cell)
-        #: Optional parent-side warm hook (``fn.prepare``): builds the
-        #: cell's artifacts and shared analysis before forking, so all
-        #: cells of one (benchmark, input set) inherit one
-        #: AnalysisManager entry via copy-on-write.
-        self._prepare = getattr(self._fn, "prepare", None)
-        #: Optional parent-side hook (``fn.adopt``) for the simulator
-        #: runs a finished cell ships back under ``finished_runs``:
-        #: later forks inherit them.
-        self._adopt = getattr(self._fn, "adopt", None)
 
     def run(self, state, max_cells=None):
         """Drain pending cells; returns a summary dict.
@@ -160,6 +148,10 @@ class Scheduler:
                         continue
                     break
                 for task in self._reap(running):
+                    # Unsettled attempts stay in ``running``, so an
+                    # exception while settling this one still
+                    # terminates their workers.
+                    del running[task.cell.cell_id]
                     outcome = self._settle(task)
                     if outcome["ok"]:
                         results[task.cell.cell_id] = outcome["result"]
@@ -196,14 +188,6 @@ class Scheduler:
     # -- internals ----------------------------------------------------
 
     def _launch(self, cell, attempt):
-        if self._prepare is not None:
-            try:
-                self._prepare(cell.params)
-            except Exception:
-                # Warming is an optimization; if it fails, the cell
-                # attempt itself will surface (and journal) the error
-                # with the usual retry/quarantine handling.
-                pass
         self.journal.cell_start(cell.cell_id, attempt)
         tracer = get_tracer()
         if tracer.enabled:
@@ -230,8 +214,6 @@ class Scheduler:
                          and now - task.started > self.cell_timeout)
             if timed_out or not self.backend.alive(task):
                 done.append(task)
-        for task in done:
-            del running[task.cell.cell_id]
         return done
 
     def _settle(self, task):
@@ -240,11 +222,9 @@ class Scheduler:
         timed_out = (self.cell_timeout is not None
                      and elapsed > self.cell_timeout
                      and self.backend.alive(task))
-        payload = self.backend.collect(task)
-        if timed_out:
-            # The budget was blown while the worker still ran; any
-            # payload it raced in on the way down is discarded.
-            payload = None
+        # A blown budget while the worker still ran retires it; any
+        # payload it raced in on the way down is discarded.
+        payload = self.backend.collect(task, retire=timed_out)
 
         cell_id = task.cell.cell_id
         if payload is not None and payload.get("ok"):
@@ -254,20 +234,15 @@ class Scheduler:
             # The ledger summary is a journal *annotation* (like the
             # cache counters), not part of the deterministic report
             # payload — pop it so resumed and fresh runs journal
-            # byte-identical results.  The finished simulator runs are
-            # no result at all: the adopt hook takes them, the journal
-            # never sees them.
+            # byte-identical results.
             extras = result if isinstance(result, dict) else {}
             ledger_summary = extras.pop("ledger", None)
-            finished_runs = extras.pop("finished_runs", None)
             self.journal.cell_finish(
                 cell_id, task.attempt, elapsed, result,
                 cache=_analysis_cache_stats(snapshot["metrics"]),
                 ledger=ledger_summary,
                 resources=payload.get("resources"),
             )
-            if finished_runs and self._adopt is not None:
-                self._adopt(finished_runs)
             get_metrics().counter("campaign_cells_completed_total").inc()
             tracer = get_tracer()
             if tracer.enabled:

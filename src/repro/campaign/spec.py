@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, fields
 from repro.compiler import registry
 from repro.core import SelectionThresholds
 from repro.uarch import ProcessorConfig
-from repro.uarch.vectorized import adopt_runs, recording_runs
 
 #: Dotted path of the default cell function (module:attribute).
 DEFAULT_CELL = "repro.campaign.spec:run_cell"
@@ -315,20 +314,13 @@ def build_processor(overrides):
 def run_cell(params):
     """The default cell: baseline → selection → DMP simulation → speedup.
 
-    Returns a dict; the journal stores all of it verbatim but two keys,
-    and all numbers are exact reproductions of what the monolithic
-    figure drivers compute for the same (benchmark, config) pair.  The
-    scheduler pops the two keys off the result before journaling, so
-    the deterministic report payload stays byte-identical with or
-    without them:
-
-    - ``ledger``, the compact decision-ledger summary, is journaled as
-      a cell annotation (like the cache counters);
-    - ``finished_runs`` holds the simulator runs the cell stored in the
-      run memo (see :func:`repro.uarch.vectorized.recording_runs`);
-      the scheduler hands them to :func:`~repro.uarch.vectorized.
-      adopt_runs` (``run_cell.adopt``), so later cells forked from it
-      inherit them, and never journals them.
+    Returns a dict whose numbers are exact reproductions of what the
+    monolithic figure drivers compute for the same (benchmark, config)
+    pair.  The scheduler pops ``ledger``, the compact decision-ledger
+    summary, off the result and journals it as a cell annotation (like
+    the cache counters); the journal stores the rest verbatim, so the
+    deterministic report payload stays byte-identical with or without
+    the ledger.
     """
     from repro.experiments.runner import run_baseline, run_selection
     from repro.obs.explain import cell_ledger_summary
@@ -343,16 +335,15 @@ def run_cell(params):
     scale = params.get("scale", 1.0)
     selection_ledger = SelectionLedger()
     runtime_ledger = RuntimeLedger()
-    with recording_runs() as finished_runs:
-        baseline = run_baseline(
-            benchmark, input_set=input_set, scale=scale, config=processor
-        )
-        stats, annotation = run_selection(
-            benchmark, selection, input_set=input_set, scale=scale,
-            config=processor,
-            selection_ledger=selection_ledger,
-            runtime_ledger=runtime_ledger,
-        )
+    baseline = run_baseline(
+        benchmark, input_set=input_set, scale=scale, config=processor
+    )
+    stats, annotation = run_selection(
+        benchmark, selection, input_set=input_set, scale=scale,
+        config=processor,
+        selection_ledger=selection_ledger,
+        runtime_ledger=runtime_ledger,
+    )
     return {
         "speedup": stats.speedup_over(baseline),
         "baseline": baseline.as_dict(),
@@ -361,44 +352,4 @@ def run_cell(params):
         "ledger": cell_ledger_summary(
             selection_ledger, runtime_ledger, selection.cost_params
         ),
-        "finished_runs": finished_runs,
     }
-
-
-def prepare_cell(params):
-    """Warm shared caches in the scheduler *parent* before a cell forks.
-
-    Builds the cell's artifacts (trace + profile), the shared
-    :class:`~repro.compiler.AnalysisManager` entry for its
-    (program, profile) pair, and the simulator's pre-pass memo entry
-    for its (trace, processor config), so every forked worker of the
-    same (benchmark, input set) inherits the analysis — dominators,
-    loops, and memoized path sets — and the D-cache/branch/control
-    pre-passes via copy-on-write instead of recomputing them per cell.
-    Repeat calls are cache hits, so the scheduler can invoke this per
-    launch.  Workers journal their ``analysis_cache_hits_total`` so
-    reports can show the reuse.
-    """
-    from repro.compiler import shared_manager
-    from repro.experiments.runner import get_artifacts
-    from repro.uarch.engine import resolve_engine
-    from repro.uarch.vectorized import warm_prepass_memo
-
-    artifacts = get_artifacts(
-        params["benchmark"],
-        input_set=params.get("input_set", "reduced"),
-        scale=params.get("scale", 1.0),
-    )
-    shared_manager().analysis(artifacts.program, artifacts.profile)
-    processor = build_processor(params.get("processor"))
-    if resolve_engine(artifacts.program, processor) == "vectorized":
-        warm_prepass_memo(artifacts.program, artifacts.trace, processor)
-
-
-#: The scheduler looks for these attributes on a cell function and,
-#: when present, calls ``prepare`` in the parent before each launch and
-#: ``adopt`` with the ``finished_runs`` of each cell that finishes (see
-#: Scheduler): the runs join the parent's run memo, under the pre-pass
-#: entries ``prepare`` warmed, and later forks inherit them.
-run_cell.prepare = prepare_cell
-run_cell.adopt = adopt_runs

@@ -39,7 +39,6 @@ from repro.experiments.runner import (
 )
 from repro.obs.ledger import SelectionLedger
 from repro.uarch import make_simulator
-from repro.uarch.vectorized import adopt_runs
 
 SERIES = ("static-meld", "dpred", "meld+dpred")
 
@@ -364,16 +363,6 @@ def meld_cell(params):
             selection_ledger, runtime_ledger, selection.cost_params
         ),
     }
-
-
-def _prepare_meld_cell(params):
-    from repro.campaign.spec import prepare_cell
-
-    prepare_cell(params)
-
-
-meld_cell.prepare = _prepare_meld_cell
-meld_cell.adopt = adopt_runs
 
 
 def campaign_spec(scale=1.0, benchmarks=None):

@@ -22,7 +22,7 @@ context and nesting under whatever span encloses it (a ``cell``, a
 
 import math
 from collections import OrderedDict
-from dataclasses import astuple, dataclass, is_dataclass
+from dataclasses import dataclass
 
 from repro.core import DivergeSelector
 from repro.emulator import execute
@@ -103,18 +103,16 @@ class KeyedCache:
 #: couple of input sets fit comfortably; real suites at several scales
 #: recycle the oldest entries instead of accumulating them.
 _artifact_cache = KeyedCache("artifacts", max_entries=64)
-_baseline_cache = KeyedCache("baseline", max_entries=128)
 
 
 def clear_cache():
-    """Drop all cached traces/profiles/baselines/analyses and the
-    simulator's pre-pass memo (frees memory)."""
+    """Drop all cached traces/profiles/analyses and the simulator's
+    pre-pass and run memo (frees memory)."""
     from repro.compiler.analysis_manager import reset_shared_manager
     from repro.experiments import meldcompare
     from repro.uarch.vectorized import clear_prepass_memo
 
     _artifact_cache.clear()
-    _baseline_cache.clear()
     meldcompare.clear_meld_caches()
     reset_shared_manager()
     clear_prepass_memo()
@@ -170,32 +168,18 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
     return artifacts
 
 
-def _config_key(config):
-    """A value-based cache key for a processor config.
-
-    ``id(config)`` is unusable as a key: two equal configs built at
-    different call sites would miss, and worse, a recycled id could
-    alias two *different* configs to the same entry.
-    """
-    if config is None:
-        return None
-    if is_dataclass(config):
-        return (type(config).__name__,) + astuple(config)
-    return config
-
-
 def run_baseline(name, input_set="reduced", scale=1.0, config=None):
-    """Simulate the baseline (no DMP) processor on one benchmark (cached)."""
-    key = (name, input_set, scale, _config_key(config))
-    cached = _baseline_cache.get(key)
-    if cached is not None:
-        return cached
+    """Simulate the baseline (no DMP) processor on one benchmark.
+
+    A repeat is a hit in the simulator's run memo (see
+    :mod:`repro.uarch.vectorized`): it returns equal stats without a
+    replay.
+    """
     artifacts = get_artifacts(name, input_set, scale)
     simulator = make_simulator(artifacts.program, config=config)
     with span("simulate") as sp:
         stats = simulator.run(artifacts.trace, label=f"{name}/baseline")
         sp.events = stats.retired_instructions
-    _baseline_cache.put(key, stats)
     return stats
 
 

@@ -65,10 +65,6 @@ class Gauge:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount=1):
-        with self._lock:
-            self.value -= amount
-
     def as_dict(self):
         return {"kind": self.kind, "value": self.value}
 
@@ -215,12 +211,6 @@ class MetricsRegistry:
     def get(self, name):
         """The instrument registered under ``name`` or ``None``."""
         return self._instruments.get(name)
-
-    def __contains__(self, name):
-        return name in self._instruments
-
-    def __len__(self):
-        return len(self._instruments)
 
     def names(self):
         return sorted(self._instruments)

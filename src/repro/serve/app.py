@@ -26,10 +26,11 @@ process, and engines are bit-identical by contract.
 
 **Warm-state safety.**  The process-wide caches the daemon exists to
 keep warm — the shared :class:`~repro.compiler.AnalysisManager`, the
-runner's artifact/baseline LRUs, the disk artifact cache — are plain
-dict-based structures with no internal locking, so computations are
-serialized under one lock.  Coalescing makes the common concurrent
-case (duplicate requests) cheap anyway; distinct requests queue.
+runner's artifact LRU, the simulator's run memo, the disk artifact
+cache — are plain dict-based structures with no internal locking, so
+computations are serialized under one lock.  Coalescing makes the
+common concurrent case (duplicate requests) cheap anyway; distinct
+requests queue.
 """
 
 import json
@@ -504,17 +505,15 @@ def _compile_bytes(benchmark, input_set, scale, config, pipeline):
 def _simulate_bytes(params, cell_id):
     """One campaign cell's deterministic result as canonical JSON.
 
-    The ``ledger`` and ``finished_runs`` keys are popped exactly as the
-    campaign scheduler pops them before journaling, so the ``result``
-    object is byte-identical to the matching ``cell.finish`` journal
-    record's ``result`` field.
+    The ``ledger`` key is popped exactly as the campaign scheduler pops
+    it before journaling, so the ``result`` object is byte-identical to
+    the matching ``cell.finish`` journal record's ``result`` field.
     """
     from repro.campaign.spec import run_cell
 
     result = run_cell(dict(params))
     if isinstance(result, dict):
         result.pop("ledger", None)
-        result.pop("finished_runs", None)
     data = {"cell_id": cell_id, "params": params, "result": result}
     return (canonical_json(data) + "\n").encode("utf-8")
 

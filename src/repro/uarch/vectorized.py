@@ -57,10 +57,9 @@ recorded, replaying nothing (see
 :meth:`VectorizedTimingSimulator._run_memoized`).  A finished run
 keeps its per-pc counters when its replay tracked them, so a ledger or
 per-branch run is a hit too; only runs with a tracer always replay:
-their events are not stored.  A campaign cell ships the runs it stored
-back to the scheduler (see :func:`recording_runs` and
-:func:`adopt_runs`), so later cells forked from the scheduler inherit
-them.
+their events are not stored.  The memo is per process: a campaign
+worker serves many cells, so its later cells of a trace hit the runs
+its earlier cells stored.
 
 With ``profiler=None`` the replay loop carries **no** per-row stopwatch
 checks and reads no clock (same zero-overhead guarantee as the scalar
@@ -81,7 +80,6 @@ import hashlib
 import weakref
 from bisect import bisect_right
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import replace
 from time import perf_counter
 
@@ -101,7 +99,6 @@ from repro.memory.hierarchy import INSTRUCTIONS_PER_LINE
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.uarch.config import ProcessorConfig
 from repro.uarch.profiler import (
     BRANCH_PRED,
     DATAFLOW,
@@ -113,7 +110,6 @@ from repro.uarch.profiler import (
     OTHER,
     ROB_RETIRE,
     WRONG_PATH,
-    SimProfiler,
 )
 from repro.uarch.simulator import TimingSimulator
 from repro.uarch.stats import SimStats
@@ -201,69 +197,6 @@ def _store_run(entry, run_key, done):
     entry.runs.move_to_end(run_key)
     while len(entry.runs) > RUN_MEMO_RUNS:
         entry.runs.popitem(last=False)
-
-
-#: The list :func:`recording_runs` collects into, ``None`` outside it
-#: (process-wide and not thread-safe, like the memo it records).
-_recorded = None
-
-
-@contextmanager
-def recording_runs():
-    """Collect the finished runs the memo stores inside the block.
-
-    Yields a list that receives one ``(memo key, run key, run)`` triple
-    per stored run.  The triples pickle, so a forked campaign cell can
-    ship them back for :func:`adopt_runs` in the scheduler.  Blocks
-    nest: an inner block collects into its own list only.
-    """
-    global _recorded
-    outer, _recorded = _recorded, []
-    try:
-        yield _recorded
-    finally:
-        _recorded = outer
-
-
-def adopt_runs(runs):
-    """Store finished runs from :func:`recording_runs` in this process's
-    memo, under entries it holds already (a run of a trace whose
-    pre-passes this process has not computed is dropped)."""
-    for key, run_key, done in runs:
-        entry = _PREPASS_MEMO.get(key)
-        if entry is not None:
-            _store_run(entry, run_key, done)
-
-
-def warm_prepass_memo(program, trace, config=None):
-    """Fill the memo entry for ``(program, trace, config)``: its
-    pre-passes and its baseline run (no annotation).
-
-    Lets a parent process simulate a trace's baseline once before
-    forking workers that simulate the same trace: their baseline runs
-    are hits, with or without a profiler (the warm stores the event
-    counts of a throwaway one), and their other runs skip the
-    pre-passes.  Goes through no public
-    :meth:`~VectorizedTimingSimulator.run` and records into a throwaway
-    registry, so no caller's run or metric counts it.  A no-op when the
-    entry holds the baseline run already or the vectorized engine
-    cannot replay the program.
-    """
-    config = (config or ProcessorConfig()).validate()
-    if not supports(program, config)[0]:
-        return
-    columns = trace_columns(trace)
-    tables = _decode_tables(program)
-    key = _memo_key(tables[-1], columns, config)
-    entry = _PREPASS_MEMO.get(key)
-    if entry is not None and (tables[-2], None) in entry.runs:
-        return
-    simulator = VectorizedTimingSimulator(
-        program, config=config, metrics=MetricsRegistry(),
-        tracer=NULL_TRACER, profiler=SimProfiler(),
-    )
-    simulator._fresh = False
-    simulator._run_memoized(columns, key, "", perf_counter())
 
 
 def _decode_tables(program):
@@ -945,8 +878,6 @@ class VectorizedTimingSimulator(TimingSimulator):
             entry = _PREPASS_MEMO.get(key)     # the replay's pre-passes
             if entry is not None:
                 _store_run(entry, run_key, done)
-                if _recorded is not None:
-                    _recorded.append((key, run_key, done))
         self.metrics.merge_snapshot(done.metrics, done.helps)
         if profiler is not None:
             if hit:

@@ -525,150 +525,190 @@ class TestFig7AsCampaign:
         assert "Best point:" in report
 
 
-# -- finished simulator runs handed back to the scheduler -------------
+# -- cells run in reused forked workers -------------------------------
 
 
-def _cell_then(params, finish):
-    """Simulate the default cell, then end the attempt via ``finish``."""
-    run_cell(params)
-    finish()
+def pid_cell(params):
+    """``fake_cell`` plus the pid of the worker that ran it."""
+    return {**fake_cell(params), "pid": os.getpid()}
 
 
-def crash_after_cell(params):
-    _cell_then(params, lambda: os._exit(9))
-
-
-def sleep_after_cell(params):
+def slow_pid_cell(params):
     import time
 
-    _cell_then(params, lambda: time.sleep(60))
+    time.sleep(0.2)
+    return pid_cell(params)
 
 
-def raise_after_cell(params):
+def _fail_first_attempt(params, fail):
+    """``pid_cell``, but twolf's first attempt notes its pid in the
+    marker directory and then ends through ``fail``."""
+    marker = os.path.join(os.environ[_MARKER_ENV], content_hash(params))
+    if params["benchmark"] == "twolf" and not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8") as handle:
+            handle.write(str(os.getpid()))
+        fail()
+    return pid_cell(params)
+
+
+def crash_once_cell(params):
+    return _fail_first_attempt(params, lambda: os._exit(9))
+
+
+def sleep_once_cell(params):
+    import time
+
+    return _fail_first_attempt(params, lambda: time.sleep(60))
+
+
+def raise_once_cell(params):
     def fail():
-        raise RuntimeError("synthetic failure after the simulation")
+        raise RuntimeError("synthetic first-attempt failure")
 
-    _cell_then(params, fail)
-
-
-for _fn in (crash_after_cell, sleep_after_cell, raise_after_cell):
-    _fn.prepare = run_cell.prepare
-    _fn.adopt = run_cell.adopt
+    return _fail_first_attempt(params, fail)
 
 
-class TestRunSharing:
-    """A finished fig7 cell hands its simulator runs back to the
-    scheduler, whose run memo then serves later forks: the journal and
-    the report are those of a campaign without the hand-off, a failed
-    attempt hands over nothing, and the memo stays bounded."""
+def heavy_then_light_cell(params):
+    """Burns ~0.3 s of CPU at max_instr 10, none at max_instr 50."""
+    import time
 
-    @staticmethod
-    def _memo_annotations(names=BENCH):
-        """benchmark -> the annotation keys of the runs the scheduler's
-        memo holds for its trace at the default config."""
-        from repro.experiments import runner
-        from repro.uarch import ProcessorConfig, vectorized
+    if params["thresholds"]["max_instr"] == 10:
+        deadline = time.process_time() + 0.3
+        while time.process_time() < deadline:
+            pass
+    return pid_cell(params)
 
-        held = {}
-        for name in names:
-            artifacts = runner.get_artifacts(name, scale=SCALE)
-            key = vectorized._memo_key(
-                vectorized._decode_tables(artifacts.program)[-1],
-                vectorized.trace_columns(artifacts.trace),
-                ProcessorConfig(),
-            )
-            entry = vectorized._PREPASS_MEMO.get(key)
-            held[name] = (set() if entry is None
-                          else {run_key[1] for run_key in entry.runs})
-        return held
+
+class TestWorkerReuse:
+    """Workers live across cells: ``--jobs N`` forks at most N of them
+    while nothing fails, a failed attempt's retry runs in a fresh
+    process, no worker outlives :meth:`Scheduler.run`, and each cell
+    still simulates its baseline and its DMP run."""
 
     @staticmethod
-    def _campaign(tmp_path, capsys, jobs):
-        """``campaign run fig7`` and its report: ``(journal state,
-        report text)``."""
-        results = str(tmp_path / f"fig7-jobs{jobs}")
-        common = ["--results-dir", results]
-        assert repro_main.main(
-            ["campaign", "run", "fig7", "--scale", str(SCALE),
-             "--benchmarks", ",".join(BENCH), "--jobs", str(jobs)]
-            + common) == 0
-        capsys.readouterr()
-        assert repro_main.main(["campaign", "report", "fig7"] + common) \
-            == 0
-        report = capsys.readouterr().out
-        state = replay(os.path.join(results, "fig7", "journal.jsonl"))
-        return state, report
-
-    @staticmethod
-    def _distinct_annotations(spec):
-        """benchmark -> the run-memo keys of its cells' annotations."""
-        from repro.campaign.spec import build_selection
-        from repro.core import DivergeSelector
-        from repro.experiments import runner
-        from repro.uarch.vectorized import _annotation_key
-
-        keys = {name: {None} for name in BENCH}
-        for cell in spec.cells():
-            artifacts = runner.get_artifacts(cell.benchmark, scale=SCALE)
-            selection = build_selection(
-                cell.params["selection"], cell.params["thresholds"])
-            annotation = DivergeSelector(
-                artifacts.program, artifacts.profile, selection).select()
-            keys[cell.benchmark].add(_annotation_key(annotation))
-        return keys
+    def _pids(out):
+        return [result["pid"] for result in out["results"].values()]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_fig7_journal_and_report_equal_a_run_without_adoption(
-            self, tmp_path, capsys, monkeypatch, jobs):
-        from repro.experiments import fig7, runner
-        from repro.uarch import vectorized
-
-        with monkeypatch.context() as patched:
-            patched.delattr(run_cell, "adopt")
-            reference = self._campaign(tmp_path / "reference", capsys, 1)
-        assert all(held == {None}
-                   for held in self._memo_annotations().values())
-
-        runner.clear_cache()
-        # A bound below the distinct runs per benchmark (the baseline
-        # and four annotations at this scale) evicts while adopting.
-        bound = 3 if jobs == 2 else vectorized.RUN_MEMO_RUNS
-        monkeypatch.setattr(vectorized, "RUN_MEMO_RUNS", bound)
-        state, report = self._campaign(tmp_path, capsys, jobs)
-        assert len(state.results) == 40
-        assert state.results == reference[0].results
-        assert state.ledger == reference[0].ledger
-        assert report == reference[1]
-
-        held = self._memo_annotations()
-        distinct = self._distinct_annotations(
-            fig7.campaign_spec(scale=SCALE, benchmarks=BENCH))
-        for name in BENCH:
-            assert len(distinct[name]) > 3
-            assert held[name] <= distinct[name]
-            assert len(held[name]) == min(len(distinct[name]), bound)
-        # No run reached the journal.
-        journal = (tmp_path / f"fig7-jobs{jobs}" / "fig7"
-                   / "journal.jsonl").read_text()
-        assert "finished_runs" not in journal
+    def test_jobs_bound_the_workers(self, tmp_path, jobs):
+        spec = _spec(cell="tests.test_campaign:pid_cell",
+                     axes=(Axis("max_instr", (10, 20, 50)),))
+        out = _run(spec, tmp_path, jobs=jobs)
+        pids = self._pids(out)
+        assert len(pids) == 6
+        assert os.getpid() not in pids
+        if jobs == 1:
+            assert len(set(pids)) == 1
+        else:
+            assert len(set(pids)) <= 2
 
     @pytest.mark.parametrize("cell, kind", [
-        ("crash_after_cell", "crash"),
-        ("sleep_after_cell", "timeout"),
-        ("raise_after_cell", "exception"),
+        ("crash_once_cell", "crash"),
+        ("sleep_once_cell", "timeout"),
+        ("raise_once_cell", "exception"),
     ])
-    def test_failed_attempt_adopts_nothing(self, tmp_path, cell, kind):
-        spec = CampaignSpec(
-            name="fail-after-run", benchmarks=("gzip",), scale=SCALE,
-            selection="exact-freq",
-            axes=(Axis("max_instr", (50,)),),
-            cell=f"tests.test_campaign:{cell}",
-        )
-        out = _run(spec, tmp_path, max_attempts=1, cell_timeout=2.0)
-        assert len(out["quarantined"]) == 1
+    def test_retry_runs_in_a_new_worker(self, tmp_path, monkeypatch,
+                                        cell, kind):
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        monkeypatch.setenv(_MARKER_ENV, str(markers))
+        spec = _spec(cell=f"tests.test_campaign:{cell}",
+                     benchmarks=("gzip", "twolf", "vpr"),
+                     axes=(Axis("max_instr", (10,)),))
+        out = _run(spec, tmp_path, cell_timeout=2.0)
+        assert len(out["results"]) == 3
+        assert not out["quarantined"]
         state = replay(tmp_path / "journal.jsonl")
         (failure,) = state.last_failure.values()
         assert failure["kind"] == kind
-        # The parent warmed gzip's entry (its baseline run) and adopted
-        # no DMP run.
-        assert self._memo_annotations(["gzip"]) == {"gzip": {None}}
+        by_benchmark = {cell.benchmark: out["results"][cell.cell_id]
+                        for cell in spec.cells()}
+        (marker,) = markers.iterdir()
+        failed_pid = int(marker.read_text())
+        # gzip's worker took twolf's first attempt and was retired.
+        assert by_benchmark["gzip"]["pid"] == failed_pid
+        assert by_benchmark["twolf"]["pid"] != failed_pid
+        assert by_benchmark["vpr"]["pid"] != failed_pid
+
+    @pytest.mark.parametrize("stop", ["drained", "max_cells",
+                                      "interrupt"])
+    def test_no_worker_outlives_the_run(self, tmp_path, monkeypatch,
+                                        stop):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        spec = _spec(cell="tests.test_campaign:slow_pid_cell",
+                     axes=(Axis("max_instr", (10, 20, 50)),))
+        if stop == "interrupt":
+            def interrupt(*args, **kwargs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(Journal, "cell_finish", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                _run(spec, tmp_path, jobs=2)
+        else:
+            max_cells = 3 if stop == "max_cells" else None
+            out = _run(spec, tmp_path, jobs=2, max_cells=max_cells)
+            assert out["interrupted"] == (stop == "max_cells")
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_resources_are_per_attempt(self, tmp_path):
+        spec = _spec(cell="tests.test_campaign:heavy_then_light_cell",
+                     benchmarks=("gzip",))
+        out = _run(spec, tmp_path)
+        heavy, light = spec.cells()
+        assert out["results"][heavy.cell_id]["pid"] \
+            == out["results"][light.cell_id]["pid"]
+        usage = replay(tmp_path / "journal.jsonl").resources
+        cpu = {cell_id: entry["user_seconds"] + entry["system_seconds"]
+               for cell_id, entry in usage.items()}
+        assert cpu[heavy.cell_id] >= 0.25
+        assert cpu[light.cell_id] < 0.1
+        # RSS is the worker's high-water mark: it never drops.
+        assert usage[light.cell_id]["max_rss_kb"] \
+            >= usage[heavy.cell_id]["max_rss_kb"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fig7_cells_equal_in_process_runs(self, tmp_path, capsys,
+                                              monkeypatch, jobs):
+        """Each journalled result, ledger and the report equal those of
+        the cells run in this process, and every cell calls the
+        simulator twice: a warm worker still runs each cell's baseline
+        (a run-memo hit), so counts do not depend on the worker."""
+        from repro.experiments import fig7, runner
+        from repro.obs.context import get_metrics
+        from repro.uarch import TimingSimulator, VectorizedTimingSimulator
+
+        for cls in (TimingSimulator, VectorizedTimingSimulator):
+            def counted(self, *args, _run=cls.run, **kwargs):
+                get_metrics().counter("test_sim_run_calls_total").inc()
+                return _run(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "run", counted)
+        runner.clear_cache()    # workers fork from a cold parent
+        registry = MetricsRegistry()
+        results = str(tmp_path / "results")
+        common = ["--results-dir", results]
+        with telemetry(metrics=registry, spans=SpanTree()):
+            assert repro_main.main(
+                ["campaign", "run", "fig7", "--scale", str(SCALE),
+                 "--benchmarks", ",".join(BENCH), "--jobs", str(jobs)]
+                + common) == 0
+        capsys.readouterr()
+        assert registry.counter("test_sim_run_calls_total").value \
+            == 2 * 40
+        state = replay(os.path.join(results, "fig7", "journal.jsonl"))
+        assert len(state.results) == 40
+        assert repro_main.main(["campaign", "report", "fig7"] + common) \
+            == 0
+        report = capsys.readouterr().out
+
+        spec = fig7.campaign_spec(scale=SCALE, benchmarks=BENCH)
+        expected, ledgers = {}, {}
+        for cell in spec.cells():
+            result = run_cell(cell.params)
+            ledgers[cell.cell_id] = result.pop("ledger")
+            expected[cell.cell_id] = json.loads(json.dumps(result))
+        assert state.results == expected
+        assert state.ledger == ledgers
+        assert report == render_report(spec, expected) + "\n"

@@ -123,7 +123,7 @@ class TestRoundtrip:
         registry = MetricsRegistry()
         with telemetry(metrics=registry):
             hit = runner.get_artifacts("gzip", scale=SCALE)
-        assert "emulator_runs_total" not in registry
+        assert registry.get("emulator_runs_total") is None
         assert registry.counter("cache_disk_hits_total").value == 1
         assert list(hit.trace.rows()) == list(first.trace.rows())
         assert pickle.dumps(hit.profile) == pickle.dumps(first.profile)

@@ -209,15 +209,27 @@ class TestDriverDeterminism:
 
 
 class TestBaselineConfigKey:
-    def test_equal_configs_share_a_cache_entry(self):
+    def test_equal_configs_share_a_cache_entry(self, monkeypatch):
+        """Equal configs built apart share one run-memo entry: the
+        second baseline is a hit, with equal stats."""
+        from repro.uarch import VectorizedTimingSimulator
+        from repro.uarch.engine import ENV_SIM_ENGINE
+
+        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
         runner.clear_cache()
         first = runner.run_baseline(
             "gzip", scale=SCALE, config=ProcessorConfig(rob_size=128)
         )
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("an equal config replayed")
+
+        monkeypatch.setattr(VectorizedTimingSimulator, "_replay",
+                            no_replay)
         second = runner.run_baseline(
             "gzip", scale=SCALE, config=ProcessorConfig(rob_size=128)
         )
-        assert first is second
+        assert first == second
         runner.clear_cache()
 
     def test_different_configs_do_not_alias(self):

@@ -40,10 +40,22 @@ class TestRunner:
         assert a is b
         assert a.trace and a.profile.total_instructions > 0
 
-    def test_baseline_cached(self):
+    def test_baseline_cached(self, monkeypatch):
+        """A repeat baseline is a run-memo hit with equal stats."""
+        from repro.uarch import VectorizedTimingSimulator
+        from repro.uarch.engine import ENV_SIM_ENGINE
+
+        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
         a = run_baseline("gzip", scale=SCALE)
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a repeat baseline replayed")
+
+        monkeypatch.setattr(VectorizedTimingSimulator, "_replay",
+                            no_replay)
         b = run_baseline("gzip", scale=SCALE)
-        assert a is b
+        assert a is not b
+        assert a == b
 
     def test_run_selection_returns_stats_and_annotation(self):
         stats, annotation = run_selection(

@@ -117,7 +117,6 @@ class TestByteIdentity:
         assert data["cell_id"] == content_hash(params)
         expected = run_cell(params)
         expected.pop("ledger", None)
-        expected.pop("finished_runs", None)
         assert data["result"] == expected
 
     def test_simulate_response_matches_pinned_schema(self, app):

@@ -459,9 +459,9 @@ class TestProfileCli:
 
 class TestCampaignResources:
     def test_cell_usage_shape(self):
-        from repro.campaign.scheduler import _cell_usage
+        from repro.campaign.backends import cell_usage
 
-        usage = _cell_usage()
+        usage = cell_usage()
         assert usage is not None
         assert set(usage) == {
             "user_seconds", "system_seconds", "max_rss_kb"

@@ -520,7 +520,8 @@ class TestPrepassMemo:
         pre-passes leave, whether the first run hit the memo or not."""
         program, trace, annotation = dmp_input
         if warm:
-            vectorized.warm_prepass_memo(program, trace)
+            VectorizedTimingSimulator(program).run(trace)
+            vectorized.clear_run_memo()
             assert len(vectorized._PREPASS_MEMO) == 1
         assert self._vectorized(program, trace, annotation, runs=3) \
             == self._scalar(program, trace, annotation, runs=3)
@@ -603,22 +604,6 @@ class TestPrepassMemo:
             for counts in events:
                 del counts[name]
         assert events[0] == events[2]
-
-    def test_campaign_prepare_warms_without_a_run(self, monkeypatch):
-        from repro.campaign.spec import prepare_cell
-        from repro.experiments import runner
-
-        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
-        params = {"benchmark": "gzip", "scale": 0.05,
-                  "selection": "all-best-heur"}
-        prepare_cell(params)
-        artifacts = runner.get_artifacts("gzip", scale=0.05)
-        key = vectorized._memo_key(
-            vectorized._decode_tables(artifacts.program)[-1],
-            vectorized.trace_columns(artifacts.trace),
-            ProcessorConfig(),
-        )
-        assert list(vectorized._PREPASS_MEMO) == [key]
 
 
 #: One loop whose two multiplies either chain through their own
@@ -965,30 +950,6 @@ class TestRunMemo:
         profiler = SimProfiler()
         VectorizedTimingSimulator(program, profiler=profiler).run(trace)
         assert list(profiler.events) == list(stored.events)
-
-    def test_campaign_prepare_warms_the_baseline_without_a_run(
-            self, monkeypatch):
-        from repro.campaign.spec import prepare_cell
-        from repro.experiments import runner
-
-        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
-        runner.clear_cache()
-        params = {"benchmark": "gzip", "scale": 0.05,
-                  "selection": "all-best-heur"}
-        with monkeypatch.context() as patched:
-            for cls in (TimingSimulator, VectorizedTimingSimulator):
-                patched.setattr(cls, "run", None)
-            prepare_cell(params)
-            prepare_cell(params)                    # a no-op repeat
-        artifacts = runner.get_artifacts("gzip", scale=0.05)
-        replay_digest = vectorized._decode_tables(artifacts.program)[-2]
-        assert self._runs(self._entry()) == [(replay_digest, None)]
-        program, trace = artifacts.program, artifacts.trace
-        stats, metrics, _, simulator = self._run(program, trace)
-        assert simulator._skipped is not None
-        assert (stats, metrics) == self._run(
-            program, trace, tracer=Tracer(ListSink()))[:2]
-        runner.clear_cache()
 
 
 class TestEngineSpeed:
