@@ -70,7 +70,7 @@ def _classify_exact(analysis, thresholds, branch_pc):
         return None
     kind = (
         DivergeKind.SIMPLE_HAMMOCK
-        if _is_simple(path_set)
+        if _is_simple(analysis, path_set)
         else DivergeKind.NESTED_HAMMOCK
     )
     cfm = CFMPoint(pc=iposdom, kind=CFMKind.EXACT, merge_prob=1.0)
@@ -82,21 +82,17 @@ def _classify_exact(analysis, thresholds, branch_pc):
     )
 
 
-def _is_simple(path_set):
+def _is_simple(analysis, path_set):
     """True when the hammock contains no conditional branches or calls.
 
     Unconditional jumps are permitted — the if-else shape needs one to
     skip the else side.
     """
-    cfg = path_set.cfg
-    program = cfg.program
+    calls = analysis.block_calls(path_set.cfg)
     for direction in ("taken", "nottaken"):
         for path in path_set.paths(direction):
             if path.cbrs > 0:
                 return False
-            for block_id in path.block_ids:
-                block = cfg.blocks[block_id]
-                for pc in range(block.start, block.end):
-                    if program[pc].is_call:
-                        return False
+            if any(calls[block_id] for block_id in path.block_ids):
+                return False
     return True

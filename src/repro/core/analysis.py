@@ -41,8 +41,32 @@ class ProgramAnalysis:
             func = cfg.function
             for pc in range(func.start, func.end):
                 self._cfg_of_pc[pc] = cfg
+        self._block_writes, self._block_calls = self._block_tables()
+        self._iposdom = {}
         self._loop_exits = self._find_loop_exits()
         self._path_cache = {}
+
+    def _block_tables(self):
+        """Per function, per block id: the registers the block writes
+        (r0 excluded) and whether it holds a call."""
+        program = self.program
+        writes, calls = {}, {}
+        for name, cfg in self.cfgs.items():
+            block_writes, block_calls = [], []
+            for block in cfg.blocks:
+                registers = set()
+                has_call = False
+                for pc in range(block.start, block.end):
+                    inst = program[pc]
+                    written = inst.written_register()
+                    if written is not None and written != ZERO_REGISTER:
+                        registers.add(written)
+                    has_call = has_call or inst.is_call
+                block_writes.append(frozenset(registers))
+                block_calls.append(has_call)
+            writes[name] = block_writes
+            calls[name] = block_calls
+        return writes, calls
 
     # -- basic queries ----------------------------------------------------
 
@@ -50,10 +74,21 @@ class ProgramAnalysis:
         return self._cfg_of_pc[pc]
 
     def iposdom_pc(self, branch_pc):
-        """The exact CFM point candidate (IPOSDOM entry pc) or None."""
+        """The exact CFM point candidate (IPOSDOM entry pc) or None
+        (memoized per branch pc)."""
+        try:
+            return self._iposdom[branch_pc]
+        except KeyError:
+            pass
         cfg = self.cfg_of(branch_pc)
         postdoms = self._postdoms[cfg.function.name]
-        return immediate_postdominator_pc(cfg, postdoms, branch_pc)
+        iposdom = immediate_postdominator_pc(cfg, postdoms, branch_pc)
+        self._iposdom[branch_pc] = iposdom
+        return iposdom
+
+    def block_calls(self, cfg):
+        """Per block id of ``cfg``: does the block hold a call?"""
+        return self._block_calls[cfg.function.name]
 
     def executed_conditional_branches(self):
         """Branch pcs executed during profiling, in program order.
@@ -137,7 +172,8 @@ class ProgramAnalysis:
         return path_set
 
     def invalidate_paths(self):
-        """Drop memoized path sets (dominators/loops stay valid).
+        """Drop memoized path sets (dominators, loops, IPOSDOMs and the
+        per-block tables stay valid).
 
         Path sets depend on the edge profile *and* their bound
         parameters; the structural analyses depend only on the program.
@@ -162,27 +198,21 @@ class ProgramAnalysis:
         is reported as negligible either way, §4.4 item 4).
         """
         cfg = path_set.cfg
-        program = cfg.program
+        blocks = cfg.blocks
+        writes = self._block_writes[cfg.function.name]
         registers = set()
         for direction in ("taken", "nottaken"):
             for path in path_set.paths(direction):
                 for block_id in path.block_ids:
-                    block = cfg.blocks[block_id]
-                    if block.start in cfm_pcs:
+                    if blocks[block_id].start in cfm_pcs:
                         break
-                    for pc in range(block.start, block.end):
-                        written = program[pc].written_register()
-                        if written is not None and written != ZERO_REGISTER:
-                            registers.add(written)
+                    registers |= writes[block_id]
         return frozenset(registers)
 
     def loop_body_registers(self, loop, cfg):
         """Registers written inside a loop body (loop select-µops)."""
+        writes = self._block_writes[cfg.function.name]
         registers = set()
         for block_id in loop.body:
-            block = cfg.blocks[block_id]
-            for pc in range(block.start, block.end):
-                written = cfg.program[pc].written_register()
-                if written is not None and written != ZERO_REGISTER:
-                    registers.add(written)
+            registers |= writes[block_id]
         return frozenset(registers)

@@ -12,8 +12,14 @@ simulator can replay without materializing one object per instruction.
 The column layout is also the persistent artifact cache's on-disk
 format: :meth:`Trace.to_bytes` / :meth:`Trace.from_bytes` round-trip
 the raw column buffers with no per-entry encoding work.
+
+A finished trace is *sealed* (:meth:`Trace.seal`): its columns become
+read-only views and the SHA-256 of their contents is computed once and
+kept in :attr:`Trace.digest`, so the timing simulator's memo keys stop
+re-hashing a trace that cannot change.
 """
 
+import hashlib
 from array import array
 
 #: Column sentinel for "no effective address" (loads/stores always
@@ -44,20 +50,52 @@ class TraceView:
         return f"TraceView(pc={self.pc}, next_pc={self.next_pc})"
 
 
-class Trace:
-    """Parallel-array dynamic trace: pc / next_pc / address columns."""
+def columns_digest(columns):
+    """SHA-256 of the ``(pc, next_pc, address)`` int64 column buffers."""
+    digest = hashlib.sha256()
+    for column in columns:
+        digest.update(column)
+    return digest.digest()
 
-    __slots__ = ("pcs", "next_pcs", "addresses")
+
+class Trace:
+    """Parallel-array dynamic trace: pc / next_pc / address columns.
+
+    ``digest`` is ``None`` until :meth:`seal`, then the
+    :func:`columns_digest` of the (now read-only) columns.
+    """
+
+    __slots__ = ("pcs", "next_pcs", "addresses", "digest")
 
     def __init__(self):
         self.pcs = array("q")
         self.next_pcs = array("q")
         self.addresses = array("q")
+        self.digest = None
+
+    def seal(self):
+        """Make the columns read-only and keep their digest; returns
+        ``self``.  Sealing a sealed trace does nothing."""
+        if self.digest is None:
+            self.pcs, self.next_pcs, self.addresses = (
+                memoryview(column).toreadonly()
+                for column in (self.pcs, self.next_pcs, self.addresses)
+            )
+            self.digest = columns_digest(
+                (self.pcs, self.next_pcs, self.addresses))
+        return self
+
+    def __reduce__(self):
+        # Read-only views do not pickle: ship the raw columns, and
+        # seal the copy again if this trace was sealed.
+        return _rebuild, (*self.to_bytes(), self.digest is not None)
 
     # -- recording (the emulator's hot path) ---------------------------
 
     def record(self, pc, next_pc, address=None):
-        """Append one retired instruction."""
+        """Append one retired instruction (a sealed trace raises)."""
+        if self.digest is not None:
+            raise TypeError("cannot record into a sealed trace")
         self.pcs.append(pc)
         self.next_pcs.append(next_pc)
         self.addresses.append(NO_ADDRESS if address is None else address)
@@ -122,6 +160,12 @@ class Trace:
         if not len(trace.pcs) == len(trace.next_pcs) == len(trace.addresses):
             raise ValueError("trace column lengths disagree")
         return trace
+
+
+def _rebuild(pc_bytes, next_pc_bytes, address_bytes, sealed):
+    """Unpickle a :class:`Trace` (see :meth:`Trace.__reduce__`)."""
+    trace = Trace.from_bytes(pc_bytes, next_pc_bytes, address_bytes)
+    return trace.seal() if sealed else trace
 
 
 def trace_rows(trace):

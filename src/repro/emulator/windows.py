@@ -17,7 +17,8 @@ def trace_columns(trace):
     """Return ``(pcs, next_pcs, addresses)`` as int64 numpy arrays.
 
     For a compact :class:`Trace` the arrays are zero-copy (read-only
-    semantics by convention: callers must not write through them).
+    semantics by convention: callers must not write through them; a
+    sealed trace's arrays are read-only).
     For any other trace shape accepted by :func:`trace_rows`, columns
     are materialized in one pass, mapping ``None`` addresses to
     :data:`NO_ADDRESS`.

@@ -159,7 +159,7 @@ def melded_run(name, config, input_set="reduced", scale=1.0, ledger=None):
     assert_equivalent(
         name, _original_final_state(name, input_set, scale), result.state
     )
-    _meld_trace_cache.put(key, trace)
+    _meld_trace_cache.put(key, trace.seal())
     return state, program, trace
 
 

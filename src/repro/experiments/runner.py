@@ -126,7 +126,9 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
     rides along on the ``on_branch`` hook of the traced execution.  On
     a disk-cache hit no emulation happens at all: the workload is
     still loaded (the simulator needs the program), but its input
-    memory is never generated.
+    memory is never generated.  The returned trace is sealed (see
+    :meth:`~repro.emulator.trace.Trace.seal`): read-only, its digest
+    computed once.
     """
     key = (name, input_set, scale)
     cached = _artifact_cache.get(key)
@@ -141,7 +143,7 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
     if entry is not None:
         trace, profile = entry
         artifacts = Artifacts(
-            workload=workload, trace=trace, profile=profile
+            workload=workload, trace=trace.seal(), profile=profile
         )
         _artifact_cache.put(key, artifacts)
         return artifacts
@@ -163,7 +165,8 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
         profile = collector.finish(result)
         sp.events = result.instruction_count
     artifact_cache.store(disk_key, trace, profile)
-    artifacts = Artifacts(workload=workload, trace=trace, profile=profile)
+    artifacts = Artifacts(workload=workload, trace=trace.seal(),
+                          profile=profile)
     _artifact_cache.put(key, artifacts)
     return artifacts
 

@@ -135,11 +135,14 @@ def _normalize_common(body, endpoint, workload_key):
     if not workload or not isinstance(workload, str):
         raise RequestError(f"{endpoint}: {workload_key!r} is required")
     input_set = _take(body, "input_set", "reduced")
+    scale = _take(body, "scale", 1.0)
+    message = f"{endpoint}: 'scale' must be a number"
+    if isinstance(scale, bool):
+        raise RequestError(message)
     try:
-        scale = float(_take(body, "scale", 1.0))
+        scale = float(scale)
     except (TypeError, ValueError):
-        raise RequestError(f"{endpoint}: 'scale' must be a number") \
-            from None
+        raise RequestError(message) from None
     return workload, input_set, scale
 
 

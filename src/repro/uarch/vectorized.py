@@ -92,6 +92,7 @@ from repro.branchpred.perceptron import (
     PerceptronPredictor,
 )
 from repro.core.marks import DivergeKind
+from repro.emulator.trace import columns_digest
 from repro.emulator.windows import trace_columns, window_bounds
 from repro.errors import SimulationError
 from repro.isa.registers import NUM_REGISTERS
@@ -149,8 +150,9 @@ _DECODE_CACHE = weakref.WeakKeyDictionary()
 #: digest of the other tables the replay and the wrong-path walker
 #: read and by the annotation's marks; a hit on either refreshes the
 #: entry.  Keys digest the column contents, so an entry cannot outlive
-#: the data it was computed from.  Not thread-safe, like the runner's
-#: LRUs (serve serializes computations).
+#: the data it was computed from; a sealed trace is hashed once, when
+#: it is sealed, since its columns cannot change after.  Not
+#: thread-safe, like the runner's LRUs (serve serializes computations).
 _PREPASS_MEMO = OrderedDict()
 
 #: Most entries the pre-pass memo holds.  An entry keeps eight bytes
@@ -272,12 +274,16 @@ def _decode_tables(program):
     return cached
 
 
-def _memo_key(program_digest, columns, config):
-    """The pre-pass memo key: program tables, trace contents, config."""
-    digest = hashlib.sha256()
-    for column in columns:
-        digest.update(np.ascontiguousarray(column))
-    return program_digest, digest.digest(), config
+def _memo_key(program_digest, trace, columns, config):
+    """The pre-pass memo key: program tables, trace contents, config.
+
+    A sealed :class:`~repro.emulator.trace.Trace` brings the digest of
+    its columns; any other trace is hashed on every call.
+    """
+    digest = getattr(trace, "digest", None)
+    if digest is None:
+        digest = columns_digest(columns)
+    return program_digest, digest, config
 
 
 class _Prepasses:
@@ -820,7 +826,8 @@ class VectorizedTimingSimulator(TimingSimulator):
         key = None
         if self._fresh:
             self._fresh = False
-            key = _memo_key(self._program_digest, columns, self.config)
+            key = _memo_key(self._program_digest, trace, columns,
+                            self.config)
             if not self.tracer.enabled:
                 return self._run_memoized(columns, key, label, started)
         stats, timing, _ = self._replay(columns, key, label, started)

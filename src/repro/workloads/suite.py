@@ -24,6 +24,7 @@ scaled by 1.25 — enough to move some selections, as in Figure 10,
 without changing program character).
 """
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict
@@ -305,12 +306,19 @@ def load_benchmark(name, input_set="reduced", scale=1.0):
     quick tests vs full experiments).  The outer iteration count comes
     from the pinned calibration (:data:`CALIBRATION_COUNTS`) so every
     benchmark lands near its ``target_dynamic`` regardless of region
-    mix.
+    mix.  ``scale`` must be a finite number above zero.
     """
     if name not in BENCHMARK_SPECS:
         raise WorkloadError(f"unknown benchmark {name!r}")
     if input_set not in INPUT_SETS:
         raise WorkloadError(f"unknown input set {input_set!r}")
+    try:
+        valid = math.isfinite(scale) and scale > 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise WorkloadError(
+            f"scale must be a finite number above zero, got {scale!r}")
     base_spec = BENCHMARK_SPECS[name]
     per_iteration = max(
         8.0, CALIBRATION_COUNTS[name] / _CALIBRATION_ITERATIONS

@@ -33,7 +33,17 @@ from repro.core import (
     annotation_io,
     select_diverge_branches,
 )
+from repro.cfg import find_natural_loops
+from repro.cfg.dominators import (
+    compute_postdominators,
+    immediate_postdominator_pc,
+)
+from repro.core.alg_exact import _is_simple, find_exact_candidates
+from repro.core.alg_freq import find_freq_candidates
+from repro.core.analysis import ProgramAnalysis
 from repro.core.thresholds import COST_MODEL_BOUNDS, SelectionThresholds
+from repro.isa import assemble
+from repro.isa.registers import ZERO_REGISTER
 from repro.obs import MetricsRegistry, jsonl_tracer, telemetry
 from repro.obs.tracer import iter_records
 from repro.profiling import Profiler
@@ -138,6 +148,171 @@ class TestPipelineEquivalence:
         assert not any(is_ret[:first_ret])
         assert all(is_ret[first_ret:])
         assert is_ret, "cost mode must produce cost reports"
+
+
+# --------------------------------------------------------------------
+# Per-block tables: unions over blocks equal a per-instruction rescan.
+# --------------------------------------------------------------------
+
+
+def _rescan_path_registers(path_set, cfm_pcs):
+    """``select_registers_for_paths`` as a per-instruction rescan."""
+    cfg = path_set.cfg
+    registers = set()
+    for direction in ("taken", "nottaken"):
+        for path in path_set.paths(direction):
+            for block_id in path.block_ids:
+                block = cfg.blocks[block_id]
+                if block.start in cfm_pcs:
+                    break
+                for pc in range(block.start, block.end):
+                    written = cfg.program[pc].written_register()
+                    if written is not None and written != ZERO_REGISTER:
+                        registers.add(written)
+    return frozenset(registers)
+
+
+def _rescan_loop_registers(loop, cfg):
+    """``loop_body_registers`` as a per-instruction rescan."""
+    registers = set()
+    for block_id in loop.body:
+        block = cfg.blocks[block_id]
+        for pc in range(block.start, block.end):
+            written = cfg.program[pc].written_register()
+            if written is not None and written != ZERO_REGISTER:
+                registers.add(written)
+    return frozenset(registers)
+
+
+def _rescan_is_simple(path_set):
+    """``alg_exact._is_simple`` as a per-instruction rescan."""
+    cfg = path_set.cfg
+    for direction in ("taken", "nottaken"):
+        for path in path_set.paths(direction):
+            if path.cbrs > 0:
+                return False
+            for block_id in path.block_ids:
+                block = cfg.blocks[block_id]
+                if any(cfg.program[pc].is_call
+                       for pc in range(block.start, block.end)):
+                    return False
+    return True
+
+
+class TestBlockTables:
+    @pytest.mark.parametrize("thresholds", [
+        SelectionThresholds(), SelectionThresholds(**COST_MODEL_BOUNDS),
+    ], ids=["default", "cost-bounds"])
+    def test_unions_match_a_rescan_on_every_workload(
+            self, suite_artifacts, thresholds):
+        checked = {"exact": 0, "freq": 0, "loop": 0, "simple": 0}
+        for name in BENCHMARK_NAMES:
+            program, profile = suite_artifacts[name]
+            analysis = ProgramAnalysis(program, profile)
+            exact = find_exact_candidates(analysis, thresholds)
+            freq = find_freq_candidates(
+                analysis, thresholds,
+                exclude_pcs={c.branch_pc for c in exact},
+            )
+            for source, candidates in (("exact", exact), ("freq", freq)):
+                for candidate in candidates:
+                    path_set = candidate.path_set
+                    # Every block start as a lone stop exercises the
+                    # union's early exit (the real CFM points of these
+                    # workloads never cut a path short).
+                    starts = {path_set.cfg.blocks[block_id].start
+                              for path in path_set.taken_paths
+                              + path_set.nottaken_paths
+                              for block_id in path.block_ids}
+                    for cfm_pcs in [candidate.cfm_pcs, frozenset()] + [
+                            frozenset({start}) for start in starts]:
+                        assert analysis.select_registers_for_paths(
+                            path_set, cfm_pcs
+                        ) == _rescan_path_registers(path_set, cfm_pcs), \
+                            (name, candidate.branch_pc)
+                    simple = _is_simple(analysis, path_set)
+                    assert simple == _rescan_is_simple(path_set), \
+                        (name, candidate.branch_pc)
+                    checked[source] += 1
+                    checked["simple"] += simple
+            for cfg in analysis.cfgs.values():
+                for loop in find_natural_loops(cfg):
+                    assert analysis.loop_body_registers(loop, cfg) \
+                        == _rescan_loop_registers(loop, cfg), name
+                    checked["loop"] += 1
+        assert all(checked.values()), checked
+
+    def test_r0_writes_are_not_select_registers(self):
+        program = assemble(
+            """
+            .func main
+                movi r1, 0
+                movi r2, 40
+            loop:
+                cmpge r4, r1, r2
+                bnez r4, done
+                ld r3, 0(r1)
+                bnez r3, then
+                addi r0, r6, 1
+                jmp merge
+            then:
+                addi r7, r7, 2
+            merge:
+                addi r1, r1, 1
+                jmp loop
+            done:
+                halt
+            .endfunc
+            """
+        )
+        profile = Profiler().profile(
+            program, memory={i: i % 2 for i in range(50)})
+        analysis = ProgramAnalysis(program, profile)
+        (candidate,) = [c for c in find_exact_candidates(
+            analysis, SelectionThresholds()) if c.branch_pc == 5]
+        registers = analysis.select_registers_for_paths(
+            candidate.path_set, candidate.cfm_pcs)
+        assert registers == frozenset({7})
+        assert registers == _rescan_path_registers(
+            candidate.path_set, candidate.cfm_pcs)
+
+    def test_iposdom_memo_matches_the_tree_walk(self, twolf, monkeypatch):
+        from repro.core import analysis as analysis_module
+
+        program, profile = twolf
+        analysis = ProgramAnalysis(program, profile)
+        branches = analysis.executed_conditional_branches()
+        expected = {}
+        for pc in branches:
+            cfg = analysis.cfg_of(pc)
+            postdoms = compute_postdominators(cfg)
+            expected[pc] = immediate_postdominator_pc(cfg, postdoms, pc)
+            assert analysis.iposdom_pc(pc) == expected[pc]
+
+        def walk(*args):
+            raise AssertionError("a memoized IPOSDOM walked the tree")
+
+        monkeypatch.setattr(analysis_module,
+                            "immediate_postdominator_pc", walk)
+        assert {pc: analysis.iposdom_pc(pc) for pc in branches} == expected
+
+    def test_invalidate_paths_keeps_the_tables(self, twolf):
+        program, profile = twolf
+        manager = AnalysisManager()
+        analysis = manager.analysis(program, profile)
+        run_selection_pipeline(
+            program, profile, SelectionConfig.all_best_cost(),
+            manager=manager,
+        )
+        writes = analysis._block_writes
+        calls = analysis._block_calls
+        iposdoms = dict(analysis._iposdom)
+        assert iposdoms
+        manager.invalidate_paths(program, profile)
+        assert analysis.path_cache_size() == 0
+        assert analysis._block_writes is writes
+        assert analysis._block_calls is calls
+        assert analysis._iposdom == iposdoms
 
 
 # --------------------------------------------------------------------
@@ -602,6 +777,15 @@ class TestCompileCLI:
         assert self._main([
             "--benchmark", "no-such-workload", "--config", "exact",
         ]) == 1
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "inf", "nan"])
+    def test_bad_scale_fails_with_one_line(self, capsys, scale):
+        assert self._main([
+            "--benchmark", "gzip", "--scale", scale,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("python -m repro compile: error: scale ")
+        assert err.count("\n") == 1
 
     def test_dispatch_through_repro_main(self, capsys):
         from repro.__main__ import main

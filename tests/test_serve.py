@@ -157,6 +157,18 @@ class TestValidation:
         })
         assert status == 400
 
+    @pytest.mark.parametrize("scale", [
+        "inf", "-inf", "nan", -1, 0, True, False, "big", None, [0.3],
+    ])
+    @pytest.mark.parametrize("endpoint,key", [
+        ("compile", "benchmark"), ("simulate", "benchmark"),
+        ("explain", "workload"),
+    ])
+    def test_bad_scale_is_a_client_error(self, app, endpoint, key, scale):
+        status, body = app.handle(endpoint, {key: BENCH, "scale": scale})
+        assert status == 400
+        assert "scale" in json.loads(body)["error"]
+
     def test_config_and_pipeline_conflict(self, app):
         status, body = app.handle("compile", {
             "benchmark": BENCH, "config": "all-best-heur",

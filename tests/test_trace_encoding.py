@@ -1,5 +1,8 @@
 """Compact trace encoding and the fused trace+profile emulator pass."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.emulator import (
@@ -10,6 +13,9 @@ from repro.emulator import (
     execute,
     trace_rows,
 )
+from repro.emulator.trace import columns_digest
+from repro.experiments import runner
+from repro.obs.context import get_metrics
 from repro.profiling import Profiler
 from repro.uarch import TimingSimulator
 from repro.workloads import load_benchmark
@@ -83,6 +89,82 @@ class TestTraceContainer:
         # 3 × 8 bytes per instruction; a DynamicInstruction alone is
         # ~56 bytes before the list's pointer.
         assert compact.nbytes == 24 * len(compact)
+
+
+def _small_trace():
+    trace = Trace()
+    for i in range(50):
+        trace.record(i, i + 1, i * 8 if i % 4 == 0 else None)
+    return trace
+
+
+class TestSealedTrace:
+    """A sealed trace is read-only and carries the digest of its
+    columns, computed once."""
+
+    def test_seal_rejects_column_writes_record_and_append(self):
+        trace = _small_trace().seal()
+        with pytest.raises(TypeError):
+            trace.addresses[0] = 4096
+        with pytest.raises(TypeError):
+            trace.pcs[1] = 7
+        with pytest.raises(TypeError):
+            trace.record(50, 51)
+        with pytest.raises(TypeError):
+            trace.append(DynamicInstruction(50, 51, address=8))
+        assert len(trace) == 50
+
+    def test_digest_is_the_sha256_of_the_columns(self):
+        trace = _small_trace()
+        assert trace.digest is None
+        pcs, next_pcs, addresses = trace.to_bytes()
+        expected = hashlib.sha256(pcs + next_pcs + addresses).digest()
+        assert trace.seal().digest == expected
+        assert columns_digest((trace.pcs, trace.next_pcs,
+                               trace.addresses)) == expected
+        assert trace.seal().digest == expected        # sealing again
+
+    def test_sealed_trace_reads_like_an_unsealed_one(self):
+        plain = _small_trace()
+        sealed = _small_trace().seal()
+        assert list(sealed.rows()) == list(plain.rows())
+        assert [v.address for v in sealed] == [v.address for v in plain]
+        assert sealed[4].address == plain[4].address == 32
+        assert sealed.nbytes == plain.nbytes
+        assert sealed.to_bytes() == plain.to_bytes()
+
+    def test_bytes_round_trip(self):
+        sealed = _small_trace().seal()
+        rebuilt = Trace.from_bytes(*sealed.to_bytes())
+        assert rebuilt.digest is None            # a fresh, writable copy
+        assert list(rebuilt.rows()) == list(sealed.rows())
+        assert rebuilt.seal().digest == sealed.digest
+
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_pickle_round_trip(self, sealed):
+        trace = _small_trace()
+        if sealed:
+            trace.seal()
+        copy = pickle.loads(pickle.dumps(trace))
+        assert list(copy.rows()) == list(trace.rows())
+        assert copy.digest == trace.digest
+        if not sealed:
+            copy.record(50, 51)
+            assert len(copy) == 51
+
+    def test_get_artifacts_seals_emulated_and_disk_traces(self):
+        emulated = runner.get_artifacts("gzip", scale=0.05).trace
+        assert emulated.digest is not None
+        runner.clear_cache()                     # the next load is a disk hit
+        hits = get_metrics().counter(
+            "cache_disk_hits_total")
+        before = hits.value
+        loaded = runner.get_artifacts("gzip", scale=0.05).trace
+        assert hits.value == before + 1
+        assert loaded is not emulated
+        assert loaded.digest == emulated.digest
+        with pytest.raises(TypeError):
+            loaded.record(0, 1)
 
 
 class TestSinglePassEquivalence:

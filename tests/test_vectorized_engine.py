@@ -575,6 +575,46 @@ class TestPrepassMemo:
             == self._scalar(program, other)
         assert len(vectorized._PREPASS_MEMO) == 2
 
+    def test_sealed_trace_is_hashed_once(self, monkeypatch):
+        """A memo hit on a sealed artifact trace feeds no trace column
+        to SHA-256; an unsealed copy of it hashes and hits the same
+        entry."""
+        import hashlib
+
+        from repro.emulator import Trace
+        from repro.experiments.runner import get_artifacts
+
+        artifacts = get_artifacts("gzip", scale=0.05)
+        trace = artifacts.trace
+        assert trace.digest is not None
+        first = VectorizedTimingSimulator(artifacts.program).run(trace)
+        column_bytes = trace.pcs.nbytes
+        hashed = []
+        real_sha256 = hashlib.sha256
+
+        class CountingHash:
+            def __init__(self, *args):
+                self._hash = real_sha256(*args)
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self._hash.update(data)
+
+            def digest(self):
+                return self._hash.digest()
+
+        monkeypatch.setattr(hashlib, "sha256", CountingHash)
+        simulator = VectorizedTimingSimulator(artifacts.program)
+        assert simulator.run(trace).as_dict() == first.as_dict()
+        assert simulator._skipped is not None          # a run-memo hit
+        assert column_bytes not in hashed
+        copy = Trace.from_bytes(*trace.to_bytes())
+        again = VectorizedTimingSimulator(artifacts.program)
+        assert again.run(copy).as_dict() == first.as_dict()
+        assert again._skipped is not None
+        assert hashed.count(column_bytes) == 3
+        assert len(vectorized._PREPASS_MEMO) == 1
+
     def test_bounded_lru(self, monkeypatch):
         monkeypatch.setattr(vectorized, "PREPASS_MEMO_ENTRIES", 3)
         program, trace = hammock_setup()

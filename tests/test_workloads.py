@@ -199,6 +199,14 @@ class TestSuite:
         with pytest.raises(WorkloadError):
             load_benchmark("gzip", input_set="ref")
 
+    @pytest.mark.parametrize("scale", [
+        0, -1, -0.5, float("inf"), float("-inf"), float("nan"), "0.3",
+        None,
+    ])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(WorkloadError, match="scale"):
+            load_benchmark("gzip", scale=scale)
+
     def test_load_is_deterministic(self):
         a = load_benchmark("li", scale=0.2)
         b = load_benchmark("li", scale=0.2)
