@@ -61,8 +61,8 @@ import argparse
 import sys
 from contextlib import ExitStack
 
-from repro.errors import SimulationError
-from repro.exec import artifact_cache, default_jobs
+from repro.errors import ReproError
+from repro.exec import JobError, artifact_cache, default_jobs
 from repro.experiments import (
     ablations,
     meldcompare,
@@ -90,7 +90,6 @@ from repro.obs import (
     telemetry,
     write_manifest,
 )
-from repro.uarch import requested_engine
 
 ARTIFACTS = {
     "table1": table1,
@@ -112,11 +111,6 @@ DEFAULT_ALL_MANIFEST = "results/run_manifest.json"
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        engine = requested_engine()
-    except SimulationError as exc:
-        print(f"python -m repro: error: {exc}", file=sys.stderr)
-        return 2
     if argv and argv[0] == "campaign":
         from repro.campaign.cli import main as campaign_main
 
@@ -304,6 +298,14 @@ def main(argv=None):
             if ctx is not None:
                 stack.enter_context(span(f"repro.{args.artifact}"))
             status = _run_artifact(args, benchmarks)
+    except (ReproError, JobError) as exc:
+        # A pooled cell's ReproError arrives wrapped in the JobError
+        # that names the cell; any other failure keeps its traceback.
+        if not isinstance(exc, ReproError) \
+                and not isinstance(exc.__cause__, ReproError):
+            raise
+        print(f"python -m repro: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         tracer.close()
     if status:
@@ -336,7 +338,6 @@ def main(argv=None):
                 "benchmarks": args.benchmarks or "all",
                 "trace": args.trace,
                 "metrics": args.metrics,
-                "sim_engine": engine,
             },
             benchmarks=benchmarks,
             scale=args.scale,

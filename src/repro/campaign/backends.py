@@ -37,9 +37,7 @@ A backend implements:
 ``launch(fn, cell, attempt, trace=None)``
     Start one attempt (``trace`` is the optional distributed-trace
     propagation payload) on an idle worker, or a freshly forked one;
-    returns a :class:`WorkerHandle`.  Workers inherit the environment,
-    :envvar:`REPRO_SIM_ENGINE` included, so cells simulate with the
-    engine the campaign process selected.
+    returns a :class:`WorkerHandle`.
 ``wait(handles, timeout)``
     Block up to ``timeout`` seconds; return the handles with a result
     ready (liveness/timeout sweeps stay in the scheduler).

@@ -20,11 +20,9 @@ in workers exactly as if it had run inline.
 Workers are forked (the POSIX default), so they inherit the parent's
 warm in-memory caches and any artifact-cache overrides; per-worker
 cache reuse across that worker's jobs comes for free from the module
-state in :mod:`repro.experiments.runner`.  Workers also inherit the
-environment, so cells simulate with the engine
-:envvar:`REPRO_SIM_ENGINE` selected for the parent — and since both
-engines are bit-identical, plan-order gathering keeps parallel runs
-reproducible either way.
+state in :mod:`repro.experiments.runner`.  Simulation is
+deterministic, so plan-order gathering keeps parallel runs
+reproducible.
 
 Cell functions must be module-level (picklable) and depend only on
 their arguments — which the experiment pipeline already guarantees:

@@ -52,31 +52,24 @@ def build_profile(workload, selection_config, input_set="reduced",
     The run happens in its own metrics registry and span tree
     (:func:`~repro.obs.context.run_fresh`), so the returned spans are
     self-contained (an ambient telemetry context, e.g. a figure
-    driver's, is not disturbed and does not leak in).
-    :envvar:`REPRO_SIM_ENGINE` selects the simulation engine; the
-    record carries the engine that actually ran under its ``"engine"``
-    key.
+    driver's, is not disturbed and does not leak in).  The record's
+    ``"engine"`` key names the replay that ran: always
+    ``"vectorized"``, the one engine.
     """
-    from repro.experiments.runner import get_artifacts, run_selection
+    from repro.experiments.runner import run_selection
     from repro.obs.context import run_fresh
-    from repro.uarch.engine import resolve_engine
     from repro.uarch.profiler import SimProfiler
 
     profiler = SimProfiler()
 
     def run():
-        stats, annotation = run_selection(
+        return run_selection(
             workload, selection_config,
             input_set=input_set, scale=scale,
             config=processor_config, profiler=profiler,
         )
-        engine = resolve_engine(
-            get_artifacts(workload, input_set, scale).program,
-            processor_config,
-        )
-        return stats, annotation, engine
 
-    (stats, annotation, resolved_engine), snapshot = run_fresh(run)
+    (stats, annotation), snapshot = run_fresh(run)
     spans = snapshot["spans"]
     simulate_self = spans.get("simulate", {}).get("self_seconds", 0.0)
     attributed = profiler.total_seconds()
@@ -85,7 +78,7 @@ def build_profile(workload, selection_config, input_set="reduced",
         "config": selection_config.name,
         "scale": scale,
         "input_set": input_set,
-        "engine": resolved_engine,
+        "engine": "vectorized",
         "run": {
             "label": stats.label,
             "cycles": stats.cycles,

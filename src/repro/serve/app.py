@@ -19,10 +19,10 @@ the campaign journal records for the same cell.
 computation: the first arrival (the *leader*) runs it, the rest wait on
 an event and receive the same bytes.  The coalescing key is
 :func:`repro.campaign.spec.content_hash` over the normalized request —
-for ``/v1/simulate`` that hash *is* the campaign cell ID.  The
-simulation engine is not a request field: the daemon's request threads
-use the engine :envvar:`REPRO_SIM_ENGINE` selects for the whole
-process, and engines are bit-identical by contract.
+for ``/v1/simulate`` that hash *is* the campaign cell ID.  There is
+one simulation engine, so no request field chooses one; a ``processor``
+the simulator cannot model (a program that is not I-cache resident)
+is a 400, like any other :class:`~repro.errors.ReproError`.
 
 **Warm-state safety.**  The process-wide caches the daemon exists to
 keep warm — the shared :class:`~repro.compiler.AnalysisManager`, the

@@ -15,18 +15,15 @@ diverge-loop early/late/no-exit behaviour.
 """
 
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.engine import (
-    ENGINES,
-    make_simulator,
-    requested_engine,
-    resolve_engine,
-)
 from repro.uarch.profiler import COMPONENTS, SimProfiler
 from repro.uarch.stats import SimStats
-from repro.uarch.simulator import TimingSimulator, simulate
-from repro.uarch.vectorized import VectorizedTimingSimulator
+from repro.uarch.simulator import TimingSimulator
+from repro.uarch.vectorized import (
+    VectorizedTimingSimulator,
+    make_simulator,
+    simulate,
+)
 
-__all__ = ["COMPONENTS", "ENGINES", "ProcessorConfig", "SimProfiler",
-           "SimStats", "TimingSimulator", "VectorizedTimingSimulator",
-           "make_simulator", "requested_engine", "resolve_engine",
-           "simulate"]
+__all__ = ["COMPONENTS", "ProcessorConfig", "SimProfiler", "SimStats",
+           "TimingSimulator", "VectorizedTimingSimulator",
+           "make_simulator", "simulate"]

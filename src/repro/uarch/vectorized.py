@@ -1,14 +1,17 @@
-"""numpy batch-replay fast path for the timing simulator.
+"""numpy batch replay: the timing simulator's trace replay.
 
-:class:`VectorizedTimingSimulator` produces **bit-identical**
+:class:`VectorizedTimingSimulator` is the one replay of the timing
+model; :func:`make_simulator` builds it.  It produces **bit-identical**
 :class:`~repro.uarch.stats.SimStats` (and identical ledger counters and
-trace events) to the scalar :class:`~repro.uarch.simulator.TimingSimulator`
-while replaying the trace an order of magnitude faster.  The key
-observation is that the branch machinery — perceptron, JRS confidence,
-BTB, RAS — and the cache hierarchy evolve purely from *trace-determined*
-inputs (pc, taken, next_pc, address), never from timing state.  So
-the pre-passes run over the whole trace first (one window at a time),
-and the replay then consumes the trace in windows:
+trace events) to the scalar row-by-row replay it replaced, which the
+tests keep as a frozen oracle (``tests/_legacy_simulator.py``; "the
+scalar engine" below), while replaying the trace an order of magnitude
+faster.  The key observation is that the branch machinery —
+perceptron, JRS confidence, BTB, RAS — and the cache hierarchy evolve
+purely from *trace-determined* inputs (pc, taken, next_pc, address),
+never from timing state.  So the pre-passes run over the whole trace
+first (one window at a time), and the replay then consumes the trace
+in windows:
 
 1. **D-cache pre-pass** — ``memory.data_latency`` is replayed over the
    loads/stores in trace order (the scalar engine calls it for every
@@ -360,13 +363,15 @@ def _annotation_key(annotation):
 def supports(program, config):
     """Can the vectorized engine replay ``program`` bit-identically?
 
-    Returns ``(ok, reason)``.  The one structural precondition is that
-    the static code stays I-cache resident after the warm pass both
-    engines run: the scalar engine probes the I-cache once per fetch
-    group, and skipping those probes (which is what makes batch replay
-    fast) is only sound when every probe would hit — otherwise probe
-    misses would stall fetch and interleave extra L2 accesses into the
-    D-cache pre-pass's access sequence.  Program pcs occupy contiguous
+    Returns ``(ok, reason)``; a simulator for a program it rejects
+    cannot be built (the replay models no I-cache misses).  The one
+    structural precondition is that the static code stays I-cache
+    resident after the warm pass both engines run: the scalar engine
+    probes the I-cache once per fetch group, and skipping those probes
+    (which is what makes batch replay fast) is only sound when every
+    probe would hit — otherwise probe misses would stall fetch and
+    interleave extra L2 accesses into the D-cache pre-pass's access
+    sequence.  Program pcs occupy contiguous
     lines ``0 .. L-1``, so residency reduces to per-set occupancy
     ``ceil(L / num_sets) <= associativity``.
     """
@@ -383,13 +388,15 @@ def supports(program, config):
 
 
 class VectorizedTimingSimulator(TimingSimulator):
-    """Drop-in :class:`TimingSimulator` with a batch-replay ``run``.
+    """:class:`TimingSimulator` with the batch-replay ``run``.
 
-    Construction, configuration, and the dpred episode machinery are
-    shared with the scalar engine (same predictor, confidence, BTB,
-    RAS, memory hierarchy, bias table, and wrong-path walker state),
-    so a given (program, config, annotation) triple runs through
-    exactly the same model — only faster.  ``window_size`` is the
+    Construction, configuration, and the dpred episode machinery come
+    from the shared base (predictor, confidence, BTB, RAS, memory
+    hierarchy, bias table, and wrong-path walker state), as they did
+    for the scalar engine, so a given (program, config, annotation)
+    triple runs through exactly the same model.  Raises
+    :class:`~repro.errors.SimulationError` for a program that is not
+    I-cache resident (see :func:`supports`).  ``window_size`` is the
     replay window in trace rows (tests sweep tiny windows to pin the
     window-boundary behaviour).
     """
@@ -405,8 +412,8 @@ class VectorizedTimingSimulator(TimingSimulator):
         ok, reason = supports(program, self.config)
         if not ok:
             raise SimulationError(
-                f"vectorized engine cannot replay this program "
-                f"bit-identically: {reason}"
+                f"cannot simulate this program on this processor "
+                f"configuration: {reason}"
             )
         self.window_size = (
             DEFAULT_WINDOW if window_size is None else int(window_size)
@@ -790,7 +797,7 @@ class VectorizedTimingSimulator(TimingSimulator):
                 continue
             elif k == _CALL:
                 push(pc + 1)
-            # Taken control: the scalar _btb_miss_bubble lookup/insert.
+            # Taken control: the BTB lookup, and an insert on a miss.
             index = pc % num_entries
             if tags[index] == pc:
                 hits += 1
@@ -1493,3 +1500,24 @@ class VectorizedTimingSimulator(TimingSimulator):
             comp_events[OTHER] += 1
             return stats, (comp_sec, comp_events), per_branch
         return stats, None, per_branch
+
+
+def make_simulator(program, config=None, annotation=None, **kwargs):
+    """Build the timing simulator for ``program``: every caller's one
+    constructor.
+
+    ``kwargs`` are forwarded to :class:`VectorizedTimingSimulator`
+    (``collect_per_branch``, ``tracer``, ``metrics``, ``ledger``,
+    ``profiler``, ``window_size``).  Raises
+    :class:`~repro.errors.SimulationError` with :func:`supports`'s
+    reason when the program is not I-cache resident on ``config``.
+    """
+    return VectorizedTimingSimulator(program, config=config,
+                                     annotation=annotation, **kwargs)
+
+
+def simulate(program, trace, config=None, annotation=None, label=""):
+    """One-call convenience: build a simulator and run ``trace``."""
+    simulator = make_simulator(program, config=config,
+                               annotation=annotation)
+    return simulator.run(trace, label=label)

@@ -262,6 +262,29 @@ class TestScheduler:
             assert "synthetic cell failure" \
                 in state.last_failure[cell_id]["error"]
 
+    def test_non_resident_processor_cells_quarantine(self, tmp_path):
+        """The simulator rejects a program a 1 KB I-cache cannot hold:
+        those cells fail like any raising cell, retried and then
+        quarantined with the reason in the journal, and the 64 KB
+        cells complete."""
+        spec = CampaignSpec(
+            name="icache", benchmarks=("gzip",), scale=SCALE,
+            selection="exact-freq",
+            axes=(Axis("proc.icache_kb", (1, 64)),),
+        )
+        small, large = spec.cells()
+        assert small.params["processor"] == {"icache_kb": 1}
+        out = _run(spec, tmp_path, max_attempts=2)
+        assert set(out["results"]) == {large.cell_id}
+        assert out["results"][large.cell_id]["speedup"] > 0
+        assert out["quarantined"] == {small.cell_id}
+        state = replay(tmp_path / "journal.jsonl")
+        assert state.failures[small.cell_id] == 2
+        failure = state.last_failure[small.cell_id]
+        assert failure["kind"] == "exception"
+        assert "SimulationError" in failure["error"]
+        assert "I-cache residency" in failure["error"]
+
     def test_flaky_cells_succeed_on_retry(self, tmp_path, monkeypatch):
         markers = tmp_path / "markers"
         markers.mkdir()

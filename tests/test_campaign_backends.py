@@ -1,6 +1,5 @@
 """Campaign execution backends: the local pool extraction, shard
-partitioning, shard journals, ``campaign merge``, and engine
-resolution inside forked workers."""
+partitioning, shard journals and ``campaign merge``."""
 
 import json
 import os
@@ -39,14 +38,6 @@ def fake_cell(params):
         "baseline": {"ipc": 1.0},
         "stats": {"ipc": 1.0 + value},
     }
-
-
-def engine_cell(params):
-    """Reports the engine a forked worker would resolve to."""
-    from repro.uarch.engine import requested_engine
-
-    return {"engine": requested_engine(), "speedup": 1.0,
-            "baseline": {}, "stats": {}}
 
 
 def _spec(name="shards", benchmarks=("gzip", "twolf"),
@@ -249,29 +240,3 @@ class TestShardedExecution:
                 ["campaign", "run", str(spec_file), "--results-dir",
                  str(tmp_path), "--shards", "2"]
             )
-
-
-class TestWorkerEngineResolution:
-    """Forked shard/pool workers inherit ``REPRO_SIM_ENGINE``."""
-
-    ENGINE_SPEC = dict(
-        name="engines", benchmarks=("gzip",),
-        cell="tests.test_campaign_backends:engine_cell",
-    )
-
-    def _engines(self, summary):
-        return {r["engine"] for r in summary["results"].values()}
-
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_env_engine_reaches_forked_workers(self, tmp_path,
-                                               monkeypatch, engine):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-        spec = _spec(**self.ENGINE_SPEC)
-        summary = _run_scheduler(spec, str(tmp_path / "journal.jsonl"))
-        assert self._engines(summary) == {engine}
-
-    def test_default_is_auto(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        spec = _spec(**self.ENGINE_SPEC)
-        summary = _run_scheduler(spec, str(tmp_path / "journal.jsonl"))
-        assert self._engines(summary) == {"auto"}

@@ -5,18 +5,18 @@ import pytest
 from repro.core import SelectionConfig
 from repro.experiments import coverage
 from repro.experiments.runner import get_artifacts
-from repro.uarch import TimingSimulator
+from repro.uarch import make_simulator
 
 
 class TestPerBranchStats:
     def test_disabled_by_default(self):
         artifacts = get_artifacts("li", scale=0.15)
-        stats = TimingSimulator(artifacts.program).run(artifacts.trace)
+        stats = make_simulator(artifacts.program).run(artifacts.trace)
         assert stats.per_branch == {}
 
     def test_counters_consistent_with_aggregates(self):
         artifacts = get_artifacts("li", scale=0.15)
-        simulator = TimingSimulator(
+        simulator = make_simulator(
             artifacts.program, collect_per_branch=True
         )
         stats = simulator.run(artifacts.trace)
@@ -37,7 +37,7 @@ class TestPerBranchStats:
             artifacts.profile,
             SelectionConfig.all_best_heur(),
         )
-        simulator = TimingSimulator(
+        simulator = make_simulator(
             artifacts.program,
             annotation=annotation,
             collect_per_branch=True,

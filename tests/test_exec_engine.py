@@ -213,9 +213,7 @@ class TestBaselineConfigKey:
         """Equal configs built apart share one run-memo entry: the
         second baseline is a hit, with equal stats."""
         from repro.uarch import VectorizedTimingSimulator
-        from repro.uarch.engine import ENV_SIM_ENGINE
 
-        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
         runner.clear_cache()
         first = runner.run_baseline(
             "gzip", scale=SCALE, config=ProcessorConfig(rob_size=128)

@@ -43,9 +43,7 @@ class TestRunner:
     def test_baseline_cached(self, monkeypatch):
         """A repeat baseline is a run-memo hit with equal stats."""
         from repro.uarch import VectorizedTimingSimulator
-        from repro.uarch.engine import ENV_SIM_ENGINE
 
-        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
         a = run_baseline("gzip", scale=SCALE)
 
         def no_replay(*args, **kwargs):

@@ -94,6 +94,22 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli.main(["fig99"])
 
+    @pytest.mark.parametrize("jobs,prefix", [
+        ("1", ""), ("2", "job 'fig5:gzip' failed: "),
+    ], ids=["jobs1", "jobs2"])
+    def test_repro_error_fails_with_one_line(self, capfd, jobs, prefix):
+        """A :class:`~repro.errors.ReproError` out of a figure driver
+        (a bad ``--scale``, raised in a cell, inline or in a worker
+        process) is one error line and exit 2, never a traceback."""
+        assert cli.main(["fig5", "--scale", "-1", "--benchmarks",
+                         "gzip,mcf", "--jobs", jobs]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [
+            f"python -m repro: error: {prefix}scale must be a finite "
+            "number above zero, got -1.0"
+        ]
+        assert "Traceback" not in captured.out
+
 
 class TestCLICoverage:
     def test_coverage_artifact(self, capsys):

@@ -381,11 +381,11 @@ def test_report_explain_renders_gaps_for_unjournaled_cells():
 def test_per_branch_accounting_is_off_by_default():
     """``ledger=None`` + no coverage flag must skip attribution
     entirely (the throughput benchmark bounds the cost when on)."""
-    from repro.uarch import TimingSimulator
+    from repro.uarch import make_simulator
     from repro.experiments.runner import get_artifacts
 
     artifacts = get_artifacts("gzip", scale=SCALE)
-    simulator = TimingSimulator(artifacts.program)
+    simulator = make_simulator(artifacts.program)
     assert simulator.ledger is None
     stats = simulator.run(artifacts.trace)
     assert stats.per_branch == {}

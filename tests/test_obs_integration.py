@@ -19,7 +19,7 @@ from repro.obs import (
     telemetry,
 )
 from repro.profiling import Profiler
-from repro.uarch import SimStats, TimingSimulator
+from repro.uarch import SimStats, make_simulator
 from repro.workloads import load_benchmark
 
 
@@ -41,7 +41,7 @@ def _dmp_run(tracer, metrics, name="gzip", scale=0.1):
         annotation = select_diverge_branches(
             workload.program, profile, SelectionConfig.all_best_heur()
         )
-        simulator = TimingSimulator(
+        simulator = make_simulator(
             workload.program, annotation=annotation
         )
         stats = simulator.run(trace, label=f"{name}/dmp")

@@ -68,13 +68,13 @@ class TestNullTracer:
                                                    simple_hammock_program,
                                                    alternating_memory):
         from repro.emulator import execute
-        from repro.uarch import TimingSimulator
+        from repro.uarch import make_simulator
 
         trace, _ = execute(simple_hammock_program,
                            memory=dict(alternating_memory))
         sink = ListSink()
         with telemetry(tracer=NULL_TRACER):
-            simulator = TimingSimulator(simple_hammock_program)
+            simulator = make_simulator(simple_hammock_program)
             simulator.run(trace, label="null")
         assert sink.records == []
 

@@ -1,6 +1,6 @@
 """The serving daemon: byte-identity with the CLIs, single-flight
-coalescing, the HTTP surface, engine resolution under threads, and
-graceful shutdown."""
+coalescing, the HTTP surface, request validation, and graceful
+shutdown."""
 
 import contextlib
 import http.client
@@ -145,6 +145,26 @@ class TestValidation:
         assert status == 400
         error = json.loads(body)["error"]
         assert f"unknown processor fields: {field}" in error
+
+    @pytest.mark.parametrize("endpoint,key", [
+        ("compile", "benchmark"), ("simulate", "benchmark"),
+        ("explain", "workload"),
+    ])
+    def test_non_resident_processor_is_a_client_error(self, app,
+                                                      endpoint, key):
+        """A 1 KB direct-mapped I-cache cannot hold the program: the
+        simulator rejects it (simulate), and only simulate takes a
+        processor at all."""
+        status, body = app.handle(endpoint, {
+            key: BENCH, "scale": SCALE,
+            "processor": {"icache_kb": 1, "icache_assoc": 1},
+        })
+        assert status == 400
+        error = json.loads(body)["error"]
+        if endpoint == "simulate":
+            assert "I-cache residency" in error
+        else:
+            assert "unknown field(s) processor" in error
 
     def test_missing_benchmark_is_rejected(self, app):
         status, body = app.handle("compile", {"scale": SCALE})
@@ -520,22 +540,7 @@ class TestDrain:
 
 
 class TestEngineResolution:
-    """The daemon's request threads see the process's
-    ``REPRO_SIM_ENGINE``; requests cannot choose an engine."""
-
-    def test_env_default_reaches_request_threads(self, monkeypatch):
-        from repro.uarch.engine import requested_engine
-
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
-        result = {}
-
-        def worker():
-            result["engine"] = requested_engine()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(timeout=5)
-        assert result["engine"] == "scalar"
+    """There is one simulation engine; requests cannot choose one."""
 
     def test_invalid_engine_is_rejected(self, app):
         status, body = app.handle("simulate", {

@@ -5,7 +5,7 @@ import pytest
 from repro.emulator import execute
 from repro.errors import SimulationError
 from repro.isa import ProgramBuilder, assemble
-from repro.uarch import ProcessorConfig, TimingSimulator, simulate
+from repro.uarch import ProcessorConfig, make_simulator, simulate
 
 
 def straightline(n, ilp=True):
@@ -172,7 +172,7 @@ class TestMemoryEffects:
 class TestCallsAndReturns:
     def test_ras_predicts_returns(self, call_program, alternating_memory):
         trace, _ = execute(call_program, memory=alternating_memory)
-        simulator = TimingSimulator(call_program)
+        simulator = make_simulator(call_program)
         stats = simulator.run(trace)
         assert simulator.ras.predictions > 0
         assert simulator.ras.mispredictions == 0

@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.emulator import execute
 from repro.isa import assemble
-from repro.uarch import ProcessorConfig, TimingSimulator, simulate
+from repro.uarch import ProcessorConfig, simulate
 
 
 def hammock_program(iterations=300):

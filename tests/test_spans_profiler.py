@@ -24,11 +24,13 @@ from repro.obs.explain import load_schema, validate_explain
 from repro.obs.spans import PATH_SEP, open_spans
 from repro.uarch import (
     SimProfiler,
-    TimingSimulator,
     VectorizedTimingSimulator,
+    make_simulator,
     vectorized,
 )
 from repro.uarch.profiler import COMPONENTS, NUM_COMPONENTS
+
+from tests._legacy_simulator import LegacyTimingSimulator
 
 
 class TestSpanTree:
@@ -267,8 +269,8 @@ class TestSimProfiler:
 
     def test_profiler_does_not_change_results(self):
         program, trace = self._artifacts()
-        baseline = TimingSimulator(program).run(trace, label="x")
-        profiled = TimingSimulator(
+        baseline = make_simulator(program).run(trace, label="x")
+        profiled = make_simulator(
             program, profiler=SimProfiler()
         ).run(trace, label="x")
         assert baseline == profiled
@@ -276,8 +278,8 @@ class TestSimProfiler:
     def test_event_counts_deterministic_and_buckets_partition(self):
         program, trace = self._artifacts()
         p1, p2 = SimProfiler(), SimProfiler()
-        TimingSimulator(program, profiler=p1).run(trace, label="x")
-        TimingSimulator(program, profiler=p2).run(trace, label="x")
+        make_simulator(program, profiler=p1).run(trace, label="x")
+        make_simulator(program, profiler=p2).run(trace, label="x")
         assert p1.events == p2.events
         assert sum(p1.events) > 0
         # The stopwatch partition sums to the recorded run total.
@@ -292,7 +294,7 @@ class TestSimProfiler:
     def test_components_rows_are_self_time_ordered(self):
         program, trace = self._artifacts()
         profiler = SimProfiler()
-        TimingSimulator(program, profiler=profiler).run(trace)
+        make_simulator(program, profiler=profiler).run(trace)
         rows = profiler.components()
         assert [r["name"] for r in rows] != []
         seconds = [r["seconds"] for r in rows]
@@ -304,7 +306,7 @@ class TestSimProfiler:
     def test_folded_output_shape(self):
         program, trace = self._artifacts()
         profiler = SimProfiler()
-        TimingSimulator(program, profiler=profiler).run(trace)
+        make_simulator(program, profiler=profiler).run(trace)
         lines = profiler.folded()
         assert lines
         for line in lines:
@@ -313,19 +315,19 @@ class TestSimProfiler:
             assert int(weight) > 0
 
     @pytest.mark.parametrize(
-        "engine", [TimingSimulator, VectorizedTimingSimulator])
+        "engine", [LegacyTimingSimulator, VectorizedTimingSimulator])
     def test_unprofiled_run_reads_no_clock(self, engine, monkeypatch):
-        """``profiler=None`` stays free: no run of either engine reads
-        the clock (a cold replay, a memo hit, a second run).  A
-        profiled run reads it, and both give the scalar engine's
-        stats."""
+        """``profiler=None`` stays free: no run of the engine or of the
+        scalar oracle reads the clock (a cold replay, a memo hit, a
+        second run).  A profiled run reads it, and both give the scalar
+        oracle's stats."""
         art = runner.get_artifacts("gzip", scale=0.2)
         program, trace = art.program, art.trace
         annotation = select_diverge_branches(
             program, art.profile, SelectionConfig.all_best_heur()
         )
-        reference = TimingSimulator(program, annotation=annotation).run(
-            trace, label="x")
+        reference = LegacyTimingSimulator(
+            program, annotation=annotation).run(trace, label="x")
         assert reference.retired_instructions > 0
         reads = []
         here = threading.get_ident()
@@ -359,7 +361,7 @@ class TestSimProfiler:
         program, trace = self._artifacts()
         registry = MetricsRegistry()
         profiler = SimProfiler()
-        simulator = TimingSimulator(
+        simulator = make_simulator(
             program, profiler=profiler, metrics=registry
         )
         simulator.run(trace)

@@ -17,7 +17,7 @@ from repro.emulator.trace import columns_digest
 from repro.experiments import runner
 from repro.obs.context import get_metrics
 from repro.profiling import Profiler
-from repro.uarch import TimingSimulator
+from repro.uarch import make_simulator, vectorized
 from repro.workloads import load_benchmark
 
 SCALE = 0.1
@@ -231,8 +231,10 @@ class TestSinglePassEquivalence:
                                                 two_pass):
         compact, _ = fused
         listed, _ = two_pass
-        stats_compact = TimingSimulator(workload.program).run(compact)
-        stats_listed = TimingSimulator(workload.program).run(listed)
+        stats_compact = make_simulator(workload.program).run(compact)
+        # Equal columns would make the second run a run-memo hit.
+        vectorized.clear_prepass_memo()
+        stats_listed = make_simulator(workload.program).run(listed)
         assert stats_compact.cycles == stats_listed.cycles
         assert stats_compact.retired_instructions \
             == stats_listed.retired_instructions

@@ -1,10 +1,12 @@
-"""Vectorized batch-replay engine: bit-identity and engine selection.
+"""Vectorized batch-replay engine: bit-identity with the scalar oracle.
 
 The contract under test (see ``repro.uarch.vectorized``): the
 vectorized engine produces *bit-identical* ``SimStats`` — including
 per-branch counters, runtime-ledger rows, and the tracer event stream
-— to the scalar engine for every supported (program, config,
-annotation) triple, at every window size.
+— to the frozen scalar replay (``tests/_legacy_simulator.py``, "the
+scalar engine" below) for every supported (program, config,
+annotation) triple, at every window size.  ``make_simulator`` builds
+the vectorized engine and rejects programs it cannot replay.
 """
 
 import json
@@ -34,11 +36,8 @@ from repro.uarch import (
     TimingSimulator,
     VectorizedTimingSimulator,
     make_simulator,
-    requested_engine,
-    resolve_engine,
 )
 from repro.uarch import vectorized
-from repro.uarch.engine import ENV_SIM_ENGINE
 from repro.uarch.vectorized import supports
 from repro.workloads import load_benchmark
 from repro.workloads.generator import (
@@ -49,6 +48,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.suite import BENCHMARK_SPECS
 
+from tests._legacy_simulator import LegacyTimingSimulator
 from tests.test_simulator_dmp import hammock_annotation, hammock_setup
 
 
@@ -77,7 +77,7 @@ def _run_pair(program, trace, annotation=None, config=None,
               window_size=None, label="run"):
     """Scalar and vectorized stats dicts + ledger rows for one input."""
     out = []
-    for cls in (TimingSimulator, VectorizedTimingSimulator):
+    for cls in (LegacyTimingSimulator, VectorizedTimingSimulator):
         kwargs = {}
         if cls is VectorizedTimingSimulator and window_size is not None:
             kwargs["window_size"] = window_size
@@ -126,7 +126,7 @@ class TestEventStreamIdentity:
             workload.program, profile, SelectionConfig.all_best_heur()
         )
         streams = []
-        for cls in (TimingSimulator, VectorizedTimingSimulator):
+        for cls in (LegacyTimingSimulator, VectorizedTimingSimulator):
             sink = ListSink()
             cls(workload.program, annotation=annotation,
                 tracer=Tracer(sink)).run(trace, label=name)
@@ -139,7 +139,7 @@ class TestWindowBoundaries:
         """Tiny windows force episode entries/flushes onto boundaries."""
         program, trace = hammock_setup()
         annotation = hammock_annotation()
-        reference = TimingSimulator(
+        reference = LegacyTimingSimulator(
             program, annotation=annotation
         ).run(trace).as_dict()
         assert reference["dpred_episodes"] > 0
@@ -160,7 +160,7 @@ class TestWindowBoundaries:
             i for i, (pc, _, _) in enumerate(trace_rows(trace))
             if pc == HAMMOCK_BRANCH
         )
-        reference = TimingSimulator(
+        reference = LegacyTimingSimulator(
             program, annotation=annotation
         ).run(trace).as_dict()
         assert reference["dpred_episodes"] > 0
@@ -176,7 +176,7 @@ class TestWindowBoundaries:
             workload.program, memory=workload.memory,
             max_instructions=workload.max_instructions, compact=False,
         )
-        assert TimingSimulator(workload.program).run(trace).as_dict() \
+        assert LegacyTimingSimulator(workload.program).run(trace).as_dict() \
             == VectorizedTimingSimulator(
                 workload.program).run(trace).as_dict()
 
@@ -273,7 +273,7 @@ class TestRetireGeometry:
                                  retire_width=retire_width,
                                  fetch_width=fetch_width)
         runs = []
-        for cls, window_size in ((TimingSimulator, None),
+        for cls, window_size in ((LegacyTimingSimulator, None),
                                  (VectorizedTimingSimulator, 1),
                                  (VectorizedTimingSimulator, 7),
                                  (VectorizedTimingSimulator, None)):
@@ -299,7 +299,7 @@ class TestRetireGeometry:
         program, trace, annotation = _hammock_and_loop()
         config = ProcessorConfig(rob_size=16, retire_width=3)
         events = []
-        for cls in (TimingSimulator, VectorizedTimingSimulator):
+        for cls in (LegacyTimingSimulator, VectorizedTimingSimulator):
             profiler = SimProfiler()
             cls(program, config=config, annotation=annotation,
                 profiler=profiler).run(trace)
@@ -366,82 +366,41 @@ class TestPropertyBitIdentity:
         assert scalar_led == vec_led
 
 
-class TestEngineSelection:
-    @pytest.fixture(autouse=True)
-    def _engine_unset(self, monkeypatch):
-        monkeypatch.delenv(ENV_SIM_ENGINE, raising=False)
-
-    def test_auto_picks_vectorized_when_supported(self):
+class TestMakeSimulator:
+    def test_builds_the_vectorized_simulator(self):
         workload = load_benchmark("gzip", scale=0.05)
-        assert resolve_engine(workload.program) == "vectorized"
-        assert isinstance(make_simulator(workload.program),
-                          VectorizedTimingSimulator)
+        assert type(make_simulator(workload.program)) \
+            is VectorizedTimingSimulator
 
-    def test_auto_falls_back_on_unsupported_program(self):
-        """A tiny I-cache breaks residency → auto quietly uses scalar."""
+    def test_rejects_a_non_resident_program(self):
+        """A tiny I-cache breaks residency: no simulator is built."""
         workload = load_benchmark("gzip", scale=0.05)
         tiny = ProcessorConfig(icache_kb=1, icache_assoc=1)
         ok, reason = supports(workload.program, tiny)
         assert not ok and "residency" in reason
-        assert resolve_engine(workload.program, tiny) == "scalar"
-        simulator = make_simulator(workload.program, config=tiny)
-        assert type(simulator) is TimingSimulator
+        with pytest.raises(SimulationError, match="residency") as info:
+            make_simulator(workload.program, config=tiny)
+        assert reason in str(info.value)
 
-    def test_explicit_vectorized_on_unsupported_raises(self,
-                                                        monkeypatch):
-        workload = load_benchmark("gzip", scale=0.05)
-        tiny = ProcessorConfig(icache_kb=1, icache_assoc=1)
-        monkeypatch.setenv(ENV_SIM_ENGINE, "vectorized")
-        with pytest.raises(SimulationError):
-            resolve_engine(workload.program, tiny)
-        with pytest.raises(SimulationError):
-            VectorizedTimingSimulator(workload.program, config=tiny)
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_SIM_ENGINE, "scalar")
-        assert requested_engine() == "scalar"
-        monkeypatch.setenv(ENV_SIM_ENGINE, "bogus")
-        with pytest.raises(SimulationError,
-                           match="auto, scalar, vectorized"):
-            requested_engine()
-
-    def test_unknown_engine_name_raises(self, monkeypatch):
-        workload = load_benchmark("gzip", scale=0.05)
-        monkeypatch.setenv(ENV_SIM_ENGINE, "warp")
-        with pytest.raises(SimulationError):
-            resolve_engine(workload.program)
-
-    def test_cli_exits_on_unknown_engine(self, monkeypatch, capsys):
-        from repro.__main__ import main
-
-        monkeypatch.setenv(ENV_SIM_ENGINE, "scaler")
-        assert main(["table1"]) == 2
-        assert "choose from auto, scalar, vectorized" \
-            in capsys.readouterr().err
+    def test_the_shared_base_does_not_replay(self):
+        program, trace = hammock_setup()
+        with pytest.raises(NotImplementedError,
+                           match="VectorizedTimingSimulator"):
+            TimingSimulator(program).run(trace)
 
 
 class TestProfileCliEngine:
     def test_profile_json_validates_with_vectorized(self, tmp_path,
-                                                    capsys, monkeypatch):
+                                                    capsys):
         from repro.obs.explain import load_schema, validate_explain
         from repro.obs.profile_cli import main
 
         out = tmp_path / "profile.json"
-        monkeypatch.setenv(ENV_SIM_ENGINE, "vectorized")
         assert main(["gzip", "--scale", "0.1", "--json",
                      "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["engine"] == "vectorized"
         assert validate_explain(data, load_schema("profile")) == []
-
-    def test_profile_engine_scalar_reported(self, monkeypatch):
-        from repro.obs.profile_cli import build_profile
-
-        monkeypatch.setenv(ENV_SIM_ENGINE, "scalar")
-        data = build_profile(
-            "gzip", SelectionConfig.all_best_cost(), scale=0.1,
-        )
-        assert data["engine"] == "scalar"
 
 
 def _component_state(simulator):
@@ -483,7 +442,7 @@ class TestPrepassMemo:
 
     def _scalar(self, program, trace, annotation=None, config=None,
                 runs=1):
-        simulator = TimingSimulator(program, config=config,
+        simulator = LegacyTimingSimulator(program, config=config,
                                     annotation=annotation,
                                     collect_per_branch=True)
         out = [simulator.run(trace).as_dict(per_branch=True)
@@ -630,7 +589,7 @@ class TestPrepassMemo:
 
         program, trace, annotation = dmp_input
         events = []
-        for cls in (TimingSimulator, VectorizedTimingSimulator,
+        for cls in (LegacyTimingSimulator, VectorizedTimingSimulator,
                     VectorizedTimingSimulator):    # scalar, miss, hit
             profiler = SimProfiler()
             cls(program, annotation=annotation,
@@ -778,7 +737,7 @@ class TestRunMemo:
             == [dyn.pc for dyn in traces[1]]
         results = []
         for program, trace in zip(programs, traces):
-            cold = TimingSimulator(program).run(trace, label="run")
+            cold = LegacyTimingSimulator(program).run(trace, label="run")
             for _ in range(2):
                 stats, _, _, simulator = self._run(program, trace)
                 assert stats == cold.as_dict()
@@ -802,7 +761,7 @@ class TestRunMemo:
         results = []
         for program in programs:
             trace = execute(program)[0]
-            cold = TimingSimulator(program, annotation=annotation).run(
+            cold = LegacyTimingSimulator(program, annotation=annotation).run(
                 trace, label="run")
             assert self._run(program, trace, annotation)[0] \
                 == cold.as_dict()
@@ -814,7 +773,7 @@ class TestRunMemo:
         program, trace = hammock_setup()
         for rob_size in (512, 8, 512, 8):
             config = ProcessorConfig(rob_size=rob_size)
-            cold = TimingSimulator(program, config=config).run(
+            cold = LegacyTimingSimulator(program, config=config).run(
                 trace, label="run")
             assert self._run(program, trace, config=config)[0] \
                 == cold.as_dict()
@@ -829,7 +788,7 @@ class TestRunMemo:
         for annotation in (None, hammock_annotation(),
                            hammock_annotation(always=True), empty,
                            hammock_annotation()):
-            cold = TimingSimulator(program, annotation=annotation).run(
+            cold = LegacyTimingSimulator(program, annotation=annotation).run(
                 trace, label="run")
             stats, _, _, simulator = self._run(program, trace, annotation)
             assert stats == cold.as_dict()
@@ -844,7 +803,7 @@ class TestRunMemo:
         program, trace, annotation = _hammock_and_loop()
         self._run(program, trace, annotation)        # fills the memo
         outputs = []
-        for cls in (TimingSimulator, VectorizedTimingSimulator):
+        for cls in (LegacyTimingSimulator, VectorizedTimingSimulator):
             registry = MetricsRegistry()
             simulator = cls(program, annotation=annotation,
                             metrics=registry)
@@ -863,7 +822,7 @@ class TestRunMemo:
         for _ in range(2):
             stats = VectorizedTimingSimulator(
                 program, annotation=annotation, **kwargs).run(trace)
-            assert stats.as_dict() == TimingSimulator(
+            assert stats.as_dict() == LegacyTimingSimulator(
                 program, annotation=annotation).run(trace).as_dict()
         assert self._entry().runs == {}
 
@@ -919,7 +878,8 @@ class TestRunMemo:
             for tracking in (("ledger",), ("per_branch",),
                              ("ledger", "per_branch")):
                 reference, _ = self._tracked(
-                    TimingSimulator, program, trace, annotation, tracking)
+                    LegacyTimingSimulator, program, trace, annotation,
+                    tracking)
                 outputs = [self._tracked(VectorizedTimingSimulator,
                                          program, trace, annotation,
                                          tracking)
@@ -1008,7 +968,7 @@ class TestEngineSpeed:
         scalar_best = vectorized_best = float("inf")
         for _ in range(3):  # best of 3, rounds interleaved
             started = time.perf_counter()
-            scalar = TimingSimulator(program).run(trace)
+            scalar = LegacyTimingSimulator(program).run(trace)
             scalar_best = min(scalar_best, time.perf_counter() - started)
             vectorized.clear_prepass_memo()  # the runs go with it
             vectorized.clear_run_memo()
