@@ -58,6 +58,7 @@ import time
 from multiprocessing.connection import wait as connection_wait
 
 from repro.campaign.journal import JOURNAL_NAME
+from repro.errors import ReproError
 from repro.obs import tracectx
 from repro.obs.context import run_fresh
 from repro.obs.spans import span
@@ -106,7 +107,8 @@ def _attempt(fn, params, trace):
         with tracectx.activate(ctx):
             result, snapshot = run_fresh(_cell, fn, params)
     except BaseException as exc:  # noqa: BLE001 — must reach the parent
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+                "deterministic": isinstance(exc, ReproError)}
     return {
         "ok": True,
         "result": result,

@@ -17,7 +17,9 @@ buys three properties the plain
 - **bounded retry + quarantine** — a failed cell is retried with
   exponential backoff up to ``max_attempts`` total attempts, then
   quarantined: journaled as an explicit gap that the report renders as
-  such instead of the whole sweep dying at cell 400/500.
+  such instead of the whole sweep dying at cell 400/500.  A cell that
+  raised a :class:`~repro.errors.ReproError` (rejected inputs) fails
+  the same way again, so its first failure quarantines it.
 
 A crashed, timed-out or failed attempt retires its worker, so a retry
 always starts in a fresh process.  Every transition is journaled
@@ -158,7 +160,8 @@ class Scheduler:
                         session_completed += 1
                         continue
                     failures[task.cell.cell_id] = task.attempt
-                    if task.attempt >= self.max_attempts:
+                    if outcome["deterministic"] \
+                            or task.attempt >= self.max_attempts:
                         self._quarantine(task)
                         quarantined.add(task.cell.cell_id)
                     else:
@@ -270,7 +273,9 @@ class Scheduler:
                 campaign=self.spec.name, cell_id=cell_id,
                 attempt=task.attempt, kind=kind, error=error,
             ))
-        return {"ok": False, "kind": kind, "error": error}
+        return {"ok": False, "kind": kind, "error": error,
+                "deterministic": kind == "exception"
+                and payload.get("deterministic", False)}
 
     def _quarantine(self, task):
         self.journal.cell_quarantine(task.cell.cell_id, task.attempt)

@@ -8,7 +8,7 @@ predication of the loop predicates the extra iterations and reconverges
 at the code after the loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from repro.cfg.dominators import compute_dominators
@@ -32,9 +32,6 @@ class Loop:
     back_edge_branch_pc: Optional[int] = None
     exit_pc: Optional[int] = None
     static_size: int = 0
-
-    def contains_block(self, block_id):
-        return block_id in self.body
 
 
 def find_natural_loops(cfg):

@@ -49,9 +49,6 @@ class SelectionThresholds:
         return replace(self, **kwargs)
 
 
-#: The paper's best-performing heuristic thresholds (§7.1.1).
-BEST_HEURISTIC = SelectionThresholds()
-
 #: The three bounds footnote 4 pins in cost-model mode.  Applied as
 #: overrides on top of whatever thresholds a config carries, so custom
 #: non-bound thresholds (short-hammock, loop, MIN_EXEC_PROB) survive.

@@ -4,8 +4,8 @@
 pc becomes one ``(op, x, y, z)`` tuple of small ints (see
 :func:`_decode`), built once per program.  The interpreter dispatches
 on ``op`` with the opcodes the workloads execute most tested first,
-reads and writes the register list and the memory dict directly, and
-appends trace columns without a per-row call.
+reads and writes the register list directly, indexes the word memory
+for in-range loads, and appends trace columns without a per-row call.
 """
 
 import weakref
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.errors import EmulationError
 from repro.isa.instructions import ALU_OPCODES, Opcode
-from repro.emulator.state import ArchState
+from repro.emulator.state import ArchState, load_word, store_word
 from repro.emulator.trace import NO_ADDRESS, Trace
 
 #: Shift amounts are masked to the register width, like real hardware.
@@ -210,7 +210,7 @@ class Emulator:
         end = len(code) - 1
         regs = state.regs
         memory = state.memory
-        load = memory.get
+        size = len(memory)
         call_stack = state.call_stack
         push = call_stack.append
         lo = _MIN64
@@ -258,8 +258,10 @@ class Emulator:
                     regs[x] = value
                 elif op == _LD:
                     address = regs[y] + z
+                    value = memory[address] if 0 <= address < size \
+                        else load_word(memory, address)
                     if x:
-                        regs[x] = load(address, 0)
+                        regs[x] = value
                 elif op == _JMP:
                     next_pc = x
                 elif op == _ANDI:
@@ -300,7 +302,8 @@ class Emulator:
                     break
                 elif op == _ST:
                     address = regs[y] + z
-                    memory[address] = regs[x]
+                    store_word(memory, address, regs[x])
+                    size = len(memory)
                 elif op == _MOV:
                     regs[x] = regs[y]
                 elif op == _CMOV:
@@ -379,7 +382,7 @@ def execute(program, memory=None, max_instructions=1_000_000,
             compact=False):
     """Convenience wrapper: run ``program`` and return ``(trace, result)``.
 
-    ``memory`` pre-loads the sparse word memory (this is how workload
+    ``memory`` pre-loads the word memory (a copy; this is how workload
     input sets are supplied).  When ``collect_trace`` is False the trace
     is ``None`` and only the :class:`RunResult` matters.  With
     ``compact=True`` the trace is a parallel-array

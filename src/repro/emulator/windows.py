@@ -40,16 +40,6 @@ def trace_columns(trace):
     return pcs, next_pcs, addresses
 
 
-def taken_flags(pcs, next_pcs):
-    """Boolean vector: row left the fall-through path (``next != pc+1``).
-
-    This is the emulator's own taken convention (HALT records
-    ``next_pc == pc`` and therefore reads as taken, exactly like the
-    scalar replay loop sees it).
-    """
-    return next_pcs != pcs + 1
-
-
 def window_bounds(n, window_size):
     """``[(start, stop), ...]`` covering ``range(n)`` in fixed windows."""
     if window_size < 1:

@@ -17,10 +17,6 @@ class CFGError(ReproError):
     """Raised for malformed control-flow graphs or invalid queries."""
 
 
-class ProfileError(ReproError):
-    """Raised when profiling data is missing or inconsistent."""
-
-
 class SimulationError(ReproError):
     """Raised by the cycle-level timing simulator."""
 

@@ -1,14 +1,13 @@
 """Named selection configurations used across the experiments.
 
 The names follow the paper's figure legends: the cumulative heuristic
-series of Figure 5 (left), the cost-model series of Figure 5 (right),
-and the simple baselines of Figure 8.  Since the pass-manager refactor
-the definitions live in :mod:`repro.compiler.registry`; this module
-re-exposes them in figure order.
+series of Figure 5 (left) and the cost-model series of Figure 5
+(right).  Since the pass-manager refactor the definitions live in
+:mod:`repro.compiler.registry`; this module re-exposes them in figure
+order.
 """
 
 from repro.compiler import registry
-from repro.core.simple_algorithms import SIMPLE_ALGORITHMS
 
 #: Figure 5 (left): each technique added cumulatively.
 CUMULATIVE_HEURISTICS = tuple(
@@ -38,7 +37,3 @@ COST_CONFIGS = tuple(
 def named_config(name):
     """Look up a selection config by its figure-legend name."""
     return registry.resolve(name)
-
-
-#: Figure 8's simple algorithms (name -> callable(program, profile)).
-SIMPLE_BASELINES = SIMPLE_ALGORITHMS

@@ -25,6 +25,8 @@ predication, and their overlap — the branches where the two approaches
 directly compete.
 """
 
+from itertools import zip_longest
+
 from repro.compiler import resolve, run_selection_pipeline
 from repro.emulator import execute as emulate
 from repro.exec import Job, execute
@@ -113,15 +115,16 @@ def assert_equivalent(name, original, melded):
             f"registers {diverged}"
         )
     if original.memory != melded.memory:
-        keys = set(original.memory) | set(melded.memory)
-        diverged = sorted(
-            addr for addr in keys
-            if original.memory.get(addr, 0) != melded.memory.get(addr, 0)
-        )
-        raise RuntimeError(
-            f"melded {name!r} diverges from the original at memory "
-            f"words {diverged[:8]}"
-        )
+        diverged = [
+            address for address, (a, b) in enumerate(
+                zip_longest(original.memory, melded.memory, fillvalue=0))
+            if a != b
+        ]
+        if diverged:
+            raise RuntimeError(
+                f"melded {name!r} diverges from the original at "
+                f"memory words {diverged[:8]}"
+            )
 
 
 def melded_run(name, config, input_set="reduced", scale=1.0, ledger=None):

@@ -24,9 +24,6 @@ class EdgeProfile:
         """How many times the branch at ``pc`` executed."""
         return self._taken.get(pc, 0) + self._not_taken.get(pc, 0)
 
-    def taken_count(self, pc):
-        return self._taken.get(pc, 0)
-
     def taken_prob(self, pc, default=0.5):
         """P(taken) for the branch at ``pc``; ``default`` if unexecuted."""
         total = self.exec_count(pc)

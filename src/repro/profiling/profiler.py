@@ -7,8 +7,7 @@ rates and the estimator's accuracy (Acc_Conf) are measured rather than
 assumed.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.branchpred import JRSConfidenceEstimator, PerceptronPredictor
 from repro.emulator import ArchState, Emulator
@@ -40,12 +39,6 @@ class ProfileData:
     def edge_prob(self, pc, taken):
         """Convenience passthrough used by the path enumerator."""
         return self.edge_profile.edge_prob(pc, taken)
-
-    def branch_exec_prob(self, pc):
-        """Fraction of dynamic instructions that are this branch."""
-        if self.total_instructions == 0:
-            return 0.0
-        return self.edge_profile.exec_count(pc) / self.total_instructions
 
     def cache_key(self):
         """Stable content key over everything selection reads.

@@ -126,25 +126,6 @@ class SimProfiler:
             "components": self.components(),
         }
 
-    def hotspot_table(self):
-        """Human-readable hotspot table, self-time order."""
-        rows = self.components()
-        total = self.total_seconds()
-        lines = [
-            f"simulator hotspots ({len(self.runs)} run(s), "
-            f"{total:.3f}s attributed):",
-            f"  {'component':<15} {'seconds':>9} {'%':>6} "
-            f"{'events':>12}  events are",
-        ]
-        for row in rows:
-            lines.append(
-                f"  {row['name']:<15} {row['seconds']:>9.4f} "
-                f"{100.0 * row['fraction']:>5.1f}% "
-                f"{row['events']:>12}  "
-                f"{EVENT_MEANING.get(row['name'], '')}"
-            )
-        return "\n".join(lines)
-
     def folded(self, prefix=("repro", "simulate")):
         """Brendan-Gregg folded-stack lines (µs weights) for flamegraphs.
 

@@ -46,9 +46,9 @@ Region kinds
     pressure) or strided streaming loads.
 """
 
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from array import array
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.errors import WorkloadError
 from repro.isa import ProgramBuilder
@@ -59,7 +59,6 @@ REG_INDEX = 10        # outer loop index
 REG_LIMIT = 11        # outer loop bound
 REG_ARG = 20          # argument pointer for helper calls
 _CHASE_REGS = (21, 60, 61, 62, 63)  # pointer-chase registers
-_SCRATCH = (2, 3, 4, 5, 6, 7, 8, 9)
 _ACCUMULATORS = tuple(range(22, 60))
 
 REGION_KINDS = frozenset(
@@ -455,62 +454,58 @@ def build_program(spec):
 def fill_memory(spec, segments, seed, p_shift=0.0, iter_scale=1.0):
     """Generate the input memory image for one input set.
 
-    ``p_shift`` perturbs branch biases and ``iter_scale`` scales loop
-    trip counts — this is how the "train" input set differs from the
-    "reduced" one (§7.3).
+    The image is one ``array('q')`` sized to the segment layout (the
+    padding reads zero).  ``p_shift`` perturbs branch biases and
+    ``iter_scale`` scales loop trip counts — this is how the "train"
+    input set differs from the "reduced" one (§7.3).
     """
     rng = BehaviorRNG(seed)
-    memory = {}
+    size = max((s.base + s.words for s in segments), default=0)
+    memory = array("q", [0]) * size
     n = spec.iterations
     for segment in segments:
         region = segment.region
         kind = region.kind
         if kind in ("simple_hammock", "short_hammock", "ret_hammock",
                     "split"):
-            bits = _behavior_bits(rng, region, n, p_shift)
-            for i, bit in enumerate(bits):
-                memory[segment.base + i] = bit
+            words = _behavior_bits(rng, region, n, p_shift)
         elif kind == "nested_hammock":
             outer = _behavior_bits(rng, region, n, p_shift)
             inner = rng.biased(n, min(0.95, region.p + 0.2))
-            for i in range(n):
-                memory[segment.base + i] = outer[i] | (inner[i] << 1)
+            words = [o | (i << 1) for o, i in zip(outer, inner)]
         elif kind == "freq_hammock":
             outer = _behavior_bits(rng, region, n, p_shift)
             rare = rng.biased(n, region.rare_prob)
-            for i in range(n):
-                memory[segment.base + i] = outer[i] | (rare[i] << 1)
+            words = [o | (r << 1) for o, r in zip(outer, rare)]
         elif kind in ("diverge_loop", "long_loop"):
             mean = max(1.0, region.mean_iters * iter_scale)
             if region.trip_kind == "geometric":
-                trips = rng.geometric_trips(n, mean)
+                words = rng.geometric_trips(n, mean)
             elif region.trip_kind == "jittery":
-                trips = rng.jittery_trips(n, mean)
+                words = rng.jittery_trips(n, mean)
             elif region.trip_kind == "uniform":
                 lo = max(1, int(mean * 0.5))
                 hi = max(lo + 1, int(mean * 1.5))
-                trips = rng.uniform_trips(n, lo, hi)
+                words = rng.uniform_trips(n, lo, hi)
             else:
-                trips = rng.constant_trips(n, max(1, int(mean)))
+                words = rng.constant_trips(n, max(1, int(mean)))
             if region.gate_prob < 1.0:
                 # Blocky gating: long on/off phases keep the gate branch
                 # highly predictable (it exists to modulate the loop's
                 # *profile weight*, not to add a hard branch).
                 period = max(2, round(1.0 / region.gate_prob))
                 block = 32
-                trips = [
+                words = [
                     t if (i // block) % period == 0 else 0
-                    for i, t in enumerate(trips)
+                    for i, t in enumerate(words)
                 ]
-            for i, t in enumerate(trips):
-                memory[segment.base + i] = t
         elif kind == "memory":
-            chain = rng.pointer_chain(segment.words, segment.words)
-            memory.update(zip(itertools.count(segment.base), chain))
+            words = rng.pointer_chain(segment.words, segment.words)
         elif kind == "compute":
-            pass
+            continue
         else:  # pragma: no cover - region kinds are closed
             raise WorkloadError(f"no input generator for {kind!r}")
+        memory[segment.base:segment.base + len(words)] = array("q", words)
     return memory
 
 

@@ -26,6 +26,7 @@ without changing program character).
 
 import math
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -48,8 +49,10 @@ INPUT_SETS = {
 class Workload:
     """A ready-to-run benchmark instance.
 
-    The input memory image is generated on first read of
-    :attr:`memory` and then kept: a run served from the artifact cache
+    :attr:`memory` is the input set's word image, one dense
+    ``array('q')`` indexed by address (see
+    :func:`~repro.workloads.generator.fill_memory`).  It is generated
+    on first read and then kept: a run served from the artifact cache
     needs only the program, so it never pays for ``fill_memory``.
     """
 
@@ -59,8 +62,8 @@ class Workload:
     program: object
     segments: list
     max_instructions: int
-    _memory: dict = field(default=None, init=False, repr=False,
-                          compare=False)
+    _memory: array = field(default=None, init=False, repr=False,
+                           compare=False)
 
     @property
     def memory(self):

@@ -53,6 +53,15 @@ def crashy_cell(params):
     return fake_cell(params)
 
 
+def rejecting_cell(params):
+    """Raises a ReproError (rejected inputs) for one benchmark."""
+    from repro.errors import SimulationError
+
+    if params["benchmark"] == "twolf":
+        raise SimulationError("synthetic rejected input")
+    return fake_cell(params)
+
+
 def hard_crash_cell(params):
     """Kills the worker outright (no exception, no payload)."""
     if params["benchmark"] == "twolf":
@@ -264,9 +273,9 @@ class TestScheduler:
 
     def test_non_resident_processor_cells_quarantine(self, tmp_path):
         """The simulator rejects a program a 1 KB I-cache cannot hold:
-        those cells fail like any raising cell, retried and then
-        quarantined with the reason in the journal, and the 64 KB
-        cells complete."""
+        those cells are quarantined after their first attempt (a
+        ``ReproError`` does not change on retry) with the reason in the
+        journal, and the 64 KB cells complete."""
         spec = CampaignSpec(
             name="icache", benchmarks=("gzip",), scale=SCALE,
             selection="exact-freq",
@@ -279,11 +288,34 @@ class TestScheduler:
         assert out["results"][large.cell_id]["speedup"] > 0
         assert out["quarantined"] == {small.cell_id}
         state = replay(tmp_path / "journal.jsonl")
-        assert state.failures[small.cell_id] == 2
+        assert state.failures[small.cell_id] == 1
         failure = state.last_failure[small.cell_id]
         assert failure["kind"] == "exception"
         assert "SimulationError" in failure["error"]
         assert "I-cache residency" in failure["error"]
+
+    def test_repro_error_cells_quarantine_without_retry(self, tmp_path):
+        """A cell raising a ReproError journals one ``cell.fail`` and
+        then its quarantine, whatever its retry budget."""
+        spec = _spec(cell="tests.test_campaign:rejecting_cell")
+        registry = MetricsRegistry()
+        with telemetry(metrics=registry, spans=SpanTree()):
+            out = _run(spec, tmp_path, max_attempts=3)
+        assert len(out["results"]) == 2          # gzip cells
+        assert len(out["quarantined"]) == 2      # twolf cells
+        assert registry.counter(
+            "campaign_cells_retried_total").value == 0
+        with open(tmp_path / "journal.jsonl", encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        for cell_id in out["quarantined"]:
+            kinds = [r["type"] for r in records
+                     if r.get("cell_id") == cell_id]
+            assert kinds == ["cell.start", "cell.fail", "cell.quarantine"]
+        state = replay(tmp_path / "journal.jsonl")
+        for cell_id in out["quarantined"]:
+            assert state.failures[cell_id] == 1
+            assert "SimulationError: synthetic rejected input" \
+                in state.last_failure[cell_id]["error"]
 
     def test_flaky_cells_succeed_on_retry(self, tmp_path, monkeypatch):
         markers = tmp_path / "markers"

@@ -1,8 +1,11 @@
 """Functional-emulator tests: semantics, tracing, and guard rails."""
 
+from array import array
+
 import pytest
 
 from repro.emulator import ArchState, Emulator, execute
+from repro.emulator.state import MAX_MEMORY_WORDS
 from repro.errors import EmulationError
 from repro.isa import assemble
 
@@ -187,6 +190,84 @@ class TestMemory:
         assert result.state.regs[1] == 77
 
 
+class TestDenseMemory:
+    """The word memory is one ``array('q')``: what the old per-word dict
+    accepted behaves as before or raises :class:`EmulationError`."""
+
+    def test_dict_argument_is_converted(self):
+        state = ArchState(memory={3: 7, 0: 1})
+        assert state.memory == array("q", [1, 0, 0, 7])
+
+    def test_array_argument_is_copied(self):
+        image = array("q", [4, 5])
+        state = ArchState(memory=image)
+        state.store(0, 9)
+        assert image == array("q", [4, 5])
+        assert state.memory == array("q", [9, 5])
+
+    def test_load_past_the_end_reads_zero(self):
+        _, result = run_asm("    ld r1, 100(r0)", memory={0: 5})
+        assert result.state.regs[1] == 0
+        assert len(result.state.memory) == 1
+
+    def test_store_past_the_end_grows_the_array(self):
+        _, result = run_asm("    movi r2, 9\n    st r2, 10(r0)",
+                            memory={0: 5})
+        assert result.state.memory == array("q", [5] + [0] * 9 + [9])
+
+    @pytest.mark.parametrize("op", ["ld r2, 0(r1)", "st r2, 0(r1)"])
+    def test_negative_address_raises(self, op):
+        with pytest.raises(EmulationError, match="address -1"):
+            run_asm(f"    movi r1, -1\n    {op}")
+
+    def test_value_outside_int64_raises(self):
+        # shr by 0 reads the register as unsigned: 2**64 - 1.
+        with pytest.raises(EmulationError, match="outside int64"):
+            run_asm("    movi r1, -1\n    shr r2, r1, 0\n    st r2, 0(r0)")
+
+    def test_growth_past_the_limit_raises(self):
+        with pytest.raises(EmulationError, match="outside memory"):
+            run_asm(f"    movi r1, {MAX_MEMORY_WORDS}\n    st r1, 0(r1)")
+        state = ArchState(memory={0: 1})
+        with pytest.raises(EmulationError, match="outside memory"):
+            state.store(MAX_MEMORY_WORDS, 1)
+        assert len(state.memory) == 1
+
+    @pytest.mark.parametrize("image,match", [
+        ({-1: 3}, "address -1 outside memory"),
+        ({2: 1 << 63}, "outside int64"),
+    ])
+    def test_bad_images_raise(self, image, match):
+        with pytest.raises(EmulationError, match=match):
+            ArchState(memory=image)
+
+    def test_bad_image_is_one_cli_error_line(self, capfd, monkeypatch):
+        from repro import __main__ as cli
+        from repro.workloads import suite
+
+        monkeypatch.setattr(suite, "fill_memory",
+                            lambda *args, **kwargs: {0: 1 << 63})
+        assert cli.main(["fig5", "--scale", "0.05", "--benchmarks",
+                         "gzip", "--jobs", "1"]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [
+            "python -m repro: error: store of 9223372036854775808: "
+            "outside int64"
+        ]
+
+    def test_meld_comparison_reads_zero_past_the_end(self):
+        from repro.experiments.meldcompare import assert_equivalent
+
+        short = ArchState(memory={1: 2})
+        long = ArchState(memory={1: 2, 3: 0})
+        assert_equivalent("probe", short, long)
+        assert_equivalent("probe", long, short)
+        long.store(5, 7)
+        for a, b in ((short, long), (long, short)):
+            with pytest.raises(RuntimeError, match=r"memory words \[5\]"):
+                assert_equivalent("probe", a, b)
+
+
 class TestTraceAndBudget:
     def test_trace_records_every_instruction(self):
         trace, result = run_asm("    movi r1, 2\n    addi r1, r1, 1")
@@ -239,3 +320,5 @@ class TestArchState:
         assert state.regs[5] == 0
         assert state.memory[1] == 2
         assert state.call_stack == []
+        clone.store(10, 1)
+        assert len(state.memory) == 2

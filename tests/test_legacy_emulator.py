@@ -90,11 +90,18 @@ def test_budget_cut_matches_legacy():
 
 # -- random programs ---------------------------------------------------------
 
-#: Immediates and memory words beyond 64 bits reach every wrap rule.
+#: Immediates beyond 64 bits reach every wrap rule (and, stored, the
+#: memory's int64 check).
 BIG = st.one_of(
     st.integers(min_value=-8, max_value=8),
     st.integers(min_value=-(2**66), max_value=2**66),
     st.sampled_from([2**63 - 1, -(2**63), 2**63, 2**64 + 5, -1]),
+)
+#: Preloaded memory words: a memory image holds int64 values only.
+WORD = st.one_of(
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.sampled_from([2**63 - 1, -(2**63), -1]),
 )
 REG = st.integers(min_value=0, max_value=7)
 ALU = sorted(ALU_OPCODES, key=lambda op: op.value)
@@ -160,7 +167,7 @@ def random_programs(draw):
         Function("main", 0, main_len),
         Function("helper", helper, helper + helper_len),
     ])
-    memory = draw(st.dictionaries(st.integers(-3, 48), BIG, max_size=12))
+    memory = draw(st.dictionaries(st.integers(0, 48), WORD, max_size=12))
     budget = draw(st.integers(min_value=0, max_value=400))
     return program, memory, budget
 

@@ -323,14 +323,14 @@ def test_melded_program_architecturally_identical(name):
     candidates = find_meld_candidates(program, MELD_MAX_SIDE_INSTS)
     result = apply_meld(program, candidates)
     _, original = execute(
-        program, memory=dict(workload.memory),
+        program, memory=workload.memory,
         max_instructions=workload.max_instructions,
     )
     assert original.halted
     if not result.changed:
         return
     _, melded = execute(
-        result.program, memory=dict(workload.memory),
+        result.program, memory=workload.memory,
         max_instructions=workload.max_instructions * MELD_BUDGET_FACTOR,
     )
     assert melded.halted

@@ -7,6 +7,7 @@ import pytest
 from repro.cfg import build_cfgs, find_natural_loops
 from repro.core import DivergeKind, SelectionConfig, select_diverge_branches
 from repro.emulator import execute
+from repro.emulator.state import dense_memory
 from repro.errors import WorkloadError
 from repro.profiling import Profiler
 from repro.workloads import (
@@ -252,8 +253,8 @@ class TestSuite:
 
     @pytest.mark.parametrize("input_set", ["reduced", "train"])
     def test_lazy_memory_equals_eager_fill(self, input_set):
-        """Every benchmark's lazily built memory equals the frozen
-        pre-change fill, item order included."""
+        """Every benchmark's lazily built memory image holds exactly
+        the frozen pre-change fill's words, zero everywhere else."""
         seed_offset, p_shift, iter_scale = suite.INPUT_SETS[input_set]
         for name in BENCHMARK_NAMES:
             workload = load_benchmark(name, input_set=input_set,
@@ -264,6 +265,31 @@ class TestSuite:
                 zlib.crc32(name.encode()) + seed_offset,
                 p_shift=p_shift, iter_scale=iter_scale,
             )
-            assert list(workload.memory.items()) \
-                == list(eager.items()), name
+            assert workload.memory == dense_memory(eager), name
             assert workload.memory is workload.memory
+
+
+class TestFootprint:
+    #: Bytes ``get_artifacts("mcf", scale=0.3)`` may allocate at its
+    #: peak: halfway between the per-word dict image (18.9 MB peak) and
+    #: the dense ``array('q')`` image (7.0 MB), measured with
+    #: tracemalloc on CPython 3.11.
+    MCF_PEAK_BOUND = 13_000_000
+
+    def test_artifact_build_stays_dense(self):
+        """A return to a per-word dict image fails this bound."""
+        import tracemalloc
+
+        from repro.exec import artifact_cache
+        from repro.experiments import runner
+
+        load_benchmark("mcf", scale=0.3)     # the program, built once
+        artifact_cache.set_disabled(True)
+        tracemalloc.start()
+        try:
+            runner.get_artifacts("mcf", scale=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            artifact_cache.set_disabled(None)
+        assert peak < self.MCF_PEAK_BOUND
