@@ -58,51 +58,30 @@ Serving daemon (see ``docs/serving.md``)::
 """
 
 import argparse
+import importlib
 import sys
 from contextlib import ExitStack
 
 from repro.errors import ReproError
 from repro.exec import JobError, artifact_cache, default_jobs
-from repro.experiments import (
-    ablations,
-    meldcompare,
-    priorwork,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    table1,
-    table2,
-)
+from repro.experiments import runner  # noqa: F401 — every driver runs it
 from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
     SpanTree,
     activate,
-    build_manifest,
     format_by_name,
-    format_trace_report,
     jsonl_tracer,
     span,
-    summarize_trace,
     telemetry,
-    write_manifest,
 )
 
-ARTIFACTS = {
-    "table1": table1,
-    "table2": table2,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "priorwork": priorwork,
-    "meldcompare": meldcompare,
-}
+#: The figure/table drivers, each a ``repro.experiments`` module with
+#: ``run`` and ``format_result``; one is imported only when dispatched.
+ARTIFACTS = (
+    "fig10", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "meldcompare", "priorwork", "table1", "table2",
+)
 
 #: Where ``python -m repro all`` writes its combined manifest unless
 #: ``--manifest`` overrides it.
@@ -145,7 +124,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "artifact",
-        choices=sorted(ARTIFACTS) + [
+        choices=list(ARTIFACTS) + [
             "all", "ablations", "coverage", "trace-report", "cache",
         ],
         help="which table/figure to regenerate (or trace-report to "
@@ -253,6 +232,11 @@ def main(argv=None):
     if args.artifact == "trace-report":
         if not args.path:
             parser.error("trace-report requires a trace log path")
+        from repro.obs.trace_report import (
+            format_trace_report,
+            summarize_trace,
+        )
+
         try:
             summary = summarize_trace(args.path, trace_id=args.trace_id)
         except OSError as exc:
@@ -330,6 +314,8 @@ def main(argv=None):
     if manifest_path is None and args.artifact == "all":
         manifest_path = DEFAULT_ALL_MANIFEST
     if manifest_path:
+        from repro.obs.manifest import build_manifest, write_manifest
+
         manifest = build_manifest(
             command=f"python -m repro {args.artifact}",
             args={
@@ -398,6 +384,8 @@ def _run_artifact(args, benchmarks):
         return 0
 
     if args.artifact == "ablations":
+        from repro.experiments import ablations
+
         for run in (
             ablations.run_acc_conf,
             ablations.run_max_cfm,
@@ -412,9 +400,9 @@ def _run_artifact(args, benchmarks):
             print()
         return 0
 
-    names = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
+    names = ARTIFACTS if args.artifact == "all" else [args.artifact]
     for name in names:
-        module = ARTIFACTS[name]
+        module = importlib.import_module("repro.experiments." + name)
         if name == "table1":
             result = module.run()
         else:

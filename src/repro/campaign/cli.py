@@ -43,7 +43,7 @@ from repro.campaign.scheduler import (
     DEFAULT_MAX_ATTEMPTS,
     Scheduler,
 )
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, resolve_cell_fn
 from repro.obs import tracectx
 from repro.obs.spans import span
 
@@ -51,19 +51,18 @@ from repro.obs.spans import span
 DEFAULT_RESULTS_DIR = os.path.join("results", "campaigns")
 
 
-def builtin_specs():
-    """Named spec builders: ``(scale, benchmarks) -> CampaignSpec``."""
-    from repro.experiments import ablations, fig7, meldcompare
-
-    return {
-        "fig7": fig7.campaign_spec,
-        "meld": meldcompare.campaign_spec,
-        "confidence-threshold":
-            ablations.campaign_spec_confidence_threshold,
-        "predictor-sensitivity":
-            ablations.campaign_spec_predictor_sensitivity,
-        "max-cfm": ablations.campaign_spec_max_cfm,
-    }
+#: Builtin campaigns: name -> dotted path of the function
+#: ``(scale, benchmarks) -> CampaignSpec`` that makes the spec, so a
+#: run imports only the driver whose spec it needs.
+BUILTIN_SPECS = {
+    "fig7": "repro.experiments.fig7:campaign_spec",
+    "meld": "repro.experiments.meldcompare:campaign_spec",
+    "confidence-threshold":
+        "repro.experiments.ablations:campaign_spec_confidence_threshold",
+    "predictor-sensitivity":
+        "repro.experiments.ablations:campaign_spec_predictor_sensitivity",
+    "max-cfm": "repro.experiments.ablations:campaign_spec_max_cfm",
+}
 
 
 class _Terminated(Exception):
@@ -121,7 +120,7 @@ def _build_parser():
     run.add_argument(
         "spec",
         help="builtin spec name "
-             f"({', '.join(sorted(builtin_specs()))}) or a spec.json path",
+             f"({', '.join(sorted(BUILTIN_SPECS))}) or a spec.json path",
     )
     run.add_argument("--name", default=None,
                      help="campaign name (default: the spec's name)")
@@ -471,17 +470,17 @@ def _cmd_merge(parser, args):
 
 
 def _resolve_spec(args):
-    builders = builtin_specs()
     benchmarks = [
         b.strip() for b in args.benchmarks.split(",") if b.strip()
     ] or None
-    if args.spec in builders:
+    if args.spec in BUILTIN_SPECS:
         scale = args.scale if args.scale is not None else 1.0
-        return builders[args.spec](scale=scale, benchmarks=benchmarks)
+        build = resolve_cell_fn(BUILTIN_SPECS[args.spec])
+        return build(scale=scale, benchmarks=benchmarks)
     if not os.path.exists(args.spec):
         raise ValueError(
             f"{args.spec!r} is neither a builtin spec "
-            f"({', '.join(sorted(builders))}) nor a spec file"
+            f"({', '.join(sorted(BUILTIN_SPECS))}) nor a spec file"
         )
     spec = CampaignSpec.load(args.spec)
     overrides = {}

@@ -40,7 +40,7 @@ import time
 
 from repro.campaign.backends import LocalPoolBackend
 from repro.campaign.spec import resolve_cell_fn
-from repro.obs import events, tracectx
+from repro.obs import tracectx
 from repro.obs.context import active, get_metrics, get_tracer
 
 #: Total attempts (first try + retries) before a cell is quarantined.
@@ -194,6 +194,8 @@ class Scheduler:
         self.journal.cell_start(cell.cell_id, attempt)
         tracer = get_tracer()
         if tracer.enabled:
+            from repro.obs import events
+
             tracer.emit(events.CampaignCellStart(
                 campaign=self.spec.name, cell_id=cell.cell_id,
                 label=cell.label(), attempt=attempt,
@@ -249,6 +251,8 @@ class Scheduler:
             get_metrics().counter("campaign_cells_completed_total").inc()
             tracer = get_tracer()
             if tracer.enabled:
+                from repro.obs import events
+
                 tracer.emit(events.CampaignCellEnd(
                     campaign=self.spec.name, cell_id=cell_id,
                     attempt=task.attempt, seconds=elapsed,
@@ -269,6 +273,8 @@ class Scheduler:
         self.journal.cell_fail(cell_id, task.attempt, kind, error, elapsed)
         tracer = get_tracer()
         if tracer.enabled:
+            from repro.obs import events
+
             tracer.emit(events.CampaignCellFail(
                 campaign=self.spec.name, cell_id=cell_id,
                 attempt=task.attempt, kind=kind, error=error,
@@ -282,6 +288,8 @@ class Scheduler:
         get_metrics().counter("campaign_cells_quarantined_total").inc()
         tracer = get_tracer()
         if tracer.enabled:
+            from repro.obs import events
+
             tracer.emit(events.CampaignCellQuarantined(
                 campaign=self.spec.name, cell_id=task.cell.cell_id,
                 attempts=task.attempt,

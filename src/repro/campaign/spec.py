@@ -35,6 +35,11 @@ from dataclasses import dataclass, field, fields
 
 from repro.compiler import registry
 from repro.core import SelectionThresholds
+# run_cell's own modules load with the spec, so a campaign's scheduler
+# holds them before it forks a worker and no cell compiles them.
+from repro.experiments.runner import run_baseline, run_selection
+from repro.obs.explain import cell_ledger_summary
+from repro.obs.ledger import RuntimeLedger, SelectionLedger
 from repro.uarch import ProcessorConfig
 
 #: Dotted path of the default cell function (module:attribute).
@@ -322,10 +327,6 @@ def run_cell(params):
     deterministic report payload stays byte-identical with or without
     the ledger.
     """
-    from repro.experiments.runner import run_baseline, run_selection
-    from repro.obs.explain import cell_ledger_summary
-    from repro.obs.ledger import RuntimeLedger, SelectionLedger
-
     processor = build_processor(params.get("processor"))
     selection = build_selection(
         params["selection"], params.get("thresholds")

@@ -8,6 +8,8 @@ Public surface:
 - :class:`Pass` and the concrete selection passes;
 - :class:`Pipeline` / :class:`PipelineBuilder` — canonical schedules
   from configs or declarative specs (``"exact,freq,short,ret,loop"``);
+- the program transforms (:class:`~repro.compiler.transform.MeldPass`)
+  in :mod:`repro.compiler.transform`, loaded by a ``meld`` schedule;
 - the preset registry (:func:`resolve`, :func:`names`,
   :func:`register`) every named-config consumer resolves through.
 """
@@ -40,15 +42,6 @@ from repro.compiler.pipeline import (
     run_selection_pipeline,
 )
 from repro.compiler.registry import names, register, resolve
-from repro.compiler.transform import (
-    MeldPass,
-    TransformPass,
-    TransformResult,
-    apply_meld,
-    apply_transform,
-    find_meld_candidates,
-    select_meld_candidates,
-)
 
 __all__ = [
     "AnalysisManager",
@@ -58,7 +51,6 @@ __all__ = [
     "FinishPass",
     "FreqCandidatesPass",
     "LoopPass",
-    "MeldPass",
     "MinMispRateFilterPass",
     "Pass",
     "Pipeline",
@@ -66,13 +58,8 @@ __all__ = [
     "ReturnCFMPass",
     "SelectionState",
     "ShortHammockPass",
-    "TransformPass",
-    "TransformResult",
     "TwoDProfileFilterPass",
-    "apply_meld",
-    "apply_transform",
     "context_for_config",
-    "find_meld_candidates",
     "format_spec",
     "names",
     "parse_spec",
@@ -80,6 +67,5 @@ __all__ = [
     "reset_shared_manager",
     "resolve",
     "run_selection_pipeline",
-    "select_meld_candidates",
     "shared_manager",
 ]

@@ -26,7 +26,6 @@ from repro.core.loop_selection import select_loop_diverge_branches
 from repro.core.marks import BinaryAnnotation, DivergeBranch, DivergeKind
 from repro.core.return_cfm import find_return_cfm_candidates
 from repro.core.short_hammocks import apply_short_hammock_heuristic
-from repro.obs.events import BranchRejected, BranchSelected
 
 
 class CompileContext:
@@ -74,6 +73,8 @@ class CompileContext:
             )
         if self.tracer is None or not self.tracer.enabled:
             return
+        from repro.obs.events import BranchSelected
+
         self.tracer.emit(BranchSelected(
             branch_pc=branch.branch_pc,
             kind=branch.kind.value,
@@ -94,6 +95,8 @@ class CompileContext:
             )
         if self.tracer is None or not self.tracer.enabled:
             return
+        from repro.obs.events import BranchRejected
+
         self.tracer.emit(BranchRejected(
             branch_pc=branch_pc,
             reason=reason,

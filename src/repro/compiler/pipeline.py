@@ -48,7 +48,6 @@ from repro.compiler.passes import (
 )
 from repro.core.marks import BinaryAnnotation
 from repro.obs.context import get_metrics, get_tracer
-from repro.obs.events import CompilePassEnd, CompilePassStart
 from repro.obs.spans import span
 
 #: Pass tokens that toggle a producer/finisher in the spec grammar.
@@ -201,6 +200,8 @@ class Pipeline:
             state = SelectionState(BinaryAnnotation(ctx.program.name))
         state.ledger = ctx.ledger
         tracing = ctx.tracer is not None and ctx.tracer.enabled
+        if tracing:
+            from repro.obs.events import CompilePassEnd, CompilePassStart
         for index, pipeline_pass in enumerate(self.passes):
             if tracing:
                 ctx.tracer.emit(CompilePassStart(

@@ -39,7 +39,6 @@ turns the disk layer off entirely.
 import functools
 import hashlib
 import importlib
-import logging
 import os
 import pickle
 import struct
@@ -49,8 +48,6 @@ import zlib
 
 from repro.emulator import Trace
 from repro.obs.context import get_metrics
-
-log = logging.getLogger(__name__)
 
 #: Bump when the on-disk body layout or the key material changes;
 #: entries from older versions simply miss (the version is part of the
@@ -195,8 +192,8 @@ def load(key):
     try:
         entry = _decode(blob)
     except Exception as exc:
-        log.warning("corrupt artifact cache entry %s: %s — rebuilding",
-                    path, exc)
+        _warn("corrupt artifact cache entry %s: %s — rebuilding",
+              path, exc)
         metrics.counter("cache_disk_corrupt_total").inc()
         metrics.counter("cache_disk_misses_total").inc()
         try:
@@ -206,6 +203,13 @@ def load(key):
         return None
     metrics.counter("cache_disk_hits_total").inc()
     return entry
+
+
+def _warn(message, *args):
+    # logging loads only when a cache entry goes wrong.
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def store(key, trace, profile):
@@ -231,7 +235,7 @@ def store(key, trace, profile):
                 pass
             raise
     except OSError as exc:
-        log.warning("artifact cache write failed for %s: %s", path, exc)
+        _warn("artifact cache write failed for %s: %s", path, exc)
         metrics.counter("cache_disk_write_errors_total").inc()
         return None
     metrics.counter("cache_disk_writes_total").inc()

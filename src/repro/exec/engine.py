@@ -31,7 +31,6 @@ artifact building and simulation are deterministic functions of
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.obs import tracectx
 from repro.obs.context import active, run_fresh
@@ -134,6 +133,8 @@ def execute(jobs_list, jobs=None):
             with span("cell", attrs={"job": job.label}):
                 results.append(job.run())
         return results
+
+    from concurrent.futures import ProcessPoolExecutor
 
     bundle = active()
     ctx = tracectx.current()

@@ -24,9 +24,14 @@ The package has seven pieces:
 :mod:`repro.obs.context` holds the active tracer/registry/span tree so
 the CLI can enable telemetry without threading arguments through every
 experiment signature.  See ``docs/observability.md``.
+
+The package re-exports only what every run loads.  Import the event
+classes, the manifest, the trace report and the decision ledger from
+their own modules (``repro.obs.events``, ``.manifest``,
+``.trace_report``, ``.ledger``, ``.explain``): a figure run that does
+not trace, write a manifest or explain never loads them.
 """
 
-from repro.obs import events
 from repro.obs.context import (
     Telemetry,
     active,
@@ -34,26 +39,6 @@ from repro.obs.context import (
     get_spans,
     get_tracer,
     telemetry,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    build_manifest,
-    git_revision,
-    read_manifest,
-    write_manifest,
-)
-from repro.obs.explain import (
-    build_explain,
-    cell_ledger_summary,
-    format_explain,
-    join_ledgers,
-    validate_explain,
-)
-from repro.obs.ledger import (
-    RUNTIME_COUNTERS,
-    RuntimeLedger,
-    SelectionDecision,
-    SelectionLedger,
 )
 from repro.obs.metrics import (
     Counter,
@@ -70,7 +55,6 @@ from repro.obs.spans import (
     read_span,
     span,
 )
-from repro.obs.trace_report import format_trace_report, summarize_trace
 from repro.obs.tracectx import (
     TRACE_DIR_ENV,
     TRACE_HEADER,
@@ -96,27 +80,12 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "events",
     "Telemetry",
     "active",
     "get_metrics",
     "get_spans",
     "get_tracer",
     "telemetry",
-    "MANIFEST_SCHEMA",
-    "build_manifest",
-    "git_revision",
-    "read_manifest",
-    "write_manifest",
-    "build_explain",
-    "cell_ledger_summary",
-    "format_explain",
-    "join_ledgers",
-    "validate_explain",
-    "RUNTIME_COUNTERS",
-    "RuntimeLedger",
-    "SelectionDecision",
-    "SelectionLedger",
     "Counter",
     "Gauge",
     "Histogram",
@@ -128,8 +97,6 @@ __all__ = [
     "format_by_name",
     "read_span",
     "span",
-    "format_trace_report",
-    "summarize_trace",
     "TRACE_DIR_ENV",
     "TRACE_HEADER",
     "TRACEPARENT_ENV",

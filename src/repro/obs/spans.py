@@ -32,7 +32,6 @@ import time
 from contextlib import contextmanager
 
 from repro.obs import tracectx
-from repro.obs.events import SpanEnd
 
 #: Separator used in snapshot keys ("simulate/fetch") and SpanEnd paths.
 PATH_SEP = "/"
@@ -234,7 +233,7 @@ def span(name, events=0, attrs=None):
         if parent is not None:
             parent.child_seconds += elapsed
         record = {
-            "type": SpanEnd.type, "name": name, "path": path,
+            "type": "span.end", "name": name, "path": path,
             "depth": path.count(PATH_SEP) + 1,
             "seconds": elapsed, "self_seconds": self_seconds,
             "events": handle.events,

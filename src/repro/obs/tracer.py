@@ -14,7 +14,6 @@ events / raw dicts.
 """
 
 from repro.obs import tracectx
-from repro.obs.events import from_record, to_record
 from repro.obs.jsonl import JsonlSink, iter_records
 
 
@@ -48,7 +47,9 @@ class Tracer:
         self.seq = 0
 
     def emit(self, event_obj):
-        record = to_record(event_obj)
+        from repro.obs import events
+
+        record = events.to_record(event_obj)
         record["seq"] = self.seq
         self.seq += 1
         ctx = tracectx.current()
@@ -83,6 +84,8 @@ class ListSink:
 
     def events(self):
         """The collected records as typed events."""
+        from repro.obs.events import from_record
+
         return [from_record(r) for r in self.records]
 
 
@@ -93,4 +96,6 @@ def jsonl_tracer(path):
 
 def read_events(path):
     """Read a JSONL trace log back as a list of typed events."""
+    from repro.obs.events import from_record
+
     return [from_record(record) for record in iter_records(path)]

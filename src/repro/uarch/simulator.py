@@ -45,7 +45,6 @@ from repro.branchpred import (
     make_predictor,
 )
 from repro.memory import MemoryHierarchy
-from repro.obs import events as obs_events
 from repro.obs.context import get_metrics, get_tracer
 from repro.uarch.config import ProcessorConfig
 from repro.uarch.profiler import DPRED_EPISODE, WRONG_PATH
@@ -320,6 +319,8 @@ class TimingSimulator:
         )
         self._hist_wrong_path.observe(false_insts)
         if self.tracer.enabled:
+            from repro.obs import events as obs_events
+
             self.tracer.emit(obs_events.DpredEpisodeStart(
                 branch_pc=episode.branch_pc,
                 kind="hammock",
@@ -391,6 +392,8 @@ class TimingSimulator:
             if self.tracer.enabled:
                 # The episode is counted (stats.dpred_episodes above)
                 # but dies immediately, so the trace reflects both.
+                from repro.obs import events as obs_events
+
                 self.tracer.emit(obs_events.DpredEpisodeStart(
                     branch_pc=episode.branch_pc, kind="loop",
                     cycle=fetch_cycle, mispredicted=False,
@@ -410,6 +413,8 @@ class TimingSimulator:
 
         self._hist_wrong_path.observe(episode.false_insts)
         if self.tracer.enabled:
+            from repro.obs import events as obs_events
+
             self.tracer.emit(obs_events.DpredEpisodeStart(
                 branch_pc=episode.branch_pc, kind="loop",
                 cycle=fetch_cycle, mispredicted=episode.mispredicted,

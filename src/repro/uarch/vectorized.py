@@ -100,7 +100,6 @@ from repro.emulator.windows import trace_columns, window_bounds
 from repro.errors import SimulationError
 from repro.isa.registers import NUM_REGISTERS
 from repro.memory.hierarchy import INSTRUCTIONS_PER_LINE
-from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.uarch.profiler import (
@@ -918,6 +917,8 @@ class VectorizedTimingSimulator(TimingSimulator):
         tracer = self.tracer
         traced = tracer.enabled
         if traced:
+            from repro.obs import events as obs_events
+
             tracer.emit(obs_events.SimRunStart(
                 label=label,
                 trace_length=n,

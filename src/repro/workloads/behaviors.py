@@ -21,7 +21,9 @@ seed and parameter shifts.
 """
 
 import random
-from itertools import islice
+from array import array
+
+import numpy as np
 
 
 class BehaviorRNG:
@@ -141,29 +143,29 @@ class BehaviorRNG:
     def pointer_chain(self, length, region_words):
         """A pseudo-random cyclic permutation for mcf-style chasing.
 
-        Returns a list ``next`` of ``length`` indices < ``region_words``
-        forming one cycle, so a load chain walks unpredictably over the
-        region (defeating locality) but never escapes it.
+        Returns an ``array('q')`` ``next`` of ``length`` indices <
+        ``region_words`` forming one cycle, so a load chain walks
+        unpredictably over the region (defeating locality) but never
+        escapes it.
         """
         # random.Random.shuffle, inlined: the same Fisher-Yates swaps
         # from the same getrandbits(k) rejection draws (k = bit length
-        # of the bound, constant over a power-of-two band), so the
-        # permutation and the generator state after it are unchanged.
+        # of the bound i + 1, constant over a power-of-two band), so
+        # the permutation and the generator state after it are
+        # unchanged.  Both arrays hold machine words, not one int
+        # object per entry.
         getrandbits = self._rng.getrandbits
-        indices = list(range(length))
+        indices = array("q", range(length))
         for k in range(length.bit_length(), 1, -1):
-            for bound in range(min(length, (1 << k) - 1),
-                               (1 << (k - 1)) - 1, -1):
+            for i in range(min(length, (1 << k) - 1) - 1,
+                           (1 << (k - 1)) - 2, -1):
                 j = getrandbits(k)
-                while j >= bound:
+                while j > i:
                     j = getrandbits(k)
-                i = bound - 1
                 indices[i], indices[j] = indices[j], indices[i]
-        # chain[indices[i]] = indices[i + 1], cyclically, reusing the
-        # int objects of ``indices`` and copying no list.
-        chain = [0] * length
-        for here, following in zip(indices, islice(indices, 1, None)):
-            chain[here] = following
+        # chain[indices[i]] = indices[i + 1], cyclically.
+        chain = array("q", [0]) * length
         if length:
-            chain[indices[-1]] = indices[0]
+            order = np.frombuffer(indices, dtype=np.int64)
+            np.frombuffer(chain, dtype=np.int64)[order] = np.roll(order, -1)
         return chain

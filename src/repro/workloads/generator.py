@@ -500,7 +500,9 @@ def fill_memory(spec, segments, seed, p_shift=0.0, iter_scale=1.0):
                     for i, t in enumerate(words)
                 ]
         elif kind == "memory":
-            words = rng.pointer_chain(segment.words, segment.words)
+            chain = rng.pointer_chain(segment.words, segment.words)
+            memory[segment.base:segment.base + len(chain)] = chain
+            continue
         elif kind == "compute":
             continue
         else:  # pragma: no cover - region kinds are closed

@@ -2,9 +2,10 @@
 (``tests/_legacy_workloads.py``) exactly.
 
 ``BehaviorRNG.pointer_chain`` draws its Fisher-Yates indices in a local
-loop instead of calling ``random.Random.shuffle``; it must produce the
-same chain and leave the generator in the same state, so every later
-draw (the next region's behaviour bits) is unchanged too.  The whole
+loop over an ``array('q')`` instead of calling ``random.Random.shuffle``
+on a list; it must produce the same chain and leave the generator in
+the same state, so every later draw (the next region's behaviour bits)
+is unchanged too.  The whole
 fill is compared per benchmark in ``tests/test_workloads.py``.
 """
 
@@ -28,7 +29,8 @@ CHAIN_LENGTHS = sorted(
 @settings(max_examples=3, deadline=None)
 def test_pointer_chain_matches_shuffle(length, seed):
     current, legacy = BehaviorRNG(seed), LegacyBehaviorRNG(seed)
-    assert current.pointer_chain(length, length) \
-        == legacy.pointer_chain(length, length)
+    chain = current.pointer_chain(length, length)
+    assert chain.typecode == "q"
+    assert list(chain) == legacy.pointer_chain(length, length)
     assert current._rng.getrandbits(64) == legacy._rng.getrandbits(64)
 

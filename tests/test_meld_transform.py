@@ -400,10 +400,11 @@ def test_meld_campaign_cell_dispatch():
 
 
 def test_meld_campaign_spec_registered():
-    from repro.campaign.cli import builtin_specs
+    from repro.campaign.cli import BUILTIN_SPECS
     from repro.experiments.meldcompare import campaign_spec
 
-    assert "meld" in builtin_specs()
+    assert BUILTIN_SPECS["meld"] == \
+        "repro.experiments.meldcompare:campaign_spec"
     spec = campaign_spec(scale=0.2, benchmarks=["vpr"])
     cells = spec.cells()
     assert [c.params["selection"] for c in cells] == [

@@ -9,15 +9,9 @@ from repro.__main__ import main
 from repro.core import SelectionConfig, select_diverge_branches
 from repro.emulator import execute
 from repro.experiments import runner
-from repro.obs import (
-    ListSink,
-    MetricsRegistry,
-    Tracer,
-    format_trace_report,
-    read_manifest,
-    summarize_trace,
-    telemetry,
-)
+from repro.obs import ListSink, MetricsRegistry, Tracer, telemetry
+from repro.obs.manifest import read_manifest
+from repro.obs.trace_report import format_trace_report, summarize_trace
 from repro.profiling import Profiler
 from repro.uarch import SimStats, make_simulator
 from repro.workloads import load_benchmark

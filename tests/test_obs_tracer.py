@@ -16,19 +16,17 @@ from repro.obs import (
     SpanSpool,
     SpanTree,
     Tracer,
-    build_manifest,
-    events,
     format_by_name,
     get_metrics,
     get_tracer,
     iter_records,
     jsonl_tracer,
     read_events,
-    read_manifest,
     span,
     telemetry,
-    write_manifest,
 )
+from repro.obs import events
+from repro.obs.manifest import build_manifest, read_manifest, write_manifest
 
 SAMPLE_EVENTS = [
     events.DpredEpisodeStart(branch_pc=7, kind="hammock", cycle=100,

@@ -164,8 +164,11 @@ class TestSpanTree:
 
 class TestTraceReportSpans:
     def test_top_spans_section(self, tmp_path):
-        from repro.obs import format_trace_report, jsonl_tracer
-        from repro.obs.trace_report import summarize_trace
+        from repro.obs import jsonl_tracer
+        from repro.obs.trace_report import (
+            format_trace_report,
+            summarize_trace,
+        )
 
         path = tmp_path / "t.jsonl"
         tracer = jsonl_tracer(str(path))

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core import SelectionConfig, select_diverge_branches
 from repro.isa import assemble
-from repro.profiling import Profiler, TwoDProfiler
-from repro.profiling.two_d import BranchPhaseStats
+from repro.profiling import Profiler
+from repro.profiling.two_d import BranchPhaseStats, TwoDProfiler
 
 
 def phased_program():
