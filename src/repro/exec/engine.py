@@ -129,7 +129,7 @@ def execute(jobs_list, jobs=None):
         for job in planned:
             # Same ``cell`` span as the worker path, so serial and
             # parallel runs produce structurally identical span trees
-            # (and serial ``--trace`` runs carry span.end events).
+            # (and spool one ``cell`` record per job under ``--trace-dir``).
             with span("cell", attrs={"job": job.label}):
                 results.append(job.run())
         return results

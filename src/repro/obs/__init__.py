@@ -11,12 +11,14 @@ The package has seven pieces:
   behind the event log, the span spools and the serve access log;
 - :mod:`repro.obs.spans` — nested timed spans for the harness pipeline
   (trace → profile → select → simulate) with events/sec throughput,
-  each written as one ``span.end`` record;
+  each folded into the in-process :class:`SpanTree`;
 - :mod:`repro.obs.tracectx` + :mod:`repro.obs.traceview` — one trace
-  identity across processes, merged back by ``python -m repro trace``;
+  identity across processes; a trace directory's spools are the one
+  place ``span.end`` records are written, and ``python -m repro trace
+  show`` is their one reader;
 - :mod:`repro.obs.manifest` + :mod:`repro.obs.trace_report` — the
-  per-run JSON manifest and offline trace summarization
-  (``python -m repro trace-report``);
+  per-run JSON manifest and offline summarization of the ``--trace``
+  event log (``python -m repro trace-report``);
 - :mod:`repro.obs.ledger` + :mod:`repro.obs.explain` — the decision
   ledger joining compile-time selection verdicts with runtime dpred
   outcomes (``python -m repro explain``).
@@ -52,7 +54,6 @@ from repro.obs.spans import (
     SpanHandle,
     SpanTree,
     format_by_name,
-    read_span,
     span,
 )
 from repro.obs.tracectx import (
@@ -95,7 +96,6 @@ __all__ = [
     "SpanHandle",
     "SpanTree",
     "format_by_name",
-    "read_span",
     "span",
     "TRACE_DIR_ENV",
     "TRACE_HEADER",

@@ -271,35 +271,6 @@ class CampaignCellQuarantined:
     attempts: int
 
 
-@event
-@dataclass(frozen=True)
-class SpanEnd:
-    """A timed span closed: the one finished-span record.
-
-    :func:`repro.obs.spans.span` writes it to the event log and to the
-    trace spool alike.  ``path`` is the ``"/"``-joined span path from
-    the root (the parent is everything before the last separator);
-    ``self_seconds`` is the cumulative ``seconds`` minus the children's
-    cumulative time.  The trace identity after ``events`` is present
-    only while a :class:`~repro.obs.tracectx.TraceContext` is active.
-    """
-
-    type: ClassVar[str] = "span.end"
-    name: str
-    path: str
-    depth: int
-    seconds: float
-    self_seconds: float
-    events: int = 0
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
-    parent_id: Optional[str] = None
-    start_ts: Optional[float] = None
-    service: Optional[str] = None
-    pid: Optional[int] = None
-    attrs: Optional[dict] = None
-
-
 @dataclass(frozen=True)
 class GenericEvent:
     """Fallback for event types this build does not know about."""

@@ -220,11 +220,6 @@ class SelectionLedger:
             pc for pc, d in self.final().items() if d.verdict == "selected"
         )
 
-    def rejected_pcs(self):
-        return sorted(
-            pc for pc, d in self.final().items() if d.verdict == "rejected"
-        )
-
     def counts(self):
         final = self.final().values()
         return {

@@ -339,11 +339,6 @@ def escape_help(text):
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def escape_label_value(text):
-    """Escape a label value (adds ``\\"`` for embedded quotes)."""
-    return escape_help(text).replace('"', '\\"')
-
-
 def _parse_number(text):
     value = float(text)
     return int(value) if value.is_integer() else value

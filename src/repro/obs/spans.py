@@ -3,15 +3,15 @@
 A *span* is a nestable timed region and the one timing primitive of
 the reproduction: ``span("simulate")`` inside ``span("cell")`` records
 under the path ``cell/simulate``.  Closing a span builds one
-``span.end`` record (:class:`~repro.obs.events.SpanEnd`), and every
-view folds that record: :meth:`SpanTree.add` accumulates ``seconds``,
-``self_seconds`` (minus the children), ``events`` and ``calls`` per
-path; the registry mirrors ``span_<dotted.path>_{seconds,calls}_total``
-counters; the ``--trace`` log and an active trace context's spool
-write it as is, and ``trace-report`` folds a log back through
-:meth:`SpanTree.add`.  Snapshots (:meth:`SpanTree.as_dict`) merge
-across ``--jobs N`` workers in plan order, and :meth:`SpanTree.by_name`
-is the run manifest's ``phases`` table.
+``span.end`` record, and every view folds that record:
+:meth:`SpanTree.add` accumulates ``seconds``, ``self_seconds`` (minus
+the children), ``events`` and ``calls`` per path; the registry mirrors
+``span_<dotted.path>_{seconds,calls}_total`` counters; and an active
+trace context's spool, the one place the record is written, keeps it
+for ``python -m repro trace show``.  Snapshots
+(:meth:`SpanTree.as_dict`) merge across ``--jobs N`` workers in plan
+order, and :meth:`SpanTree.by_name` is the run manifest's ``phases``
+table.
 
 Each thread keeps one stack of open spans (:func:`open_spans`).  A
 span's path extends the innermost open span of the same tree, and its
@@ -33,11 +33,8 @@ from contextlib import contextmanager
 
 from repro.obs import tracectx
 
-#: Separator used in snapshot keys ("simulate/fetch") and SpanEnd paths.
+#: Separator used in snapshot keys and span paths ("simulate/fetch").
 PATH_SEP = "/"
-
-_SPAN_KEYS = ("name", "seconds")
-_TRACED_KEYS = _SPAN_KEYS + ("trace_id", "span_id", "start_ts")
 
 _LOCAL = threading.local()
 
@@ -252,25 +249,3 @@ def span(name, events=0, attrs=None):
         bundle.metrics.counter(f"span_{dotted}_calls_total").inc()
         if ctx is not None and ctx.spool is not None:
             ctx.spool.write(record)
-        if bundle.tracer.enabled:
-            bundle.tracer.emit_record(record)
-
-
-def read_span(record, traced=False):
-    """One finished-span record with its optional fields filled in.
-
-    The one reader of ``span.end`` records, for ``trace-report`` (the
-    event log) and ``trace show`` (the spools).  Returns None when
-    ``record`` has no ``name`` or ``seconds`` or, with
-    ``traced=True``, no ``trace_id``, ``span_id`` or ``start_ts``.
-    """
-    required = _TRACED_KEYS if traced else _SPAN_KEYS
-    if not isinstance(record, dict) or any(
-            key not in record for key in required):
-        return None
-    return {
-        "path": record["name"], "self_seconds": record["seconds"],
-        "events": 0, "trace_id": None, "span_id": None,
-        "parent_id": None, "start_ts": None, "service": "?", "pid": 0,
-        "attrs": None, **record,
-    }

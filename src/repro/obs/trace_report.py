@@ -6,12 +6,13 @@ where the remaining pipeline flushes come from, and what the selector
 decided (and why).  The summary also reconciles per-event counts
 against the ``sim.run.end`` totals — a mismatch means events were
 dropped, which would make any trace-driven diagnosis untrustworthy.
+Span timings are not in the log: ``python -m repro trace show`` reads
+them from a trace directory's spools (:mod:`repro.obs.traceview`).
 """
 
 from collections import Counter as TallyCounter
 
 from repro.obs.jsonl import iter_records
-from repro.obs.spans import SpanTree, read_span
 
 
 def summarize_trace(path, trace_id=None):
@@ -37,8 +38,6 @@ def summarize_trace(path, trace_id=None):
     }
     runs = []
     run_starts = TallyCounter()
-    spans = SpanTree()
-    span_ids = {}
     total = 0
     corrupt = []
 
@@ -107,14 +106,6 @@ def summarize_trace(path, trace_id=None):
                 "dpred_episodes_merged": record.get(
                     "dpred_episodes_merged", 0),
             })
-        elif kind == "span.end":
-            finished = read_span(record)
-            if finished is None:
-                continue
-            spans.add(finished)
-            ids = span_ids.setdefault(finished["path"], [])
-            if finished["span_id"]:
-                ids.append(finished["span_id"])
 
     # A run that started but never wrote its end dropped the events
     # its totals would reconcile.
@@ -156,10 +147,6 @@ def summarize_trace(path, trace_id=None):
         "flush_sources": flush_sources,
         "selection": selection,
         "runs": runs,
-        "spans": {
-            path: {**entry, "span_ids": span_ids[path]}
-            for path, entry in spans.as_dict().items()
-        },
         "reconciliation": reconciliation,
     }
 
@@ -251,38 +238,6 @@ def format_trace_report(summary, top=10):
             )
         if len(summary["runs"]) > top:
             lines.append(f"    ... and {len(summary['runs']) - top} more")
-
-    spans = summary.get("spans", {})
-    if spans:
-        # Same ordering as the profile CLI's hotspot table: self-time,
-        # largest first (ties broken by path for determinism).
-        ranked = sorted(
-            spans.items(),
-            key=lambda kv: (-kv[1]["self_seconds"], kv[0]),
-        )[:top]
-        with_ids = any(e.get("span_ids") for _, e in ranked)
-        lines.append("")
-        lines.append(f"top {top} spans by self-time:")
-        lines.append(
-            "    path                          self-s    total-s"
-            "   calls      events"
-            + ("  span-id" if with_ids else "")
-        )
-        for path, entry in ranked:
-            row = (
-                f"    {path:<28} {entry['self_seconds']:8.3f} "
-                f"{entry['seconds']:10.3f} {entry['calls']:>7} "
-                f"{entry['events']:>11}"
-            )
-            if with_ids:
-                ids = entry.get("span_ids") or []
-                if len(ids) == 1:
-                    row += f"  {ids[0]}"
-                elif ids:
-                    row += f"  {ids[0]} +{len(ids) - 1}"
-                else:
-                    row += "  -"
-            lines.append(row)
 
     recon = summary["reconciliation"]
     lines.append("")

@@ -60,11 +60,6 @@ class Tracer:
                 record["span_id"] = span_id
         self.sink.write(record)
 
-    def emit_record(self, record):
-        """Write a ready ``span.end`` record, adding only its ``seq``."""
-        self.sink.write({**record, "seq": self.seq})
-        self.seq += 1
-
     def close(self):
         self.sink.close()
 

@@ -32,7 +32,6 @@ import sys
 
 from repro.obs.explain import load_schema, validate_explain
 from repro.obs.jsonl import iter_records
-from repro.obs.spans import read_span
 from repro.obs.tracectx import SPOOL_PREFIX, SPOOL_SUFFIX, TRACE_DIR_ENV
 
 
@@ -49,10 +48,29 @@ def spool_paths(directory):
     ]
 
 
+_REQUIRED_KEYS = ("name", "seconds", "trace_id", "span_id", "start_ts")
+
+
+def read_span(record):
+    """One spooled ``span.end`` record with its optional fields filled in.
+
+    Returns None when ``record`` lacks its name, duration or trace
+    identity (``trace_id``, ``span_id``, ``start_ts``).
+    """
+    if not isinstance(record, dict) or any(
+            key not in record for key in _REQUIRED_KEYS):
+        return None
+    return {
+        "path": record["name"], "self_seconds": record["seconds"],
+        "events": 0, "parent_id": None, "service": "?", "pid": 0,
+        "attrs": None, **record,
+    }
+
+
 def read_spools(directory):
     """``(records, spool_files, corrupt)`` across every spool file.
 
-    Each record is a :func:`~repro.obs.spans.read_span` dict.
+    Each record is a :func:`read_span` dict.
     ``corrupt`` counts both torn/malformed JSON lines and records
     without a trace identity — the aggregator never raises on a live,
     still-being-written trace directory.
@@ -64,7 +82,7 @@ def read_spools(directory):
         bad = []
         try:
             for raw in iter_records(path, strict=False, corrupt=bad):
-                record = read_span(raw, traced=True)
+                record = read_span(raw)
                 if record is None:
                     corrupt += 1
                 else:

@@ -31,8 +31,6 @@ _SCALARS = {
     str: st.text(max_size=40),
     bool: st.booleans(),
     float: st.floats(allow_nan=False, allow_infinity=False),
-    dict: st.dictionaries(st.text(max_size=8), st.text(max_size=8),
-                          max_size=3),
 }
 
 
@@ -80,12 +78,11 @@ def test_from_record_tolerates_unknown_type_and_extra_fields():
     assert generic.payload == {"x": 1}
     # Extra fields on a *known* type (written by a newer build) drop.
     evt = events.from_record({
-        "type": "span.end", "name": "sim", "path": "sim", "depth": 1,
-        "seconds": 0.5, "self_seconds": 0.5, "events": 3,
-        "added_in_v9": True,
+        "type": "sim.run.start", "label": "sim", "trace_length": 3,
+        "dmp_enabled": True, "added_in_v9": True,
     })
-    assert evt == events.SpanEnd(name="sim", path="sim", depth=1,
-                                 seconds=0.5, self_seconds=0.5, events=3)
+    assert evt == events.SimRunStart(label="sim", trace_length=3,
+                                     dmp_enabled=True)
 
 
 # -- every event type through the offline readers ----------------------------
@@ -154,14 +151,6 @@ def _one_of_each():
         ),
         events.CampaignCellQuarantined(
             campaign="c", cell_id="def", attempts=3,
-        ),
-        events.SpanEnd(
-            name="fetch", path="simulate/fetch", depth=2,
-            seconds=0.06, self_seconds=0.06, events=90,
-        ),
-        events.SpanEnd(
-            name="simulate", path="simulate", depth=1,
-            seconds=0.1, self_seconds=0.04, events=90,
         ),
     ]
 
@@ -243,8 +232,8 @@ def test_ensure_parent_creates_missing_directories(tmp_path):
 def test_jsonl_sink_creates_parent_directories(tmp_path):
     path = str(tmp_path / "deep" / "traces" / "out.jsonl")
     tracer = Tracer(JsonlSink(path))
-    tracer.emit(events.SpanEnd(name="x", path="x", depth=1, seconds=0.0,
-                               self_seconds=0.0))
+    tracer.emit(events.SimRunStart(label="x", trace_length=0,
+                                   dmp_enabled=False))
     tracer.close()
     assert os.path.getsize(path) > 0
 

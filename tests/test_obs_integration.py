@@ -222,6 +222,19 @@ class TestTraceReportSummary:
         text = format_trace_report(summary)
         assert "per-branch dpred episode outcomes" in text
 
+    def test_span_records_in_an_older_log_are_counted_not_folded(
+            self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({
+            "type": "span.end", "name": "cell", "path": "cell",
+            "depth": 1, "seconds": 0.5, "self_seconds": 0.5,
+            "events": 0, "seq": 0,
+        }) + "\n")
+        summary = summarize_trace(str(path))
+        assert summary["by_type"] == {"span.end": 1}
+        assert "spans" not in summary
+        assert "spans by self-time" not in format_trace_report(summary)
+
 
 class TestKeyedCache:
     def test_hit_miss_eviction_counters(self):

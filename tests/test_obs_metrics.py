@@ -250,9 +250,3 @@ class TestOpenMetricsEdgeCases:
             for line in text.splitlines() if "tricky" in line
         )
         assert escape_help("a\nb\\c") == "a\\nb\\\\c"
-
-    def test_label_value_escaping(self):
-        from repro.obs.metrics import escape_label_value
-
-        assert escape_label_value('say "hi"\n\\') \
-            == 'say \\"hi\\"\\n\\\\'
