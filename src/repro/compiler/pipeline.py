@@ -1,9 +1,10 @@
 """Pass-manager pipeline: scheduling, specs, and the run loop.
 
 A :class:`Pipeline` runs an ordered list of passes over one
-:class:`~repro.compiler.passes.SelectionState`, with per-pass
-spans (``compile.<pass>``), ``compile.pass.{start,end}`` trace events
-and a ``pipeline_pass_runs_total`` counter.  The
+:class:`~repro.compiler.passes.SelectionState` under one ``select``
+span (its events: the branches selected).  Per-pass timing is in the
+``compile.pass.{start,end}`` trace events (``seconds`` on the end
+event), and a ``pipeline_pass_runs_total`` counter counts the passes.  The
 :class:`PipelineBuilder` produces the canonical schedule for a
 :class:`~repro.core.selector.SelectionConfig` — either given directly
 (:meth:`PipelineBuilder.from_config`) or parsed from a declarative
@@ -202,30 +203,32 @@ class Pipeline:
         tracing = ctx.tracer is not None and ctx.tracer.enabled
         if tracing:
             from repro.obs.events import CompilePassEnd, CompilePassStart
-        for index, pipeline_pass in enumerate(self.passes):
-            if tracing:
-                ctx.tracer.emit(CompilePassStart(
-                    pipeline=self.name,
-                    pass_name=pipeline_pass.name,
-                    index=index,
-                ))
-            ctx.current_pass = pipeline_pass.name
-            start = time.perf_counter()
-            try:
-                with span(f"compile.{pipeline_pass.name}"):
+        pass_runs = metrics.counter("pipeline_pass_runs_total")
+        with span("select") as select_span:
+            for index, pipeline_pass in enumerate(self.passes):
+                if tracing:
+                    ctx.tracer.emit(CompilePassStart(
+                        pipeline=self.name,
+                        pass_name=pipeline_pass.name,
+                        index=index,
+                    ))
+                    start = time.perf_counter()
+                ctx.current_pass = pipeline_pass.name
+                try:
                     pipeline_pass.run(ctx, state)
-            finally:
-                ctx.current_pass = ""
-            metrics.counter("pipeline_pass_runs_total").inc()
-            if tracing:
-                ctx.tracer.emit(CompilePassEnd(
-                    pipeline=self.name,
-                    pass_name=pipeline_pass.name,
-                    index=index,
-                    seconds=time.perf_counter() - start,
-                    candidates=len(state.candidates),
-                    selected=len(state.annotation),
-                ))
+                finally:
+                    ctx.current_pass = ""
+                pass_runs.inc()
+                if tracing:
+                    ctx.tracer.emit(CompilePassEnd(
+                        pipeline=self.name,
+                        pass_name=pipeline_pass.name,
+                        index=index,
+                        seconds=time.perf_counter() - start,
+                        candidates=len(state.candidates),
+                        selected=len(state.annotation),
+                    ))
+            select_span.events = len(state.annotation)
         metrics.counter("selection_runs_total").inc()
         metrics.counter("selection_branches_selected_total").inc(
             len(state.annotation)

@@ -18,6 +18,7 @@ from repro.core.marks import (
     DivergeKind,
 )
 from repro.errors import SelectionError
+from repro.jsontext import scalar, string
 
 FORMAT = "dmp-annotation"
 VERSION = 1
@@ -85,9 +86,62 @@ def annotation_from_dict(data):
     return annotation
 
 
-def dumps(annotation, indent=2):
-    """Annotation → JSON text."""
-    return json.dumps(annotation_to_dict(annotation), indent=indent)
+#: The document up to the branch list, which is all it varies in.
+_HEAD = (
+    f'{{\n  "format": {string(FORMAT)},\n  "version": {scalar(VERSION)},'
+    f'\n  "program": '
+)
+_BRANCH = (
+    '\n    {\n      "pc": %s,\n      "kind": %s,\n      "cfm_points": %s,'
+    '\n      "select_registers": %s,\n      "always_predicate": %s,'
+    '\n      "loop_direction": %s,\n      "loop_body_size": %s,'
+    '\n      "source": %s\n    }'
+)
+_POINT = (
+    '\n        {\n          "pc": %s,\n          "kind": %s,'
+    '\n          "merge_prob": %s\n        }'
+)
+
+
+def _list(items, close):
+    """A JSON list of already-indented items (``[]`` when empty)."""
+    return "[" + ",".join(items) + close if items else "[]"
+
+
+def dumps(annotation):
+    """Annotation → JSON text.
+
+    A fixed-schema writer: its output is byte-equal to
+    ``json.dumps(annotation_to_dict(annotation), indent=2)``, without
+    the pure-Python encoder ``json`` uses when ``indent`` is set.
+    """
+    branches = [
+        _BRANCH % (
+            scalar(branch.branch_pc),
+            string(branch.kind.value),
+            _list([
+                _POINT % (
+                    scalar(point.pc),
+                    string(point.kind.value),
+                    scalar(round(point.merge_prob, 6)),
+                )
+                for point in branch.cfm_points
+            ], "\n      ]"),
+            _list([
+                "\n        " + scalar(register)
+                for register in sorted(branch.select_registers)
+            ], "\n      ]"),
+            scalar(branch.always_predicate),
+            scalar(branch.loop_direction),
+            scalar(branch.loop_body_size),
+            scalar(branch.source),
+        )
+        for branch in annotation
+    ]
+    return (
+        _HEAD + scalar(annotation.program_name) + ',\n  "branches": '
+        + _list(branches, "\n  ]") + "\n}"
+    )
 
 
 def loads(text):

@@ -14,7 +14,8 @@ growing memory.
 Every stage runs under a span (:func:`repro.obs.span`): ``trace``
 (the fused functional execution + profiling pass), ``profile``
 (sealing the collected profiles), ``select`` (diverge-branch
-selection), and ``simulate`` (timing model), each reporting
+selection, opened by the compiler's ``Pipeline.run``), and
+``simulate`` (timing model), each reporting
 wall-clock seconds and events/sec through the active telemetry
 context and nesting under whatever span encloses it (a ``cell``, a
 ``serve.*`` request).
@@ -236,9 +237,7 @@ def run_selection(name, selection_config, input_set="reduced",
         run_artifacts.program, profile_artifacts.profile,
         selection_config, ledger=selection_ledger,
     )
-    with span("select") as sp:
-        annotation = selector.select()
-        sp.events = len(annotation)
+    annotation = selector.select()
     stats = run_annotated(
         name,
         annotation,

@@ -585,7 +585,9 @@ def main(argv=None):
         return 1
 
     if args.json:
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        from repro.jsontext import dumps_sorted
+
+        text = dumps_sorted(data) + "\n"
     else:
         text = format_explain(
             data, branch=args.branch, top=args.top

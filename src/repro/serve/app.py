@@ -529,6 +529,7 @@ def _explain_bytes(workload, input_set, scale, config, pipeline):
     """
     from repro.compiler import registry
     from repro.compiler.pipeline import parse_spec
+    from repro.jsontext import dumps_sorted
     from repro.obs.explain import build_explain
 
     if pipeline is not None:
@@ -538,5 +539,4 @@ def _explain_bytes(workload, input_set, scale, config, pipeline):
     data = build_explain(
         workload, selection, input_set=input_set, scale=scale
     )
-    return (json.dumps(data, indent=2, sort_keys=True) + "\n") \
-        .encode("utf-8")
+    return (dumps_sorted(data) + "\n").encode("utf-8")

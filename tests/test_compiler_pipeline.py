@@ -44,7 +44,7 @@ from repro.core.analysis import ProgramAnalysis
 from repro.core.thresholds import COST_MODEL_BOUNDS, SelectionThresholds
 from repro.isa import assemble
 from repro.isa.registers import ZERO_REGISTER
-from repro.obs import MetricsRegistry, jsonl_tracer, telemetry
+from repro.obs import MetricsRegistry, SpanTree, jsonl_tracer, telemetry
 from repro.obs.tracer import iter_records
 from repro.profiling import Profiler
 from repro.workloads import BENCHMARK_NAMES, load_benchmark
@@ -639,19 +639,21 @@ class TestPipelineBuilder:
         assert "exact" in repr(pipeline) and "freq" in repr(pipeline)
 
     def test_pass_telemetry(self, twolf, tmp_path):
-        """Each pass emits start/end events, spans, and counts."""
+        """One ``select`` span per run; per-pass start/end events carry
+        each pass's seconds, and the counters count passes and runs."""
         program, profile = twolf
         trace_path = tmp_path / "trace.jsonl"
         registry_ = MetricsRegistry()
+        spans = SpanTree()
         tracer = jsonl_tracer(str(trace_path))
         config = registry.resolve("all-best-heur")
-        with telemetry(tracer=tracer, metrics=registry_):
+        with telemetry(tracer=tracer, metrics=registry_, spans=spans):
             pipeline = PipelineBuilder.from_config(config).build()
             ctx = context_for_config(
                 program, profile, config, tracer=tracer,
                 manager=AnalysisManager(),
             )
-            pipeline.run(ctx)
+            state = pipeline.run(ctx)
         tracer.close()
         events = list(iter_records(str(trace_path)))
         starts = [e for e in events if e["type"] == "compile.pass.start"]
@@ -659,12 +661,18 @@ class TestPipelineBuilder:
         assert [e["pass_name"] for e in starts] == pipeline.pass_names()
         assert [e["pass_name"] for e in ends] == pipeline.pass_names()
         assert all(e["seconds"] >= 0 for e in ends)
+        assert set(spans.as_dict()) == {"select"}
+        select = spans.as_dict()["select"]
+        assert select["calls"] == 1
+        assert select["events"] == len(state.annotation) > 0
+        assert select["seconds"] >= sum(e["seconds"] for e in ends)
         snapshot = registry_.as_dict()
         assert snapshot["pipeline_pass_runs_total"]["value"] == len(
             pipeline.pass_names()
         )
         assert snapshot["selection_runs_total"]["value"] == 1
-        assert "span_compile.exact_seconds_total" in snapshot
+        assert snapshot["span_select_calls_total"]["value"] == 1
+        assert not [name for name in snapshot if "compile." in name]
 
     def test_empty_pipeline_yields_empty_annotation(self, twolf):
         program, profile = twolf

@@ -680,6 +680,22 @@ class TestServeTracing:
         assert total_self == pytest.approx(
             data["root_seconds"], rel=0.05, abs=0.005)
 
+    def test_compile_spools_one_span_per_selection(self, traced_app):
+        from repro.experiments.runner import get_artifacts
+        from repro.obs import traceview
+
+        get_artifacts(BENCH, scale=SCALE)  # as ``serve --warm`` does
+        status, _body, meta = traced_app.handle_request(
+            "compile", {"benchmark": BENCH, "scale": SCALE})
+        assert status == 200
+        records, _files, corrupt = traceview.read_spools(
+            traced_app.trace_dir)
+        assert corrupt == 0
+        assert sorted(record["path"] for record in records) == [
+            "serve.compile", "serve.compile/select"]
+        assert {record["trace_id"] for record in records} == {
+            meta["trace_id"]}
+
     def test_client_trace_id_is_joined(self, traced_app):
         from repro.obs.tracectx import format_traceparent, new_trace_id
 

@@ -34,6 +34,10 @@ NEVER_AT_START = (
     "repro.compiler.transform",
 )
 
+#: The response writers: only ``compile``, ``explain --json`` and the
+#: daemon print the documents they write.
+RESPONSE_WRITERS = ("repro.jsontext", "repro.core.annotation_io")
+
 #: The ``repro.experiments`` modules every figure driver runs.
 EAGER_EXPERIMENTS = ("repro.experiments.runner", "repro.experiments.configs")
 
@@ -61,6 +65,7 @@ def test_cli_start_loads_no_unused_module(tmp_path):
     loaded = _loaded_modules(
         "import repro.__main__, repro.exec.engine", tmp_path)
     assert not loaded & set(NEVER_AT_START)
+    assert not loaded & set(RESPONSE_WRITERS)
     drivers = {
         name for name in loaded
         if name.startswith("repro.experiments.")
@@ -97,6 +102,13 @@ def test_campaign_scheduler_holds_cell_modules_before_forking(tmp_path):
         "repro.obs.explain",
         "repro.obs.ledger",
     } <= loaded
+
+
+def test_campaign_run_start_loads_no_response_writer(tmp_path):
+    loaded = _loaded_modules(
+        "import repro.__main__, repro.campaign.cli", tmp_path)
+    assert "repro.campaign.scheduler" in loaded
+    assert not loaded & set(RESPONSE_WRITERS)
 
 
 @pytest.mark.parametrize("name", cli.ARTIFACTS)
