@@ -91,16 +91,3 @@ class JRSConfidenceEstimator:
             "pvn": self.pvn,
             "coverage": self.coverage,
         }
-
-    def record_metrics(self, metrics, prefix="confidence"):
-        """Mirror :meth:`snapshot` into a metrics registry.
-
-        Gauges hold the *latest* PVN/coverage (one value per run); the
-        raw tallies land in counters so multiple runs accumulate.
-        """
-        metrics.gauge(f"{prefix}_pvn",
-                      help="measured Acc_Conf of the last run"
-                      ).set(self.pvn)
-        metrics.gauge(f"{prefix}_coverage",
-                      help="low-confidence fraction of the last run"
-                      ).set(self.coverage)

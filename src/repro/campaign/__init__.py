@@ -20,65 +20,8 @@ restartable unit of work instead of one monolithic in-memory pass:
 - :mod:`repro.campaign.cli` — ``python -m repro campaign
   {run,resume,status,report,merge}``.
 
-See ``docs/campaigns.md``.
+The package re-exports nothing: import the submodule that holds a
+name (``from repro.campaign.spec import CampaignSpec``), so a process
+loads only the parts of a campaign it runs.  See
+``docs/campaigns.md``.
 """
-
-from repro.campaign.backends import (
-    BACKENDS,
-    LocalPoolBackend,
-    ShardedBackend,
-    make_backend,
-    shard_of,
-)
-from repro.campaign.journal import (
-    Journal,
-    JournalState,
-    find_shard_journals,
-    merge_shard_journals,
-    replay,
-)
-from repro.campaign.report import (
-    aggregate_means,
-    render_report,
-    render_status,
-)
-from repro.campaign.scheduler import (
-    DEFAULT_BACKOFF,
-    DEFAULT_MAX_ATTEMPTS,
-    Scheduler,
-)
-from repro.campaign.spec import (
-    Axis,
-    CampaignSpec,
-    Cell,
-    SELECTION_PRESETS,
-    build_selection,
-    content_hash,
-    run_cell,
-)
-
-__all__ = [
-    "Axis",
-    "BACKENDS",
-    "CampaignSpec",
-    "Cell",
-    "DEFAULT_BACKOFF",
-    "DEFAULT_MAX_ATTEMPTS",
-    "Journal",
-    "JournalState",
-    "LocalPoolBackend",
-    "SELECTION_PRESETS",
-    "Scheduler",
-    "ShardedBackend",
-    "aggregate_means",
-    "build_selection",
-    "content_hash",
-    "find_shard_journals",
-    "make_backend",
-    "merge_shard_journals",
-    "render_report",
-    "render_status",
-    "replay",
-    "run_cell",
-    "shard_of",
-]

@@ -60,7 +60,7 @@ from multiprocessing.connection import wait as connection_wait
 from repro.campaign.journal import JOURNAL_NAME
 from repro.errors import ReproError
 from repro.obs import tracectx
-from repro.obs.context import run_fresh
+from repro.obs.context import run_isolated
 from repro.obs.spans import span
 
 #: Registered backend names (see :func:`make_backend`).
@@ -105,7 +105,7 @@ def _attempt(fn, params, trace):
     start = cell_usage()
     try:
         with tracectx.activate(ctx):
-            result, snapshot = run_fresh(_cell, fn, params)
+            result, snapshot = run_isolated(_cell, fn, params)
     except BaseException as exc:  # noqa: BLE001 — must reach the parent
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
                 "deterministic": isinstance(exc, ReproError)}
@@ -124,7 +124,7 @@ def cell_worker(conn, fn, params, trace=None):
     ``(params, trace)`` message on ``conn``, until EOF or ``None``.
     Each cell runs inside a ``cell`` span, so its stages nest under it
     exactly as in an engine worker, and its telemetry snapshot
-    (:func:`~repro.obs.context.run_fresh`) rides in the payload.
+    (:func:`~repro.obs.context.run_isolated`) rides in the payload.
     ``trace`` is an optional distributed-trace propagation payload
     (:meth:`~repro.obs.tracectx.TraceContext.propagation`); when
     present that span is parented to the scheduler's campaign span and

@@ -47,6 +47,7 @@ from repro.compiler.passes import (
     ShortHammockPass,
     TwoDProfileFilterPass,
 )
+from repro.core.analysis import PATH_CACHE_COUNTERS
 from repro.core.marks import BinaryAnnotation
 from repro.obs.context import get_metrics, get_tracer
 from repro.obs.spans import span
@@ -201,9 +202,27 @@ class Pipeline:
             state = SelectionState(BinaryAnnotation(ctx.program.name))
         state.ledger = ctx.ledger
         tracing = ctx.tracer is not None and ctx.tracer.enabled
+        pass_runs = metrics.counter("pipeline_pass_runs_total")
+        # The passes' path-cache lookups are tallied on the analysis and
+        # counted once, not looked up in the registry one by one.
+        analysis = ctx.analysis
+        analysis.path_tally = tally = [0, 0]
+        try:
+            self._run_passes(ctx, state, pass_runs, tracing)
+        finally:
+            analysis.path_tally = None
+            for name, count in zip(PATH_CACHE_COUNTERS, tally):
+                if count:
+                    metrics.counter(name).inc(count)
+        metrics.counter("selection_runs_total").inc()
+        metrics.counter("selection_branches_selected_total").inc(
+            len(state.annotation)
+        )
+        return state
+
+    def _run_passes(self, ctx, state, pass_runs, tracing):
         if tracing:
             from repro.obs.events import CompilePassEnd, CompilePassStart
-        pass_runs = metrics.counter("pipeline_pass_runs_total")
         with span("select") as select_span:
             for index, pipeline_pass in enumerate(self.passes):
                 if tracing:
@@ -229,11 +248,6 @@ class Pipeline:
                         selected=len(state.annotation),
                     ))
             select_span.events = len(state.annotation)
-        metrics.counter("selection_runs_total").inc()
-        metrics.counter("selection_branches_selected_total").inc(
-            len(state.annotation)
-        )
-        return state
 
     def pass_names(self):
         return [pipeline_pass.name for pipeline_pass in self.passes]

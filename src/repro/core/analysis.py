@@ -11,6 +11,10 @@ from repro.cfg.dominators import compute_postdominators, immediate_postdominator
 from repro.isa.registers import ZERO_REGISTER
 from repro.obs.context import get_metrics
 
+#: The registry counters of path-cache hits and misses, in tally order.
+PATH_CACHE_COUNTERS = ("analysis_cache_hits_total",
+                       "analysis_cache_misses_total")
+
 
 class LoopExitInfo:
     """A conditional branch that exits a natural loop."""
@@ -45,6 +49,11 @@ class ProgramAnalysis:
         self._iposdom = {}
         self._loop_exits = self._find_loop_exits()
         self._path_cache = {}
+        #: ``[hits, misses]`` of :meth:`paths` while a selection
+        #: pipeline runs, which folds them into the registry once
+        #: (:meth:`repro.compiler.pipeline.Pipeline.run`); ``None``
+        #: counts each lookup in the active registry.
+        self.path_tally = None
 
     def _block_tables(self):
         """Per function, per block id: the registers the block writes
@@ -153,10 +162,13 @@ class ProgramAnalysis:
         stop_pc = self.iposdom_pc(branch_pc) if stop_at_iposdom else None
         key = (branch_pc, max_instr, max_cbr, min_exec_prob, stop_pc)
         cached = self._path_cache.get(key)
+        slot = 0 if cached is not None else 1
+        if self.path_tally is None:
+            get_metrics().counter(PATH_CACHE_COUNTERS[slot]).inc()
+        else:
+            self.path_tally[slot] += 1
         if cached is not None:
-            get_metrics().counter("analysis_cache_hits_total").inc()
             return cached
-        get_metrics().counter("analysis_cache_misses_total").inc()
         cfg = self.cfg_of(branch_pc)
         stop_pcs = frozenset() if stop_pc is None else frozenset({stop_pc})
         path_set = enumerate_paths(

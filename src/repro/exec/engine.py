@@ -12,7 +12,7 @@ by construction.
 process: no pool, no pickling, identical to the historical serial
 path.  ``jobs>1`` fans out over a :class:`ProcessPoolExecutor`.  Each
 worker job runs under fresh telemetry
-(:func:`~repro.obs.context.run_fresh`); its snapshot travels back
+(:func:`~repro.obs.context.run_isolated`); its snapshot travels back
 with the result and is merged into the parent's active bundle in plan
 order, so ``--metrics`` output and run manifests account for work done
 in workers exactly as if it had run inline.
@@ -33,7 +33,7 @@ artifact building and simulation are deterministic functions of
 import os
 
 from repro.obs import tracectx
-from repro.obs.context import active, run_fresh
+from repro.obs.context import active, run_isolated
 from repro.obs.spans import span
 
 
@@ -102,7 +102,7 @@ def _run_job(fn, args, trace=None, label=None):
         trace, service="exec-worker"
     )
     with tracectx.activate(ctx):
-        return run_fresh(_cell, fn, args, {"job": label} if label else None)
+        return run_isolated(_cell, fn, args, {"job": label} if label else None)
 
 
 def execute(jobs_list, jobs=None):

@@ -180,7 +180,7 @@ def run_easy_branch_filter(scale=1.0, benchmarks=None,
 def campaign_spec_confidence_threshold(scale=1.0, benchmarks=None,
                                        values=(6, 10, 14, 15)):
     """The JRS-threshold ablation as a durable campaign."""
-    from repro.campaign import Axis, CampaignSpec
+    from repro.campaign.spec import Axis, CampaignSpec
 
     return CampaignSpec(
         name="confidence-threshold",
@@ -196,7 +196,7 @@ def campaign_spec_predictor_sensitivity(scale=1.0, benchmarks=None,
                                                "tournament",
                                                "perceptron")):
     """The predictor-sensitivity ablation as a durable campaign."""
-    from repro.campaign import Axis, CampaignSpec
+    from repro.campaign.spec import Axis, CampaignSpec
 
     return CampaignSpec(
         name="predictor-sensitivity",
@@ -214,7 +214,7 @@ def campaign_spec_max_cfm(scale=1.0, benchmarks=None, values=(1, 2, 3)):
     return/loop passes; the campaign preset ``all-best-heur`` does the
     same, so the two agree cell-for-cell.
     """
-    from repro.campaign import Axis, CampaignSpec
+    from repro.campaign.spec import Axis, CampaignSpec
 
     return CampaignSpec(
         name="max-cfm",

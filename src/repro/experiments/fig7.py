@@ -56,7 +56,7 @@ def campaign_spec(scale=1.0, benchmarks=None,
     :func:`run`: identical per-cell speedups, identical benchmark-order
     means — but journaled, resumable, and fault-tolerant.
     """
-    from repro.campaign import Axis, CampaignSpec
+    from repro.campaign.spec import Axis, CampaignSpec
 
     return CampaignSpec(
         name="fig7",

@@ -376,7 +376,7 @@ def campaign_spec(scale=1.0, benchmarks=None):
     melded trace and plain ones through the default pipeline, so the
     campaign report's per-cell speedups match :func:`run`.
     """
-    from repro.campaign import Axis, CampaignSpec
+    from repro.campaign.spec import Axis, CampaignSpec
 
     return CampaignSpec(
         name="meld",

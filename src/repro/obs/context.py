@@ -13,7 +13,7 @@ cheap), plus a process-wide :class:`~repro.obs.spans.SpanTree`.
 Explicit ``tracer=``/``metrics=`` constructor arguments win over the
 context; :func:`~repro.obs.spans.span` always records into it.
 Worker jobs, campaign cells and ``profile`` runs count apart through
-:func:`run_fresh`; :meth:`Telemetry.merge` folds their snapshots back.
+:func:`run_isolated`; :meth:`Telemetry.merge` folds their snapshots back.
 """
 
 from contextlib import contextmanager
@@ -84,7 +84,7 @@ def telemetry(tracer=None, metrics=None, spans=None):
         _ACTIVE = previous
 
 
-def run_fresh(fn, *args):
+def run_isolated(fn, *args):
     """``(fn(*args), snapshot)`` under a fresh registry and span tree.
 
     The active tracer stays.  The snapshot is the fresh bundle's

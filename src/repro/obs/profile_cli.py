@@ -50,14 +50,14 @@ def build_profile(workload, selection_config, input_set="reduced",
     """Run profile → select → simulate under fresh telemetry.
 
     The run happens in its own metrics registry and span tree
-    (:func:`~repro.obs.context.run_fresh`), so the returned spans are
+    (:func:`~repro.obs.context.run_isolated`), so the returned spans are
     self-contained (an ambient telemetry context, e.g. a figure
     driver's, is not disturbed and does not leak in).  The record's
     ``"engine"`` key names the replay that ran: always
     ``"vectorized"``, the one engine.
     """
     from repro.experiments.runner import run_selection
-    from repro.obs.context import run_fresh
+    from repro.obs.context import run_isolated
     from repro.uarch.profiler import SimProfiler
 
     profiler = SimProfiler()
@@ -69,7 +69,7 @@ def build_profile(workload, selection_config, input_set="reduced",
             config=processor_config, profiler=profiler,
         )
 
-    (stats, annotation), snapshot = run_fresh(run)
+    (stats, annotation), snapshot = run_isolated(run)
     spans = snapshot["spans"]
     simulate_self = spans.get("simulate", {}).get("self_seconds", 0.0)
     attributed = profiler.total_seconds()

@@ -12,6 +12,12 @@ additionally models DMP: confidence-gated dpred-mode on diverge
 branches, alternating dual-path fetch, CFG-synthesized wrong-path
 instructions, CFM-point reconvergence, select-µop insertion, and
 diverge-loop early/late/no-exit behaviour.
+
+:func:`make_simulator` builds a simulator for one run: a second
+``run`` raises :class:`~repro.errors.SimulationError`.  The
+components that evolve from the trace alone (predictor, confidence
+estimator, BTB, RAS, caches) are not part of it; they exist only while
+the memoized pre-passes of a (program, trace, config) are computed.
 """
 
 from repro.uarch.config import ProcessorConfig

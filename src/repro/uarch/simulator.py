@@ -2,10 +2,13 @@
 
 The simulator replays the functional trace through a timing model of
 the Table 1 machine.  This module holds the model's shared base,
-:class:`TimingSimulator`: construction of its components, the dpred
-episode helpers and the per-run metrics.  The replay itself is
+:class:`TimingSimulator` (the dpred episode helpers and the per-run
+metrics), and :func:`build_components`, which builds the
+trace-determined components: predictor, confidence estimator, BTB,
+RAS and memory hierarchy.  The replay itself is
 :class:`repro.uarch.vectorized.VectorizedTimingSimulator`, built by
-:func:`repro.uarch.vectorized.make_simulator`.  The model:
+:func:`repro.uarch.vectorized.make_simulator`; it runs those
+components only inside its memoized pre-passes.  The model:
 
 - **Front end**: ``fetch_width`` instructions per cycle, fetch breaks
   on taken control flow, at most ``max_cond_branches_per_cycle``
@@ -97,11 +100,48 @@ class _Episode:
         self.half_width = True
 
 
+def build_components(config):
+    """Fresh components of the ``config`` machine that evolve from the
+    trace alone: ``(predictor, confidence, btb, ras, memory)``."""
+    predictor = make_predictor(
+        config.predictor_kind,
+        **(
+            {
+                "num_perceptrons": config.perceptron_entries,
+                "history_bits": config.perceptron_history,
+            }
+            if config.predictor_kind == "perceptron"
+            else {}
+        ),
+    )
+    confidence = JRSConfidenceEstimator(
+        num_entries=config.confidence_entries,
+        history_bits=config.confidence_history,
+        threshold=config.confidence_threshold,
+    )
+    memory = MemoryHierarchy(
+        icache_kb=config.icache_kb,
+        icache_assoc=config.icache_assoc,
+        icache_latency=config.icache_latency,
+        dcache_kb=config.dcache_kb,
+        dcache_assoc=config.dcache_assoc,
+        dcache_latency=config.dcache_latency,
+        l2_kb=config.l2_kb,
+        l2_assoc=config.l2_assoc,
+        l2_latency=config.l2_latency,
+        memory_latency=config.memory_latency,
+    )
+    return (predictor, confidence, BranchTargetBuffer(config.btb_entries),
+            ReturnAddressStack(config.ras_depth), memory)
+
+
 class TimingSimulator:
-    """The timing model's components and dpred episode machinery.
+    """The timing model's per-run state and dpred episode machinery.
 
     :class:`~repro.uarch.vectorized.VectorizedTimingSimulator`
-    subclasses it and implements :meth:`run`.
+    subclasses it and implements :meth:`run`.  Of the model's state a
+    simulator holds only what its annotation steers: the wrong-path
+    bias table and walker, and the diverge-loop trip counts.
 
     Parameters
     ----------
@@ -152,37 +192,6 @@ class TimingSimulator:
         #: mispredictions, episodes, avoided and taken flushes per pc
         #: (used by the coverage report; small runtime overhead).
         self.collect_per_branch = collect_per_branch
-        cfg = self.config
-        self.predictor = make_predictor(
-            cfg.predictor_kind,
-            **(
-                {
-                    "num_perceptrons": cfg.perceptron_entries,
-                    "history_bits": cfg.perceptron_history,
-                }
-                if cfg.predictor_kind == "perceptron"
-                else {}
-            ),
-        )
-        self.confidence = JRSConfidenceEstimator(
-            num_entries=cfg.confidence_entries,
-            history_bits=cfg.confidence_history,
-            threshold=cfg.confidence_threshold,
-        )
-        self.btb = BranchTargetBuffer(cfg.btb_entries)
-        self.ras = ReturnAddressStack(cfg.ras_depth)
-        self.memory = MemoryHierarchy(
-            icache_kb=cfg.icache_kb,
-            icache_assoc=cfg.icache_assoc,
-            icache_latency=cfg.icache_latency,
-            dcache_kb=cfg.dcache_kb,
-            dcache_assoc=cfg.dcache_assoc,
-            dcache_latency=cfg.dcache_latency,
-            l2_kb=cfg.l2_kb,
-            l2_assoc=cfg.l2_assoc,
-            l2_latency=cfg.l2_latency,
-            memory_latency=cfg.memory_latency,
-        )
         self.bias = BiasTable()
         self.walker = WrongPathWalker(program, self.bias,
                                       metrics=self.metrics)
@@ -262,7 +271,15 @@ class TimingSimulator:
                 help="measured Acc_Conf (PVN) per simulation run",
             ).observe(stats.measured_acc_conf)
         self.walker.record_metrics(metrics)
-        self.confidence.record_metrics(metrics)
+        # The confidence estimator's PVN and coverage over this run.
+        metrics.gauge("confidence_pvn",
+                      help="measured Acc_Conf of the last run"
+                      ).set(stats.measured_acc_conf)
+        metrics.gauge("confidence_coverage",
+                      help="low-confidence fraction of the last run"
+                      ).set(stats.low_confidence_branches
+                            / stats.conditional_branches
+                            if stats.conditional_branches else 0.0)
 
     # ------------------------------------------------------------------
     # DMP episode construction

@@ -47,14 +47,19 @@ in windows:
    loop because the walker reads the bias table as of the
    (timing-dependent) episode entry row.
 
-The pre-pass outputs of a simulator's first run depend on nothing but
-the program, the trace and the config, so they are memoized (see
-:data:`_PREPASS_MEMO`): the figure experiments simulate each trace once
-per annotation, and every run after the first runs only steps 4–5.
-The same memo entry keeps the *finished* runs of its trace, keyed by
-the program tables the replay reads and the annotation: figure 5 adds
-its heuristics cumulatively, and a step that adds no mark repeats the
-previous step's run exactly, so a simulator whose first run repeats a
+The pre-passes depend on nothing but the program's decode tables, the
+trace and the config, so they are one memoized function of those
+(:func:`_prepasses`, memo :data:`_PREPASS_MEMO`): a miss builds the
+components (:func:`~repro.uarch.simulator.build_components`), runs the
+I-cache warm pass and steps 1–3 on them and keeps only their outputs
+and the counts a run reports; the components exist nowhere else.  The
+figure experiments simulate each trace once per annotation, and every
+run after the first runs only steps 4–5.  A simulator runs once: a
+second :meth:`~VectorizedTimingSimulator.run` raises.  The same memo
+entry keeps the *finished* runs of its trace, keyed by the program
+tables the replay reads and the annotation: figure 5 adds its
+heuristics cumulatively, and a step that adds no mark repeats the
+previous step's run exactly, so a simulator whose run repeats a
 finished one returns a copy of its stats and folds in the metrics it
 recorded, replaying nothing (see
 :meth:`VectorizedTimingSimulator._run_memoized`).  A finished run
@@ -101,7 +106,6 @@ from repro.errors import SimulationError
 from repro.isa.registers import NUM_REGISTERS
 from repro.memory.hierarchy import INSTRUCTIONS_PER_LINE
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
 from repro.uarch.profiler import (
     BRANCH_PRED,
     DATAFLOW,
@@ -114,7 +118,7 @@ from repro.uarch.profiler import (
     ROB_RETIRE,
     WRONG_PATH,
 )
-from repro.uarch.simulator import TimingSimulator
+from repro.uarch.simulator import TimingSimulator, build_components
 from repro.uarch.stats import SimStats
 from repro.uarch.wrongpath import _walk_tables
 
@@ -143,11 +147,11 @@ _NULL_REG = NUM_REGISTERS + 1
 _DECODE_CACHE = weakref.WeakKeyDictionary()
 
 #: Pre-pass memo: (program digest, trace digest, config) -> _Prepasses,
-#: least recently used first.  The D-cache, branch and control
-#: pre-passes of a freshly built simulator depend only on the program's
-#: kind and latency tables, the trace columns and the processor config,
-#: so the figure experiments' many runs of one trace (a baseline plus
-#: one run per annotation) compute them once.  Each entry also holds
+#: least recently used first.  The I-cache warm, D-cache, branch and
+#: control pre-passes depend only on the program's kind and latency
+#: tables, the trace columns and the processor config, so the figure
+#: experiments' many runs of one trace (a baseline plus one run per
+#: annotation) compute them once.  Each entry also holds
 #: the finished runs of its trace (``_Prepasses.runs``), keyed by the
 #: digest of the other tables the replay and the wrong-path walker
 #: read and by the annotation's marks; a hit on either refreshes the
@@ -294,18 +298,19 @@ class _Prepasses:
     ``load_lat`` holds the D-cache latency of every load row, in trace
     order; ``cond_*`` the predicted/low-confidence/mispredicted flags of
     every conditional branch row; ``ctl_taken``/``ctl_extra`` the BTB
-    and RAS outcome of every control row (see ``_control_prepass``).
-    ``counters`` are the component counters the run exposes, as left
-    by the pre-passes (see :meth:`VectorizedTimingSimulator.
-    _component_counters`).  ``runs`` holds the finished runs of the
-    trace, least recently used first: ``(replay digest, annotation
-    key)`` -> :class:`_FinishedRun`.
+    and RAS outcome of every control row (see :func:`_control_prepass`).
+    The counts are what a run reports of the components: branch
+    outcomes, D-cache and L2 misses, and the profiler's event counts
+    (I-cache warm probes, memory rows).  ``runs`` holds the finished
+    runs of the trace, least recently used first: ``(replay digest,
+    annotation key)`` -> :class:`_FinishedRun`.
     """
 
     __slots__ = ("load_lat", "cond_pred", "cond_low", "cond_mis",
                  "ctl_taken", "ctl_extra", "mispredictions",
                  "low_confidence", "low_confidence_mispredicted",
-                 "mem_rows", "counters", "runs")
+                 "dcache_misses", "l2_misses", "icache_probes",
+                 "mem_rows", "runs")
 
 
 class _FinishedRun:
@@ -386,18 +391,300 @@ def supports(program, config):
     return True, ""
 
 
+def _prepasses(key, columns, kind_table, config, window_size, charge):
+    """The :class:`_Prepasses` of trace ``columns`` under memo ``key``
+    (see :func:`_memo_key`), for a program of decode table
+    ``kind_table`` on the ``config`` machine.
+
+    A memo hit returns the stored entry.  A miss builds the components
+    of the ``config`` machine, runs the I-cache warm pass and the
+    D-cache, branch and control pre-passes on them, one window of
+    ``window_size`` rows at a time, and stores the entry.  ``charge`` is
+    the run's stopwatch, ``None`` when profiling is off.
+    """
+    entry = _PREPASS_MEMO.get(key)
+    if entry is not None:
+        _PREPASS_MEMO.move_to_end(key)
+        return entry
+    entry = _compute_prepasses(*columns, kind_table, config, window_size,
+                               charge)
+    _PREPASS_MEMO[key] = entry
+    while len(_PREPASS_MEMO) > PREPASS_MEMO_ENTRIES:
+        _PREPASS_MEMO.popitem(last=False)
+    return entry
+
+
+def _compute_prepasses(pcs, next_pcs, addresses, kind_table, config,
+                       window_size, charge):
+    predictor, confidence, btb, ras, memory = build_components(config)
+    if charge is not None:
+        charge(OTHER)
+    # Warm the instruction side (identical to the scalar engine):
+    # :func:`supports` guarantees every later probe would hit, which is
+    # why the replay skips them.  Its misses reach the L2 before the
+    # D-cache pre-pass's accesses do.
+    num_instructions = kind_table.shape[0]
+    warm_step = max(1, memory.icache.words_per_line)
+    for pc in range(0, num_instructions, warm_step):
+        memory.instruction_latency(pc)
+    if charge is not None:
+        charge(ICACHE)
+    kinds = kind_table[pcs]
+    data_latency = memory.data_latency
+    load_lat = []
+    cond_pred = []
+    cond_low = []
+    cond_mis = []
+    ctl_taken = []
+    ctl_extra = []
+    n_mis = n_low = n_low_mis = mem_count = 0
+    for start, stop in window_bounds(pcs.shape[0], window_size):
+        kinds_w = kinds[start:stop]
+        pcs_w = pcs[start:stop]
+        next_w = next_pcs[start:stop]
+        # D-cache pre-pass (trace-order pure access sequence).
+        mem_rows = np.nonzero(kinds_w >= _LOAD)[0]
+        if mem_rows.size:
+            mem_count += int(mem_rows.size)
+            addr_list = addresses[start:stop][mem_rows].tolist()
+            load_list = (kinds_w[mem_rows] == _LOAD).tolist()
+            ap_lat = load_lat.append
+            for address, is_load in zip(addr_list, load_list):
+                latency = data_latency(address)
+                if is_load:
+                    ap_lat(latency)
+        if charge is not None:
+            charge(DCACHE)
+        # Branch-predictor / confidence pre-pass.
+        cond_rows = np.nonzero(kinds_w == _COND)[0]
+        window_mis = ()
+        if cond_rows.size:
+            (pred, low, window_mis, w_mis, w_low,
+             w_low_mis) = _branch_prepass(
+                predictor, confidence, pcs_w[cond_rows],
+                next_w[cond_rows] != pcs_w[cond_rows] + 1,
+            )
+            cond_pred += pred
+            cond_low += low
+            cond_mis += window_mis
+            n_mis += w_mis
+            n_low += w_low
+            n_low_mis += w_low_mis
+        # BTB / RAS pre-pass.
+        taken, extra = _control_prepass(btb, ras, kinds_w, pcs_w, next_w,
+                                        window_mis)
+        ctl_taken += taken
+        ctl_extra += extra
+        if charge is not None:
+            charge(BRANCH_PRED)
+    entry = _Prepasses()
+    entry.load_lat = np.array(load_lat, dtype=np.int64)
+    entry.cond_pred = np.array(cond_pred, dtype=bool)
+    entry.cond_low = np.array(cond_low, dtype=bool)
+    entry.cond_mis = np.array(cond_mis, dtype=bool)
+    entry.ctl_taken = np.array(ctl_taken, dtype=bool)
+    entry.ctl_extra = np.array(ctl_extra, dtype=np.int64)
+    entry.mispredictions = n_mis
+    entry.low_confidence = n_low
+    entry.low_confidence_mispredicted = n_low_mis
+    entry.dcache_misses = memory.dcache.misses
+    entry.l2_misses = memory.l2.misses
+    entry.icache_probes = -(-num_instructions // warm_step)
+    entry.mem_rows = mem_count
+    entry.runs = OrderedDict()
+    return entry
+
+
+def _branch_prepass(predictor, conf, cond_pcs, cond_taken):
+    """Replay predictor + confidence over a window's cond branches.
+
+    Returns ``(predicted, low_conf, mispredicted)`` python lists
+    plus the window's (mispredictions, low-confidence, low-and-mis)
+    counts.  Predictor and confidence tables and histories advance
+    exactly as the scalar per-branch ``predict``/``update`` calls
+    would; the estimator's own tallies are left alone, since a run
+    reports the returned counts.
+    """
+    m = cond_pcs.shape[0]
+    pcs_list = cond_pcs.tolist()
+    taken_list = cond_taken.tolist()
+    pred_l = []
+    low_l = []
+    mis_l = []
+    ap_pred = pred_l.append
+    ap_low = low_l.append
+    ap_mis = mis_l.append
+    counters = conf._counters
+    centries = conf.num_entries
+    cthreshold = conf.threshold
+    chist = conf._history
+    chist_mask = conf._history_mask
+    cidx_mask = centries - 1
+    n_mis = 0
+    n_low = 0
+    n_low_mis = 0
+    if isinstance(predictor, PerceptronPredictor):
+        h = predictor.history_bits
+        # Chronological outcome stream: initial history (oldest
+        # first) followed by this window's outcomes; branch j's
+        # most-recent-first history is a reversed length-h slice
+        # ending just before outcome j.
+        outcomes = cond_taken.astype(np.int32) * 2 - 1
+        chron = np.concatenate((predictor._history[::-1], outcomes))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            chron[::-1], h
+        )
+        hist_rows = windows[np.arange(m, 0, -1)]
+        weights = predictor._weights
+        num_perceptrons = predictor.num_perceptrons
+        pthreshold = predictor.threshold
+        for j in range(m):
+            pc = pcs_list[j]
+            taken = taken_list[j]
+            row = weights[pc % num_perceptrons]
+            history = hist_rows[j]
+            output = int(row[0]) + int(row[1:] @ history)
+            pred = output >= 0
+            mis = pred != taken
+            if mis or (output if pred else -output) <= pthreshold:
+                # minimum+maximum ufuncs with out= do what np.clip
+                # does without its (much slower) dispatch wrapper.
+                weight_tail = row[1:]
+                if taken:
+                    bias_weight = int(row[0]) + 1
+                    row[0] = (bias_weight if bias_weight <= WEIGHT_MAX
+                              else WEIGHT_MAX)
+                    np.add(weight_tail, history, out=weight_tail)
+                    np.minimum(weight_tail, WEIGHT_MAX,
+                               out=weight_tail)
+                    np.maximum(weight_tail, WEIGHT_MIN,
+                               out=weight_tail)
+                else:
+                    bias_weight = int(row[0]) - 1
+                    row[0] = (bias_weight if bias_weight >= WEIGHT_MIN
+                              else WEIGHT_MIN)
+                    np.subtract(weight_tail, history, out=weight_tail)
+                    np.maximum(weight_tail, WEIGHT_MIN,
+                               out=weight_tail)
+                    np.minimum(weight_tail, WEIGHT_MAX,
+                               out=weight_tail)
+            index = (pc ^ (chist & cidx_mask)) % centries
+            low = counters[index] < cthreshold
+            if low:
+                n_low += 1
+                if mis:
+                    n_low_mis += 1
+            if mis:
+                n_mis += 1
+                counters[index] = 0
+                chist = ((chist << 1) | 1) & chist_mask
+            else:
+                bumped = counters[index] + 1
+                if bumped <= COUNTER_MAX:
+                    counters[index] = bumped
+                chist = (chist << 1) & chist_mask
+            ap_pred(pred)
+            ap_low(low)
+            ap_mis(mis)
+        predictor._history = chron[len(chron) - h:][::-1].copy()
+    else:
+        predict = predictor.predict
+        update = predictor.update
+        for j in range(m):
+            pc = pcs_list[j]
+            taken = taken_list[j]
+            pred = predict(pc)
+            mis = pred != taken
+            update(pc, taken)
+            index = (pc ^ (chist & cidx_mask)) % centries
+            low = counters[index] < cthreshold
+            if low:
+                n_low += 1
+                if mis:
+                    n_low_mis += 1
+            if mis:
+                n_mis += 1
+                counters[index] = 0
+                chist = ((chist << 1) | 1) & chist_mask
+            else:
+                bumped = counters[index] + 1
+                if bumped <= COUNTER_MAX:
+                    counters[index] = bumped
+                chist = (chist << 1) & chist_mask
+            ap_pred(pred)
+            ap_low(low)
+            ap_mis(mis)
+    conf._history = chist
+    return pred_l, low_l, mis_l, n_mis, n_low, n_low_mis
+
+
+def _control_prepass(btb, ras, kinds_w, pcs_w, next_w, cond_mis):
+    """Replay BTB + RAS over a window's control rows.
+
+    Returns ``(ctl_taken, ctl_extra)`` aligned with the window's
+    control rows in trace order: for cond/jmp/call rows ``extra``
+    is the BTB bubble to charge (0 when none), for ret rows it is
+    the RAS-correct flag.  ``cond_mis`` is the branch pre-pass's
+    misprediction list (cond rows are a subsequence of control
+    rows, so a cond-ordinal cursor lines them up).  The BTB's entries
+    advance as its ``lookup``/``insert`` would; its hit and miss
+    tallies, which no run reports, are left alone.
+    """
+    ctrl_rows = np.nonzero((kinds_w >= _COND) & (kinds_w <= _RET))[0]
+    if not ctrl_rows.size:
+        return [], []
+    kinds = kinds_w[ctrl_rows].tolist()
+    pcs = pcs_w[ctrl_rows].tolist()
+    nexts = next_w[ctrl_rows].tolist()
+    tags = btb._tags
+    btb_targets = btb._targets
+    num_entries = btb.num_entries
+    bubble = btb.miss_bubble_cycles
+    push = ras.push
+    pop_predict = ras.pop_predict
+    taken_l = []
+    extra_l = []
+    ap_taken = taken_l.append
+    ap_extra = extra_l.append
+    cond_cursor = 0
+    for k, pc, nxt in zip(kinds, pcs, nexts):
+        taken = nxt != pc + 1
+        ap_taken(taken)
+        if k == _COND:
+            mis = cond_mis[cond_cursor]
+            cond_cursor += 1
+            if not taken or mis:
+                ap_extra(0)
+                continue
+        elif k == _RET:
+            ap_extra(1 if pop_predict(nxt) else 0)
+            continue
+        elif k == _CALL:
+            push(pc + 1)
+        # Taken control: the BTB lookup, and an insert on a miss.
+        index = pc % num_entries
+        if tags[index] == pc and btb_targets[index] == nxt:
+            ap_extra(0)
+            continue
+        tags[index] = pc
+        btb_targets[index] = nxt
+        ap_extra(bubble)
+    return taken_l, extra_l
+
+
 class VectorizedTimingSimulator(TimingSimulator):
     """:class:`TimingSimulator` with the batch-replay ``run``.
 
-    Construction, configuration, and the dpred episode machinery come
-    from the shared base (predictor, confidence, BTB, RAS, memory
-    hierarchy, bias table, and wrong-path walker state), as they did
-    for the scalar engine, so a given (program, config, annotation)
-    triple runs through exactly the same model.  Raises
-    :class:`~repro.errors.SimulationError` for a program that is not
-    I-cache resident (see :func:`supports`).  ``window_size`` is the
-    replay window in trace rows (tests sweep tiny windows to pin the
-    window-boundary behaviour).
+    Configuration and the dpred episode machinery come from the shared
+    base, as they did for the scalar engine, and the components that
+    evolve from the trace alone run in the memoized pre-passes (see
+    :func:`_prepasses`), so a given (program, config, annotation)
+    triple runs through exactly the same model.  A simulator runs one
+    trace: a second :meth:`run` raises
+    :class:`~repro.errors.SimulationError`, as does building one for a
+    program that is not I-cache resident (see :func:`supports`).
+    ``window_size`` is the replay window in trace rows (tests sweep
+    tiny windows to pin the window-boundary behaviour).
     """
 
     def __init__(self, program, config=None, annotation=None,
@@ -422,21 +709,7 @@ class VectorizedTimingSimulator(TimingSimulator):
                 f"window_size must be >= 1, got {self.window_size}"
             )
         self._build_decode_tables()
-        # The memo applies to a simulator's first run only: its
-        # components start from the state every fresh simulator has.
-        self._fresh = True
-        # After a run-memo hit: the trace columns and memo key of the
-        # run this simulator has still to go through (see
-        # _settle_deferred).
-        self._skipped = None
-        # After a pre-pass memo hit: the trace columns whose pre-passes
-        # the components still have to go through, and the counters to
-        # go through them from.
-        self._deferred = None
-
-    # ------------------------------------------------------------------
-    # Static decode tables
-    # ------------------------------------------------------------------
+        self._ran = False
 
     def _build_decode_tables(self):
         n = len(self.program.instructions)
@@ -454,363 +727,12 @@ class VectorizedTimingSimulator(TimingSimulator):
         else:
             self._diverge_by_pc = None
 
-    # ------------------------------------------------------------------
-    # Whole-trace pre-passes and their memo
-    # ------------------------------------------------------------------
-
-    def _warm_icache(self):
-        """Warm the instruction side (identical to the scalar engine);
-        returns the number of probes.  :func:`supports` guarantees every
-        later probe would hit, which is why the replay loop skips them.
-        """
-        num_instructions = len(self.program.instructions)
-        warm_step = max(1, self.memory.icache.words_per_line)
-        for pc in range(0, num_instructions, warm_step):
-            self.memory.instruction_latency(pc)
-        return -(-num_instructions // warm_step)
-
-    def _component_counters(self):
-        """The pre-pass components' counters that a run exposes."""
-        memory = self.memory
-        conf = self.confidence
-        btb = self.btb
-        ras = self.ras
-        return (memory.dcache.hits, memory.dcache.misses,
-                memory.l2.hits, memory.l2.misses,
-                conf.queries, conf.low_confidence_count,
-                conf.low_confidence_mispredicted, conf._history,
-                btb.hits, btb.misses,
-                ras.predictions, ras.mispredictions, ras.overflows)
-
-    def _set_component_counters(self, counters):
-        memory = self.memory
-        conf = self.confidence
-        btb = self.btb
-        ras = self.ras
-        (memory.dcache.hits, memory.dcache.misses,
-         memory.l2.hits, memory.l2.misses,
-         conf.queries, conf.low_confidence_count,
-         conf.low_confidence_mispredicted, conf._history,
-         btb.hits, btb.misses,
-         ras.predictions, ras.mispredictions, ras.overflows) = counters
-
     def _swap_metrics(self, registry):
         """Record into ``registry`` from now on; returns the registry
         this simulator recorded into before."""
         previous = self.metrics
         self._bind_metrics(registry)
         return previous
-
-    def _settle_deferred(self):
-        """Go through what a memo hit skipped, before the next run.
-
-        A run-memo hit skipped the whole run: it is replayed here from
-        the counters it started with, without tracer, profiler, ledger
-        or per-branch collection and into a throwaway registry, so
-        nothing it does is emitted or counted twice.  A pre-pass hit
-        restores the counters but leaves the caches, predictor, BTB
-        and RAS as they were.  Either way, a second run on this
-        simulator starts from the state the first run leaves.
-        """
-        if self._skipped is not None:
-            columns, key, counters = self._skipped
-            self._skipped = None
-            self._set_component_counters(counters)
-            live = self._swap_metrics(MetricsRegistry())
-            saved = (self.tracer, self.profiler, self.ledger,
-                     self.collect_per_branch)
-            self.tracer, self.profiler = NULL_TRACER, None
-            self.ledger, self.collect_per_branch = None, False
-            try:
-                self._replay(columns, key, "", None)
-            finally:
-                self._swap_metrics(live)
-                (self.tracer, self.profiler, self.ledger,
-                 self.collect_per_branch) = saved
-        if self._deferred is not None:
-            columns, counters = self._deferred
-            self._deferred = None
-            self._set_component_counters(counters)
-            self._compute_prepasses(*columns)
-
-    def _prepasses(self, columns, key, charge=None):
-        """The :class:`_Prepasses` of these trace columns.
-
-        A simulator's first run passes its memo ``key`` and looks them
-        up in the memo (a hit restores the component counters they
-        leave); a miss, or any later run (``key`` None), computes them
-        on the components.  ``charge`` is the run's stopwatch, ``None``
-        when profiling is off.
-        """
-        if key is None:
-            return self._compute_prepasses(*columns, charge)
-        entry = _PREPASS_MEMO.get(key)
-        if entry is None:
-            entry = self._compute_prepasses(*columns, charge)
-            _PREPASS_MEMO[key] = entry
-            while len(_PREPASS_MEMO) > PREPASS_MEMO_ENTRIES:
-                _PREPASS_MEMO.popitem(last=False)
-        else:
-            _PREPASS_MEMO.move_to_end(key)
-            self._deferred = (columns, self._component_counters())
-            self._set_component_counters(entry.counters)
-        return entry
-
-    def _compute_prepasses(self, pcs, next_pcs, addresses, charge=None):
-        """Replay the D-cache, branch and control pre-passes over the
-        whole trace, one window at a time, on this simulator's
-        components."""
-        kinds = self._kind_table[pcs]
-        data_latency = self.memory.data_latency
-        load_lat = []
-        cond_pred = []
-        cond_low = []
-        cond_mis = []
-        ctl_taken = []
-        ctl_extra = []
-        n_mis = n_low = n_low_mis = mem_count = 0
-        for start, stop in window_bounds(pcs.shape[0], self.window_size):
-            kinds_w = kinds[start:stop]
-            pcs_w = pcs[start:stop]
-            next_w = next_pcs[start:stop]
-            # D-cache pre-pass (trace-order pure access sequence).
-            mem_rows = np.nonzero(kinds_w >= _LOAD)[0]
-            if mem_rows.size:
-                mem_count += int(mem_rows.size)
-                addr_list = addresses[start:stop][mem_rows].tolist()
-                load_list = (kinds_w[mem_rows] == _LOAD).tolist()
-                ap_lat = load_lat.append
-                for address, is_load in zip(addr_list, load_list):
-                    latency = data_latency(address)
-                    if is_load:
-                        ap_lat(latency)
-            if charge is not None:
-                charge(DCACHE)
-            # Branch-predictor / confidence pre-pass.
-            cond_rows = np.nonzero(kinds_w == _COND)[0]
-            window_mis = ()
-            if cond_rows.size:
-                (pred, low, window_mis, w_mis, w_low,
-                 w_low_mis) = self._branch_prepass(
-                    pcs_w[cond_rows],
-                    next_w[cond_rows] != pcs_w[cond_rows] + 1,
-                )
-                cond_pred += pred
-                cond_low += low
-                cond_mis += window_mis
-                n_mis += w_mis
-                n_low += w_low
-                n_low_mis += w_low_mis
-            # BTB / RAS pre-pass.
-            taken, extra = self._control_prepass(kinds_w, pcs_w, next_w,
-                                                 window_mis)
-            ctl_taken += taken
-            ctl_extra += extra
-            if charge is not None:
-                charge(BRANCH_PRED)
-        entry = _Prepasses()
-        entry.load_lat = np.array(load_lat, dtype=np.int64)
-        entry.cond_pred = np.array(cond_pred, dtype=bool)
-        entry.cond_low = np.array(cond_low, dtype=bool)
-        entry.cond_mis = np.array(cond_mis, dtype=bool)
-        entry.ctl_taken = np.array(ctl_taken, dtype=bool)
-        entry.ctl_extra = np.array(ctl_extra, dtype=np.int64)
-        entry.mispredictions = n_mis
-        entry.low_confidence = n_low
-        entry.low_confidence_mispredicted = n_low_mis
-        entry.mem_rows = mem_count
-        entry.counters = self._component_counters()
-        entry.runs = OrderedDict()
-        return entry
-
-    # ------------------------------------------------------------------
-    # Per-window pre-pass kernels
-    # ------------------------------------------------------------------
-
-    def _branch_prepass(self, cond_pcs, cond_taken):
-        """Replay predictor + confidence over a window's cond branches.
-
-        Returns ``(predicted, low_conf, mispredicted)`` python lists
-        plus the window's (mispredictions, low-confidence, low-and-mis)
-        counts.  Predictor and confidence state advance exactly as the
-        scalar per-branch ``predict``/``update`` calls would.
-        """
-        m = cond_pcs.shape[0]
-        pcs_list = cond_pcs.tolist()
-        taken_list = cond_taken.tolist()
-        pred_l = []
-        low_l = []
-        mis_l = []
-        ap_pred = pred_l.append
-        ap_low = low_l.append
-        ap_mis = mis_l.append
-        predictor = self.predictor
-        conf = self.confidence
-        counters = conf._counters
-        centries = conf.num_entries
-        cthreshold = conf.threshold
-        chist = conf._history
-        chist_mask = conf._history_mask
-        cidx_mask = centries - 1
-        n_mis = 0
-        n_low = 0
-        n_low_mis = 0
-        if isinstance(predictor, PerceptronPredictor):
-            h = predictor.history_bits
-            # Chronological outcome stream: initial history (oldest
-            # first) followed by this window's outcomes; branch j's
-            # most-recent-first history is a reversed length-h slice
-            # ending just before outcome j.
-            outcomes = cond_taken.astype(np.int32) * 2 - 1
-            chron = np.concatenate((predictor._history[::-1], outcomes))
-            windows = np.lib.stride_tricks.sliding_window_view(
-                chron[::-1], h
-            )
-            hist_rows = windows[np.arange(m, 0, -1)]
-            weights = predictor._weights
-            num_perceptrons = predictor.num_perceptrons
-            pthreshold = predictor.threshold
-            for j in range(m):
-                pc = pcs_list[j]
-                taken = taken_list[j]
-                row = weights[pc % num_perceptrons]
-                history = hist_rows[j]
-                output = int(row[0]) + int(row[1:] @ history)
-                pred = output >= 0
-                mis = pred != taken
-                if mis or (output if pred else -output) <= pthreshold:
-                    # minimum+maximum ufuncs with out= do what np.clip
-                    # does without its (much slower) dispatch wrapper.
-                    weight_tail = row[1:]
-                    if taken:
-                        bias_weight = int(row[0]) + 1
-                        row[0] = (bias_weight if bias_weight <= WEIGHT_MAX
-                                  else WEIGHT_MAX)
-                        np.add(weight_tail, history, out=weight_tail)
-                        np.minimum(weight_tail, WEIGHT_MAX,
-                                   out=weight_tail)
-                        np.maximum(weight_tail, WEIGHT_MIN,
-                                   out=weight_tail)
-                    else:
-                        bias_weight = int(row[0]) - 1
-                        row[0] = (bias_weight if bias_weight >= WEIGHT_MIN
-                                  else WEIGHT_MIN)
-                        np.subtract(weight_tail, history, out=weight_tail)
-                        np.maximum(weight_tail, WEIGHT_MIN,
-                                   out=weight_tail)
-                        np.minimum(weight_tail, WEIGHT_MAX,
-                                   out=weight_tail)
-                index = (pc ^ (chist & cidx_mask)) % centries
-                low = counters[index] < cthreshold
-                if low:
-                    n_low += 1
-                    if mis:
-                        n_low_mis += 1
-                if mis:
-                    n_mis += 1
-                    counters[index] = 0
-                    chist = ((chist << 1) | 1) & chist_mask
-                else:
-                    bumped = counters[index] + 1
-                    if bumped <= COUNTER_MAX:
-                        counters[index] = bumped
-                    chist = (chist << 1) & chist_mask
-                ap_pred(pred)
-                ap_low(low)
-                ap_mis(mis)
-            predictor._history = chron[len(chron) - h:][::-1].copy()
-        else:
-            predict = predictor.predict
-            update = predictor.update
-            for j in range(m):
-                pc = pcs_list[j]
-                taken = taken_list[j]
-                pred = predict(pc)
-                mis = pred != taken
-                update(pc, taken)
-                index = (pc ^ (chist & cidx_mask)) % centries
-                low = counters[index] < cthreshold
-                if low:
-                    n_low += 1
-                    if mis:
-                        n_low_mis += 1
-                if mis:
-                    n_mis += 1
-                    counters[index] = 0
-                    chist = ((chist << 1) | 1) & chist_mask
-                else:
-                    bumped = counters[index] + 1
-                    if bumped <= COUNTER_MAX:
-                        counters[index] = bumped
-                    chist = (chist << 1) & chist_mask
-                ap_pred(pred)
-                ap_low(low)
-                ap_mis(mis)
-        conf._history = chist
-        conf.queries += m
-        conf.low_confidence_count += n_low
-        conf.low_confidence_mispredicted += n_low_mis
-        return pred_l, low_l, mis_l, n_mis, n_low, n_low_mis
-
-    def _control_prepass(self, kinds_w, pcs_w, next_w, cond_mis):
-        """Replay BTB + RAS over a window's control rows.
-
-        Returns ``(ctl_taken, ctl_extra)`` aligned with the window's
-        control rows in trace order: for cond/jmp/call rows ``extra``
-        is the BTB bubble to charge (0 when none), for ret rows it is
-        the RAS-correct flag.  ``cond_mis`` is the branch pre-pass's
-        misprediction list (cond rows are a subsequence of control
-        rows, so a cond-ordinal cursor lines them up).
-        """
-        ctrl_rows = np.nonzero((kinds_w >= _COND) & (kinds_w <= _RET))[0]
-        if not ctrl_rows.size:
-            return [], []
-        kinds = kinds_w[ctrl_rows].tolist()
-        pcs = pcs_w[ctrl_rows].tolist()
-        nexts = next_w[ctrl_rows].tolist()
-        btb = self.btb
-        tags = btb._tags
-        btb_targets = btb._targets
-        num_entries = btb.num_entries
-        bubble = btb.miss_bubble_cycles
-        push = self.ras.push
-        pop_predict = self.ras.pop_predict
-        taken_l = []
-        extra_l = []
-        ap_taken = taken_l.append
-        ap_extra = extra_l.append
-        hits = 0
-        misses = 0
-        cond_cursor = 0
-        for k, pc, nxt in zip(kinds, pcs, nexts):
-            taken = nxt != pc + 1
-            ap_taken(taken)
-            if k == _COND:
-                mis = cond_mis[cond_cursor]
-                cond_cursor += 1
-                if not taken or mis:
-                    ap_extra(0)
-                    continue
-            elif k == _RET:
-                ap_extra(1 if pop_predict(nxt) else 0)
-                continue
-            elif k == _CALL:
-                push(pc + 1)
-            # Taken control: the BTB lookup, and an insert on a miss.
-            index = pc % num_entries
-            if tags[index] == pc:
-                hits += 1
-                if btb_targets[index] == nxt:
-                    ap_extra(0)
-                    continue
-            else:
-                misses += 1
-            tags[index] = pc
-            btb_targets[index] = nxt
-            ap_extra(bubble)
-        btb.hits += hits
-        btb.misses += misses
-        return taken_l, extra_l
 
     # ------------------------------------------------------------------
     # Batch replay
@@ -819,23 +741,26 @@ class VectorizedTimingSimulator(TimingSimulator):
     def run(self, trace, label=""):
         """Simulate ``trace`` and return :class:`SimStats`.
 
-        A simulator's first run goes through the run memo (see
-        :meth:`_run_memoized`) unless a tracer wants the events only a
-        replay emits.
+        The run goes through the run memo (see :meth:`_run_memoized`)
+        unless a tracer wants the events only a replay emits.  Raises
+        :class:`~repro.errors.SimulationError` for an empty trace and
+        on a second call: build one simulator per run.
         """
         if not trace:
             raise SimulationError("empty trace")
+        if self._ran:
+            raise SimulationError(
+                "a simulator runs one trace; build another with "
+                "make_simulator"
+            )
+        self._ran = True
         profiler = self.profiler
         started = perf_counter() if profiler is not None else None
         # Columnar view of the trace (zero-copy for compact traces).
         columns = trace_columns(trace)
-        key = None
-        if self._fresh:
-            self._fresh = False
-            key = _memo_key(self._program_digest, trace, columns,
-                            self.config)
-            if not self.tracer.enabled:
-                return self._run_memoized(columns, key, label, started)
+        key = _memo_key(self._program_digest, trace, columns, self.config)
+        if not self.tracer.enabled:
+            return self._run_memoized(columns, key, label, started)
         stats, timing, _ = self._replay(columns, key, label, started)
         if timing is not None:
             profiler.record_run(label, *timing, stats,
@@ -843,17 +768,15 @@ class VectorizedTimingSimulator(TimingSimulator):
         return stats
 
     def _run_memoized(self, columns, key, label, started):
-        """A first run through the run memo.
+        """A run through the run memo.
 
         A hit — a finished run of the same trace, config, program
-        tables and annotation — returns a copy of the stored stats,
-        leaves the component counters as its replay left them and
+        tables and annotation — returns a copy of the stored stats and
         folds the stored metrics snapshot into this simulator's
-        registry, replaying nothing until a second run needs the state
-        it leaves (see :meth:`_settle_deferred`).  With a ledger, a hit
-        records a copy of the stored per-pc counters into it; with
-        per-branch collection, it rebuilds ``stats.per_branch`` from
-        them; a stored run without them counts as a miss.  With a
+        registry, replaying nothing.  With a ledger, a hit records a
+        copy of the stored per-pc counters into it; with per-branch
+        collection, it rebuilds ``stats.per_branch`` from them; a
+        stored run without them counts as a miss.  With a
         profiler, a hit charges its own seconds to ``other`` and
         reports the stored event counts; a stored run without them
         counts as a miss.  A miss replays into a private registry and
@@ -872,8 +795,6 @@ class VectorizedTimingSimulator(TimingSimulator):
         if hit:
             _PREPASS_MEMO.move_to_end(key)
             entry.runs.move_to_end(run_key)
-            self._skipped = (columns, key, self._component_counters())
-            self._set_component_counters(entry.counters)
             stats = done.stats_for(label, self.collect_per_branch)
             if ledger is not None:
                 ledger.record_run(
@@ -888,9 +809,8 @@ class VectorizedTimingSimulator(TimingSimulator):
             finally:
                 private = self._swap_metrics(live)
             done = _FinishedRun(stats, private, timing, per_branch)
-            entry = _PREPASS_MEMO.get(key)     # the replay's pre-passes
-            if entry is not None:
-                _store_run(entry, run_key, done)
+            # The replay left its pre-passes' entry most recently used.
+            _store_run(_PREPASS_MEMO[key], run_key, done)
         self.metrics.merge_snapshot(done.metrics, done.helps)
         if profiler is not None:
             if hit:
@@ -904,11 +824,12 @@ class VectorizedTimingSimulator(TimingSimulator):
     def _replay(self, columns, key, label, started):
         """Replay the trace ``columns``: ``(stats, timing, per_branch)``.
 
-        ``key`` is the memo key of a first run (see :meth:`_prepasses`);
-        ``timing`` is ``(seconds, events)`` per component, stopwatched
-        from ``started``, with a profiler and ``None`` without one;
-        ``per_branch`` the per-pc counter lists with a ledger or
-        per-branch collection and ``None`` without either.
+        ``key`` is the trace's pre-pass memo key (see
+        :func:`_prepasses`); ``timing`` is ``(seconds, events)`` per
+        component, stopwatched from ``started``, with a profiler and
+        ``None`` without one; ``per_branch`` the per-pc counter lists
+        with a ledger or per-branch collection and ``None`` without
+        either.
         """
         cfg = self.config
         stats = SimStats(label=label)
@@ -945,19 +866,14 @@ class VectorizedTimingSimulator(TimingSimulator):
         else:
             charge = None
 
-        self._settle_deferred()
         if profiling:
             charge(OTHER)
 
-        icache_probes = self._warm_icache()
-        if profiling:
-            charge(ICACHE)
-            comp_events[ICACHE] += icache_probes
-
-        # D-cache, branch and control pre-passes over the whole trace
-        # (memoized per trace and config), as flat lists the replay
-        # walks with cursors.
-        prepass = self._prepasses(columns, key, charge)
+        # I-cache warm, D-cache, branch and control pre-passes over the
+        # whole trace (memoized per trace and config), as flat lists the
+        # replay walks with cursors.
+        prepass = _prepasses(key, columns, self._kind_table, cfg,
+                             self.window_size, charge)
         lat_np = self._lat_table[pcs_np]
         if prepass.load_lat.size:
             lat_np[self._kind_table[pcs_np] == _LOAD] = \
@@ -974,6 +890,7 @@ class VectorizedTimingSimulator(TimingSimulator):
             prepass.low_confidence_mispredicted
         if profiling:
             charge(BRANCH_PRED)
+            comp_events[ICACHE] += prepass.icache_probes
             comp_events[DCACHE] += prepass.mem_rows
             comp_events[BRANCH_PRED] += len(ctl_taken)
         cond_cursor = 0
@@ -1476,8 +1393,8 @@ class VectorizedTimingSimulator(TimingSimulator):
         if cycle < complete:     # the last trace row's completion
             cycle = complete
         stats.cycles = cycle
-        stats.dcache_misses = self.memory.dcache.misses
-        stats.l2_misses = self.memory.l2.misses
+        stats.dcache_misses = prepass.dcache_misses
+        stats.l2_misses = prepass.l2_misses
         if self.collect_per_branch:
             stats.per_branch = _per_branch_stats(per_branch)
         if ledger is not None:
@@ -1507,9 +1424,14 @@ def make_simulator(program, config=None, annotation=None, **kwargs):
     """Build the timing simulator for ``program``: every caller's one
     constructor.
 
-    ``kwargs`` are forwarded to :class:`VectorizedTimingSimulator`
-    (``collect_per_branch``, ``tracer``, ``metrics``, ``ledger``,
-    ``profiler``, ``window_size``).  Raises
+    The simulator runs one trace (a second ``run`` raises).  It holds
+    no predictor, confidence estimator, BTB, RAS or memory hierarchy:
+    those are built only when its run misses the pre-pass memo (see
+    :func:`_prepasses`), so building one costs the annotation's
+    tables, not the Table 1 machine's.  ``kwargs`` are forwarded to
+    :class:`VectorizedTimingSimulator` (``collect_per_branch``,
+    ``tracer``, ``metrics``, ``ledger``, ``profiler``,
+    ``window_size``).  Raises
     :class:`~repro.errors.SimulationError` with :func:`supports`'s
     reason when the program is not I-cache resident on ``config``.
     """

@@ -5,10 +5,12 @@ preserves, verbatim, ``TimingSimulator.run`` and
 ``TimingSimulator._btb_miss_bubble`` as they were when the scalar
 replay was the reference engine, so the tests can assert that
 :class:`~repro.uarch.vectorized.VectorizedTimingSimulator` produces
-identical stats, per-branch counters, ledger rows, metrics, trace
-events and component state.  Construction, the dpred episode helpers
-and the metric recording stay in :class:`repro.uarch.simulator.
-TimingSimulator`, which both replays share.  Unlike the vectorized
+identical stats, per-branch counters, ledger rows, metrics and trace
+events.  The dpred episode helpers and the metric recording stay in
+:class:`repro.uarch.simulator.TimingSimulator`, which both replays
+share, and the oracle builds its predictor, confidence estimator, BTB,
+RAS and memory hierarchy with :func:`repro.uarch.simulator.
+build_components`, as the vectorized pre-passes do.  Unlike the vectorized
 replay, this one probes the I-cache on every fetch group, so it also
 runs programs that are not I-cache resident.  Do not "improve" this
 file — its value is that it does not change.
@@ -31,12 +33,18 @@ from repro.uarch.profiler import (
     ROB_RETIRE,
     WRONG_PATH,
 )
-from repro.uarch.simulator import TimingSimulator
+from repro.uarch.simulator import TimingSimulator, build_components
 from repro.uarch.stats import SimStats
 
 
 class LegacyTimingSimulator(TimingSimulator):
     """The shared simulator base with the scalar per-row ``run``."""
+
+    def __init__(self, program, config=None, annotation=None, **kwargs):
+        super().__init__(program, config=config, annotation=annotation,
+                         **kwargs)
+        (self.predictor, self.confidence, self.btb, self.ras,
+         self.memory) = build_components(self.config)
 
     def run(self, trace, label=""):
         """Simulate ``trace`` and return :class:`SimStats`."""

@@ -9,16 +9,14 @@ import os
 import pytest
 
 from repro import __main__ as repro_main
-from repro.campaign import (
-    Axis,
-    CampaignSpec,
-    Journal,
-    Scheduler,
+from repro.campaign.journal import Journal, replay
+from repro.campaign.report import (
     aggregate_means,
     render_report,
     render_status,
-    replay,
 )
+from repro.campaign.scheduler import Scheduler
+from repro.campaign.spec import Axis, CampaignSpec
 from repro.campaign.spec import content_hash, resolve_cell_fn, run_cell
 from repro.obs import MetricsRegistry, SpanTree, telemetry
 

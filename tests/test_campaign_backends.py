@@ -7,19 +7,20 @@ import os
 import pytest
 
 from repro import __main__ as repro_main
-from repro.campaign import (
-    Axis,
-    CampaignSpec,
-    Journal,
+from repro.campaign.backends import (
     LocalPoolBackend,
-    Scheduler,
     ShardedBackend,
-    find_shard_journals,
     make_backend,
-    merge_shard_journals,
-    replay,
     shard_of,
 )
+from repro.campaign.journal import (
+    Journal,
+    find_shard_journals,
+    merge_shard_journals,
+    replay,
+)
+from repro.campaign.scheduler import Scheduler
+from repro.campaign.spec import Axis, CampaignSpec
 from repro.campaign.backends import shard_journal_name
 from repro.obs import MetricsRegistry, SpanTree, telemetry
 

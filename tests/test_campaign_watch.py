@@ -7,7 +7,9 @@ import os
 import time
 
 from repro import __main__ as repro_main
-from repro.campaign import Axis, CampaignSpec, Journal, shard_of
+from repro.campaign.backends import shard_of
+from repro.campaign.journal import Journal
+from repro.campaign.spec import Axis, CampaignSpec
 from repro.campaign.backends import shard_journal_name
 from repro.campaign.watch import (
     RATE_WINDOW_SECONDS,

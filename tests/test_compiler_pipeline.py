@@ -674,6 +674,51 @@ class TestPipelineBuilder:
         assert snapshot["span_select_calls_total"]["value"] == 1
         assert not [name for name in snapshot if "compile." in name]
 
+    def test_warm_select_looks_each_counter_up_once(self, twolf,
+                                                    monkeypatch):
+        """A warm selection looks each instrument up in the registry
+        once: the passes' path-cache hits are tallied and counted at
+        the end of the run, to the value a lookup per hit gives."""
+        program, profile = twolf
+        config = registry.resolve("all-best-cost")
+        manager = AnalysisManager()
+        run_selection_pipeline(program, profile, config, manager=manager)
+        lookups = []
+        path_calls = []
+        get_or_create = MetricsRegistry._get_or_create
+        paths = ProgramAnalysis.paths
+
+        def counting_lookup(self, name, cls, help=""):
+            lookups.append(name)
+            return get_or_create(self, name, cls, help)
+
+        def counting_paths(self, *args, **kwargs):
+            path_calls.append(args)
+            return paths(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "_get_or_create",
+                            counting_lookup)
+        monkeypatch.setattr(ProgramAnalysis, "paths", counting_paths)
+        registry_ = MetricsRegistry()
+        with telemetry(metrics=registry_, spans=SpanTree()):
+            run_selection_pipeline(program, profile, config,
+                                   manager=manager)
+        assert sorted(lookups) == sorted([
+            "analysis_cache_hits_total",       # the manager's hit
+            "pipeline_pass_runs_total",
+            "analysis_cache_hits_total",       # every path-cache hit
+            "span_select_seconds_total",
+            "span_select_calls_total",
+            "selection_runs_total",
+            "selection_branches_selected_total",
+        ])
+        snapshot = registry_.as_dict()
+        assert len(path_calls) > 2
+        assert snapshot["analysis_cache_hits_total"]["value"] \
+            == 1 + len(path_calls)
+        assert "analysis_cache_misses_total" not in snapshot
+        assert manager.analysis(program, profile).path_tally is None
+
     def test_empty_pipeline_yields_empty_annotation(self, twolf):
         program, profile = twolf
         ctx = context_for_config(

@@ -16,13 +16,10 @@ import os
 
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    Journal,
-    Scheduler,
-    render_report,
-    replay,
-)
+from repro.campaign.journal import Journal, replay
+from repro.campaign.report import render_report
+from repro.campaign.scheduler import Scheduler
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.journal import JournalState
 from repro.compiler import registry
 from repro.obs import jsonl_tracer, telemetry

@@ -304,9 +304,9 @@ class TestSimProfiler:
         "engine", [LegacyTimingSimulator, VectorizedTimingSimulator])
     def test_unprofiled_run_reads_no_clock(self, engine, monkeypatch):
         """``profiler=None`` stays free: no run of the engine or of the
-        scalar oracle reads the clock (a cold replay, a memo hit, a
-        second run).  A profiled run reads it, and both give the scalar
-        oracle's stats."""
+        scalar oracle reads the clock (a cold replay, a run-memo hit, a
+        pre-pass memo hit).  A profiled run reads it, and both give the
+        scalar oracle's stats."""
         art = runner.get_artifacts("gzip", scale=0.2)
         program, trace = art.program, art.trace
         annotation = select_diverge_branches(
@@ -331,7 +331,9 @@ class TestSimProfiler:
         assert unprofiled == reference
         again = engine(program, annotation=annotation)
         assert again.run(trace, label="x") == reference
-        again.run(trace, label="y")
+        vectorized.clear_run_memo()
+        assert engine(program, annotation=annotation).run(
+            trace, label="x") == reference
         assert reads == []
 
         vectorized.clear_prepass_memo()

@@ -111,6 +111,20 @@ def test_campaign_run_start_loads_no_response_writer(tmp_path):
     assert not loaded & set(RESPONSE_WRITERS)
 
 
+def test_serve_start_loads_only_the_campaign_cell(tmp_path):
+    # The daemon simulates through the campaign cell function; the
+    # campaign package re-exports nothing, so the journal, scheduler,
+    # backends (and their multiprocessing) and report stay unloaded.
+    loaded = _loaded_modules(
+        "import sys, repro.serve.daemon\n"
+        "assert 'multiprocessing' not in sys.modules\n",
+        tmp_path,
+    )
+    assert {name for name in loaded
+            if name.startswith("repro.campaign")} \
+        == {"repro.campaign", "repro.campaign.spec"}
+
+
 @pytest.mark.parametrize("name", cli.ARTIFACTS)
 def test_every_artifact_names_a_driver(name):
     module = importlib.import_module("repro.experiments." + name)

@@ -10,15 +10,10 @@ import threading
 import pytest
 
 from repro import __main__ as repro_main
-from repro.campaign import (
-    Axis,
-    CampaignSpec,
-    Journal,
-    LocalPoolBackend,
-    Scheduler,
-    ShardedBackend,
-    replay,
-)
+from repro.campaign.backends import LocalPoolBackend, ShardedBackend
+from repro.campaign.journal import Journal, replay
+from repro.campaign.scheduler import Scheduler
+from repro.campaign.spec import Axis, CampaignSpec
 from repro.exec import Job, execute
 from repro.obs import (
     ListSink,

@@ -144,6 +144,7 @@ class TestWindowBoundaries:
         ).run(trace).as_dict()
         assert reference["dpred_episodes"] > 0
         for window_size in (1, 2, 3, 5, 7, 16, 64, 1000):
+            vectorized.clear_run_memo()      # every window size replays
             got = VectorizedTimingSimulator(
                 program, annotation=annotation, window_size=window_size
             ).run(trace).as_dict()
@@ -165,6 +166,7 @@ class TestWindowBoundaries:
         ).run(trace).as_dict()
         assert reference["dpred_episodes"] > 0
         for window_size in (first, first + 1, max(1, first - 1)):
+            vectorized.clear_run_memo()      # every window size replays
             got = VectorizedTimingSimulator(
                 program, annotation=annotation, window_size=window_size
             ).run(trace).as_dict()
@@ -403,24 +405,26 @@ class TestProfileCliEngine:
         assert validate_explain(data, load_schema("profile")) == []
 
 
-def _component_state(simulator):
-    """Every counter a run exposes on the simulator's components."""
-    memory = simulator.memory
-    return (
-        memory.dcache.hits, memory.dcache.misses,
-        memory.l2.hits, memory.l2.misses,
-        simulator.confidence.snapshot(), simulator.confidence._history,
-        simulator.btb.hits, simulator.btb.misses,
-        simulator.ras.predictions, simulator.ras.mispredictions,
-        simulator.ras.overflows,
-    )
+@pytest.fixture
+def replays(monkeypatch):
+    """The vectorized simulators that replayed their trace (missed the
+    run memo), in run order."""
+    replayed = []
+    replay = VectorizedTimingSimulator._replay
+
+    def counting(self, *args):
+        replayed.append(self)
+        return replay(self, *args)
+
+    monkeypatch.setattr(VectorizedTimingSimulator, "_replay", counting)
+    return replayed
 
 
 class TestPrepassMemo:
-    """The pre-pass memo never changes a result: a miss, a hit, a
-    second run on the same simulator and every window size match the
-    scalar engine; hits restore the component counters and profiler
-    event counts a computed run leaves."""
+    """The pre-pass memo never changes a result: a miss, a hit and
+    every window size match the scalar engine; a hit builds no
+    component and reports the profiler event counts a computed run
+    does.  A simulator runs once."""
 
     @pytest.fixture(autouse=True)
     def _empty_memo(self):
@@ -440,24 +444,19 @@ class TestPrepassMemo:
         )
         return workload.program, trace, annotation
 
-    def _scalar(self, program, trace, annotation=None, config=None,
-                runs=1):
+    def _scalar(self, program, trace, annotation=None, config=None):
         simulator = LegacyTimingSimulator(program, config=config,
-                                    annotation=annotation,
-                                    collect_per_branch=True)
-        out = [simulator.run(trace).as_dict(per_branch=True)
-               for _ in range(runs)]
-        return out, _component_state(simulator)
+                                          annotation=annotation,
+                                          collect_per_branch=True)
+        return simulator.run(trace).as_dict(per_branch=True)
 
     def _vectorized(self, program, trace, annotation=None, config=None,
-                    runs=1, **kwargs):
+                    **kwargs):
         simulator = VectorizedTimingSimulator(
             program, config=config, annotation=annotation,
             collect_per_branch=True, **kwargs,
         )
-        out = [simulator.run(trace).as_dict(per_branch=True)
-               for _ in range(runs)]
-        return out, _component_state(simulator)
+        return simulator.run(trace).as_dict(per_branch=True)
 
     def test_miss_then_hit(self, dmp_input):
         program, trace, annotation = dmp_input
@@ -465,7 +464,7 @@ class TestPrepassMemo:
         assert self._vectorized(program, trace, annotation) == reference
         assert len(vectorized._PREPASS_MEMO) == 1
         entry = next(iter(vectorized._PREPASS_MEMO.values()))
-        # A hit: same entry, same stats and component counters.
+        # A hit: same entry, same stats.
         assert self._vectorized(program, trace, annotation) == reference
         assert list(vectorized._PREPASS_MEMO.values()) == [entry]
         # The baseline shares the annotation-independent entry.
@@ -475,15 +474,61 @@ class TestPrepassMemo:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_two_runs_on_one_simulator(self, dmp_input, warm):
-        """The second run starts from the state the first run's
-        pre-passes leave, whether the first run hit the memo or not."""
+        """A simulator runs once: a second run raises, whether the
+        first missed the pre-pass memo or hit it, and leaves the memo
+        as the first run left it."""
         program, trace, annotation = dmp_input
         if warm:
             VectorizedTimingSimulator(program).run(trace)
             vectorized.clear_run_memo()
             assert len(vectorized._PREPASS_MEMO) == 1
-        assert self._vectorized(program, trace, annotation, runs=3) \
-            == self._scalar(program, trace, annotation, runs=3)
+        simulator = VectorizedTimingSimulator(
+            program, annotation=annotation, collect_per_branch=True)
+        assert simulator.run(trace).as_dict(per_branch=True) \
+            == self._scalar(program, trace, annotation)
+        memo = {key: (entry, list(entry.runs))
+                for key, entry in vectorized._PREPASS_MEMO.items()}
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="runs one trace"):
+                simulator.run(trace)
+        assert {key: (entry, list(entry.runs))
+                for key, entry in vectorized._PREPASS_MEMO.items()} \
+            == memo
+
+    def test_a_hit_builds_no_component(self, dmp_input, monkeypatch):
+        """Only a pre-pass miss builds the machine's trace-determined
+        components: a simulator whose run hits the memo, and one that
+        has not run, construct no predictor, BTB or memory hierarchy."""
+        from repro.branchpred import BranchTargetBuffer, PerceptronPredictor
+        from repro.memory import MemoryHierarchy
+
+        built = []
+        for cls in (PerceptronPredictor, BranchTargetBuffer,
+                    MemoryHierarchy):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        program, trace, annotation = dmp_input
+        references = [self._scalar(program, trace, candidate)
+                      for candidate in (annotation, None)]
+        built.clear()
+        simulator = make_simulator(program, annotation=annotation,
+                                   collect_per_branch=True)
+        assert built == []
+        assert simulator.run(trace).as_dict(per_branch=True) \
+            == references[0]
+        assert sorted(built) == ["BranchTargetBuffer", "MemoryHierarchy",
+                                 "PerceptronPredictor"]
+        built.clear()
+        vectorized.clear_run_memo()
+        for candidate, reference in zip((annotation, None), references):
+            simulator = make_simulator(program, annotation=candidate,
+                                       collect_per_branch=True)
+            assert simulator.run(trace).as_dict(per_branch=True) \
+                == reference
+        assert built == []
 
     def test_non_default_config(self, dmp_input):
         program, trace, annotation = dmp_input
@@ -508,11 +553,11 @@ class TestPrepassMemo:
     def test_tiny_windows_share_the_entry(self):
         program, trace = hammock_setup()
         annotation = hammock_annotation()
-        reference = self._scalar(program, trace, annotation, runs=2)
+        reference = self._scalar(program, trace, annotation)
         for window_size in (1, 3, 7, 1 << 15):
+            vectorized.clear_run_memo()       # each window replays
             assert self._vectorized(
-                program, trace, annotation, runs=2,
-                window_size=window_size,
+                program, trace, annotation, window_size=window_size,
             ) == reference, window_size
         assert len(vectorized._PREPASS_MEMO) == 1
 
@@ -534,7 +579,7 @@ class TestPrepassMemo:
             == self._scalar(program, other)
         assert len(vectorized._PREPASS_MEMO) == 2
 
-    def test_sealed_trace_is_hashed_once(self, monkeypatch):
+    def test_sealed_trace_is_hashed_once(self, monkeypatch, replays):
         """A memo hit on a sealed artifact trace feeds no trace column
         to SHA-256; an unsealed copy of it hashes and hits the same
         entry."""
@@ -565,12 +610,12 @@ class TestPrepassMemo:
         monkeypatch.setattr(hashlib, "sha256", CountingHash)
         simulator = VectorizedTimingSimulator(artifacts.program)
         assert simulator.run(trace).as_dict() == first.as_dict()
-        assert simulator._skipped is not None          # a run-memo hit
+        assert simulator not in replays                # a run-memo hit
         assert column_bytes not in hashed
         copy = Trace.from_bytes(*trace.to_bytes())
         again = VectorizedTimingSimulator(artifacts.program)
         assert again.run(copy).as_dict() == first.as_dict()
-        assert again._skipped is not None
+        assert again not in replays
         assert hashed.count(column_bytes) == 3
         assert len(vectorized._PREPASS_MEMO) == 1
 
@@ -657,10 +702,9 @@ def _metrics(registry):
 
 
 class TestRunMemo:
-    """A simulator's first run may be a finished run of the memo: it
-    must leave exactly what a replay leaves — stats, every metric the
-    run records, profiler event counts and, for a second run, the
-    simulator state."""
+    """A simulator's run may be a finished run of the memo: it must
+    leave exactly what a replay leaves — stats, every metric the run
+    records, ledger rows and profiler event counts."""
 
     @pytest.fixture(autouse=True)
     def _empty_memo(self):
@@ -694,7 +738,7 @@ class TestRunMemo:
         return entry
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_SPECS))
-    def test_hit_equals_cold_on_every_fig5_config(self, name):
+    def test_hit_equals_cold_on_every_fig5_config(self, name, replays):
         from repro.experiments.configs import (
             COST_CONFIGS,
             CUMULATIVE_HEURISTICS,
@@ -725,11 +769,11 @@ class TestRunMemo:
                 *got, simulator = self._run(program, trace, annotation,
                                             profile=profile_run)
                 assert got == references[profile_run]
-                hits += simulator._skipped is not None
+                hits += simulator not in replays
         assert hits >= 2 * len(annotations)
         assert episodes > 0
 
-    def test_key_separates_registers(self):
+    def test_key_separates_registers(self, replays):
         programs = [assemble(REGISTER_LOOP.format("r3", "r4")),
                     assemble(REGISTER_LOOP.format("r6", "r7"))]
         traces = [execute(program)[0] for program in programs]
@@ -741,7 +785,7 @@ class TestRunMemo:
             for _ in range(2):
                 stats, _, _, simulator = self._run(program, trace)
                 assert stats == cold.as_dict()
-            assert simulator._skipped is not None
+            assert simulator not in replays
             results.append(stats)
         assert results[0]["cycles"] != results[1]["cycles"]
         assert len(self._entry().runs) == 2
@@ -781,7 +825,7 @@ class TestRunMemo:
         assert [len(entry.runs)
                 for entry in vectorized._PREPASS_MEMO.values()] == [1, 1]
 
-    def test_key_separates_annotations_but_not_empty_ones(self):
+    def test_key_separates_annotations_but_not_empty_ones(self, replays):
         program, trace = hammock_setup()
         empty = BinaryAnnotation("empty", [])
         hits = []
@@ -792,12 +836,15 @@ class TestRunMemo:
                 trace, label="run")
             stats, _, _, simulator = self._run(program, trace, annotation)
             assert stats == cold.as_dict()
-            hits.append(simulator._skipped is not None)
+            hits.append(simulator not in replays)
         assert hits == [False, False, False, True, True]
         assert len(self._entry().runs) == 3
 
     @pytest.mark.parametrize("runs", [2, 3])
-    def test_runs_after_a_hit_match_the_scalar_engine(self, runs):
+    def test_runs_after_a_hit_match_the_scalar_engine(self, runs,
+                                                      replays):
+        """``runs`` simulators recording into one registry, every run a
+        hit, leave the stats and metrics of as many scalar runs."""
         from repro.obs.metrics import MetricsRegistry
 
         program, trace, annotation = _hammock_and_loop()
@@ -805,14 +852,12 @@ class TestRunMemo:
         outputs = []
         for cls in (LegacyTimingSimulator, VectorizedTimingSimulator):
             registry = MetricsRegistry()
-            simulator = cls(program, annotation=annotation,
-                            metrics=registry)
-            stats = [simulator.run(trace, label=f"run{i}").as_dict()
+            stats = [cls(program, annotation=annotation, metrics=registry)
+                     .run(trace, label=f"run{i}").as_dict()
                      for i in range(runs)]
-            outputs.append((stats, _metrics(registry),
-                            _component_state(simulator),
-                            dict(simulator.bias._counters)))
+            outputs.append((stats, _metrics(registry)))
         assert outputs[0] == outputs[1]
+        assert len(replays) == 1
 
     @pytest.mark.parametrize("bypass", ["tracer"])
     def test_bypass_stores_nothing(self, bypass):
@@ -827,42 +872,42 @@ class TestRunMemo:
         assert self._entry().runs == {}
 
     @staticmethod
-    def _tracked(cls, program, trace, annotation, tracking):
-        """Two runs on one simulator with a ledger and/or per-branch
-        collection: ``(per-run outputs, whether the first run hit the
-        run memo)``.  Each output holds the stats with ``per_branch``,
-        the ledger's counters and ``runs`` so far, every metric and the
-        component counters."""
+    def _tracked(cls, program, trace, annotation, tracking, replays):
+        """Two simulators recording into one registry and one ledger
+        and/or collecting per-branch counters: ``(per-run outputs,
+        whether the first run hit the run memo)``.  Each output holds
+        the stats with ``per_branch``, the ledger's counters and
+        ``runs`` so far and every metric."""
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         ledger = RuntimeLedger() if "ledger" in tracking else None
-        simulator = cls(program, annotation=annotation, metrics=registry,
-                        ledger=ledger,
-                        collect_per_branch="per_branch" in tracking)
         outputs = []
+        hit = None
         for label in ("run0", "run1"):
+            simulator = cls(program, annotation=annotation,
+                            metrics=registry, ledger=ledger,
+                            collect_per_branch="per_branch" in tracking)
             stats = simulator.run(trace, label=label)
-            if label == "run0":
-                hit = getattr(simulator, "_skipped", None) is not None
+            if hit is None:
+                hit = simulator not in replays
             outputs.append((
                 stats.as_dict(per_branch=True),
                 None if ledger is None else (
                     {pc: list(c) for pc, c in ledger._branches.items()},
                     [dict(run) for run in ledger.runs]),
-                _metrics(registry), _component_state(simulator),
+                _metrics(registry),
             ))
         return outputs, hit
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_SPECS))
-    def test_tracked_hit_matches_the_scalar_engine(self, name):
+    def test_tracked_hit_matches_the_scalar_engine(self, name, replays):
         """A ledger or per-branch run misses a run stored without
         per-pc counters, stores them, and a later one hits: its stats,
-        ``per_branch``, ledger counters and ``runs``, metrics and
-        component counters, and those of a second run on the same
-        simulator, equal the scalar engine's.  A profiled run then
-        misses (no event counts stored) and the run it stores keeps
-        the counters."""
+        ``per_branch``, ledger counters and ``runs`` and metrics, and
+        those of a second run into the same registry and ledger, equal
+        the scalar engine's.  A profiled run then misses (no event
+        counts stored) and the run it stores keeps the counters."""
         workload = load_benchmark(name, scale=0.02)
         trace, profile = _profiled_trace(
             workload.program, workload.memory,
@@ -879,10 +924,10 @@ class TestRunMemo:
                              ("ledger", "per_branch")):
                 reference, _ = self._tracked(
                     LegacyTimingSimulator, program, trace, annotation,
-                    tracking)
+                    tracking, replays)
                 outputs = [self._tracked(VectorizedTimingSimulator,
                                          program, trace, annotation,
-                                         tracking)
+                                         tracking, replays)
                            for _ in range(2)]
                 assert [output for output, _ in outputs] \
                     == [reference, reference]
@@ -893,7 +938,7 @@ class TestRunMemo:
                 episodes += reference[0][0]["dpred_episodes"]
             *_, simulator = self._run(program, trace, annotation,
                                       profile=True)
-            assert simulator._skipped is None
+            assert simulator in replays
             (stored,) = self._entry().runs.values()
             assert stored.events is not None
             assert stored.per_branch is not None
@@ -909,15 +954,15 @@ class TestRunMemo:
         assert [key[1] for key in self._runs(self._entry())] \
             == [None, vectorized._annotation_key(annotations[2])]
 
-    def test_clear_run_memo_keeps_the_prepasses(self):
+    def test_clear_run_memo_keeps_the_prepasses(self, replays):
         program, trace = hammock_setup()
         self._run(program, trace)
         entry = self._entry()
         vectorized.clear_run_memo()
         assert self._entry() is entry and entry.runs == {}
         _, _, _, simulator = self._run(program, trace)
-        assert simulator._skipped is None
-        assert simulator._deferred is not None     # a pre-pass hit
+        assert simulator in replays
+        assert self._entry() is entry               # a pre-pass hit
 
     def test_profiled_hit_charges_other(self):
         from repro.uarch import COMPONENTS, SimProfiler
@@ -936,7 +981,8 @@ class TestRunMemo:
         assert [name for name in COMPONENTS if run["seconds"][name]] \
             == ["other"]
 
-    def test_profiled_run_misses_a_run_stored_without_events(self):
+    def test_profiled_run_misses_a_run_stored_without_events(self,
+                                                             replays):
         from repro.uarch import SimProfiler
 
         program, trace = hammock_setup()
@@ -944,7 +990,7 @@ class TestRunMemo:
         (stored,) = self._entry().runs.values()
         assert stored.events is None
         *_, simulator = self._run(program, trace, profile=True)
-        assert simulator._skipped is None
+        assert simulator in replays
         (stored,) = self._entry().runs.values()
         assert stored.events is not None
         profiler = SimProfiler()
